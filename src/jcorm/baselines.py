@@ -17,11 +17,8 @@ import numpy as np
 from . import model
 from .config import ScenarioConfig
 from .model import SlotContext, SlotDecision
-from .solver import (SlotSolveTrace, _guarded, _objective_terms, _branch_need,
-                     solve_sp1_power, solve_sp2_compute, solve_sp3_start_time,
-                     solve_sp4_ratio)
-
-_NOISE = 1e-9
+from .solver import (HorizonResult, SlotSolveTrace, run_horizon, solve_slot_rotation,
+                     solve_sp3_start_time)
 
 
 # ---------------------------------------------------------------------------
@@ -30,64 +27,12 @@ _NOISE = 1e-9
 
 def solve_slot_atsm(ctx: SlotContext, cfg: ScenarioConfig):
     """Half-slot split baseline: forwarding starts at slot/2 for every UAV;
-    the remaining blocks run the same guarded rotation as the main solver.
+    the remaining blocks run the main solver's guarded rotation.
     Returns (SlotDecision, SlotSolveTrace). An instance whose DS load cannot
     finish by slot/2 is flagged, and the decision degrades to no-offload
     with the start kept at slot/2 (the delay violation stays visible in the
     metrics)."""
-    tol = cfg.tol
-    n = ctx.num_uavs
-    dt = np.full(n, ctx.slot_seconds / 2.0)
-    p = np.full(n, ctx.pmax_w / 2.0)
-    f = np.full(n, ctx.leo_cpu_hz / n)
-    gm = np.full(n, 0.5)
-    gm[ctx.sum_d <= 0.0] = 0.0
-
-    trace = SlotSolveTrace()
-    prev_obj = None
-    for i in range(1, tol.i_max + 1):
-        trace.iterations = i
-        p_cand, p_info = solve_sp1_power(ctx, f, dt, gm, tol)
-        trace.sp1_infeasible += int(np.sum(p_info.infeasible))
-        p_cand = np.where(p_info.infeasible, p, p_cand)
-        inc_ok = (_branch_need(ctx, p, f, gm) <= dt + 1e-9) & (p <= ctx.pmax_w + 1e-12)
-        base = _objective_terms(ctx, p, f, dt, gm)
-        cand = _objective_terms(ctx, p_cand, f, dt, gm)
-        p, _ = _guarded(base, inc_ok, cand, p, p_cand)
-
-        f_cand, f_bad, scaled = solve_sp2_compute(ctx, p, dt, gm)
-        trace.sp2_infeasible += int(np.sum(f_bad))
-        trace.budget_scaled += int(scaled)
-        inc_ok = (_branch_need(ctx, p, f, gm) <= dt + 1e-9) & (f <= ctx.leo_cpu_hz + 1e-6)
-        base = _objective_terms(ctx, p, f, dt, gm)
-        cand = _objective_terms(ctx, p, f_cand, dt, gm)
-        f_new, _ = _guarded(base, inc_ok, cand, f, f_cand)
-        if np.sum(f_new) > ctx.leo_cpu_hz * (1.0 + 1e-9):
-            f_new = f_cand
-        f = f_new
-
-        gm_cand, gm_empty = solve_sp4_ratio(ctx, p, f, dt)
-        trace.sp4_empty += int(np.sum(gm_empty))
-        inc_ok = (_branch_need(ctx, p, f, gm) <= dt + 1e-9)
-        base = _objective_terms(ctx, p, f, dt, gm)
-        cand = _objective_terms(ctx, p, f, dt, gm_cand)
-        gm, _ = _guarded(base, inc_ok, cand, gm, gm_cand)
-
-        obj = float(np.sum(_objective_terms(ctx, p, f, dt, gm))) / 1e6
-        trace.objective_mbit.append(obj)
-        if prev_obj is not None:
-            if obj < prev_obj - _NOISE:
-                trace.monotone_ok = False
-            if abs(obj - prev_obj) <= tol.tau_outer:
-                trace.converged = True
-                break
-        prev_obj = obj
-
-    decision = SlotDecision(p, f, dt, gm)
-    if not model.check_feasible(ctx, decision).ok:
-        decision = SlotDecision(np.zeros(n), np.zeros(n), dt.copy(), np.zeros(n))
-        trace.fallback = True
-    return decision, trace
+    return solve_slot_rotation(ctx, cfg, pinned_start=ctx.slot_seconds / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +47,17 @@ class GaTrace:
     sanitized: bool = False
 
 
-def _ga_fitness(ctx: SlotContext, p, f, dt, gm, penalty_weight: float) -> np.ndarray:
+def _ga_fitness(ctx: SlotContext, p, f, dt, gm, penalty_weight: float,
+                free=None) -> np.ndarray:
     """Penalized fitness of a population, arrays shaped (pop, U).
 
     Fitness is the slot objective on the Mbit scale minus penalty_weight
     times the summed constraint violations, each measured on a unit scale
-    (seconds for deadlines, Mbit for storage terms, GHz for the pool)."""
+    (seconds for deadlines, Mbit for storage terms, GHz for the pool).
+    ``free`` is the storage free at the slot start, ctx.storage_free by
+    default."""
+    if free is None:
+        free = ctx.storage_free
     dec = SlotDecision(p, f, dt, gm)
     obj = np.sum(model.objective_terms(ctx, dec), axis=-1) / 1e6
 
@@ -116,9 +66,9 @@ def _ga_fitness(ctx: SlotContext, p, f, dt, gm, penalty_weight: float) -> np.nda
     v_deadline = np.sum(np.minimum(np.maximum(need - dt, 0.0), 1e6), axis=-1)
 
     collected = ctx.dt_dev_rate_sum * dt
-    v_storage = np.sum(np.maximum(collected - ctx.storage_free, 0.0), axis=-1) / 1e6
+    v_storage = np.sum(np.maximum(collected - free, 0.0), axis=-1) / 1e6
     window = np.clip(ctx.slot_seconds - dt, 0.0, None)
-    available = collected + (ctx.storage_capacity - ctx.storage_free)
+    available = collected + (ctx.storage_capacity - free)
     v_backlog = np.sum(np.maximum(ctx.r_tol_leo * window - available, 0.0), axis=-1) / 1e6
 
     v_budget = np.maximum(np.sum(f, axis=-1) - ctx.leo_cpu_hz, 0.0) / 1e9
@@ -204,12 +154,12 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
     does. This matches reading the heuristic as solving the full problem
     directly rather than slot by slot.
 
+    The best genome is replayed slot by slot through solver.run_horizon.
     Returns a solver.HorizonResult; the single GaTrace is shared by all
     slots."""
     import time as _time
 
     from .scenario import build_slot_context
-    from .solver import HorizonResult
 
     ga = cfg.ga
     n = cfg.num_uavs
@@ -230,19 +180,10 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
         fit = np.zeros(pop)
         for t, ctx in enumerate(ctxs):
             p, f, dt, gm = _split_genes(genomes[:, t * 4 * n:(t + 1) * 4 * n], n)
-            dec = SlotDecision(p, f, dt, gm)
-            obj = np.sum(model.objective_terms(ctx, dec), axis=-1) / 1e6
-            local, sat = model.deadline_lower_bounds(ctx, p, f, gm)
-            v_deadline = np.sum(np.minimum(np.maximum(np.maximum(local, sat) - dt, 0.0), 1e6), axis=-1)
-            collected_nom = ctx.dt_dev_rate_sum * dt
-            v_storage = np.sum(np.maximum(collected_nom - free, 0.0), axis=-1) / 1e6
-            window = np.clip(ctx.slot_seconds - dt, 0.0, None)
-            available = collected_nom + (ctx.storage_capacity - free)
-            v_backlog = np.sum(np.maximum(ctx.r_tol_leo * window - available, 0.0), axis=-1) / 1e6
-            v_budget = np.maximum(np.sum(f, axis=-1) - ctx.leo_cpu_hz, 0.0) / 1e9
-            fit += obj - ga.penalty_weight * (v_deadline + v_storage + v_backlog + v_budget)
+            fit += _ga_fitness(ctx, p, f, dt, gm, ga.penalty_weight, free)
             # physical storage threading for the next slot's bounds
-            collected = np.minimum(collected_nom, free)
+            window = np.clip(ctx.slot_seconds - dt, 0.0, None)
+            collected = np.minimum(ctx.dt_dev_rate_sum * dt, free)
             uplink = np.minimum(ctx.r_tol_leo * window, collected + (ctx.storage_capacity - free))
             free = np.clip(free - collected + uplink, 0.0, ctx.storage_capacity)
         return fit
@@ -251,23 +192,15 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
         return HorizonResult([], [], [], [], 0.0, _time.perf_counter() - t_start)
 
     best = _evolve(rng, ga, hi, fitness, trace)
+    genes = iter(np.split(best, t_slots))
 
-    free = base_free.copy()
-    metrics_list, decisions, traces = [], [], []
-    utility = 0.0
-    for t in range(t_slots):
-        ctx = build_slot_context(cfg, state, t, free)
-        p, f, dt, gm = (np.array(a, dtype=float)
-                        for a in _split_genes(best[t * 4 * n:(t + 1) * 4 * n], n))
-        decision = _sanitize_slot(ctx, p, f, dt, gm, trace)
-        metrics = model.meter_slot(ctx, decision)
-        free = metrics.next_free
-        utility += metrics.utility_bits
-        metrics_list.append(metrics)
-        decisions.append(decision)
-        traces.append(trace)
-    wall = _time.perf_counter() - t_start
-    return HorizonResult(metrics_list, decisions, traces, [], utility, wall)
+    def replay(ctx, cfg):
+        p, f, dt, gm = (np.array(a, dtype=float) for a in _split_genes(next(genes), n))
+        return _sanitize_slot(ctx, p, f, dt, gm, trace), trace
+
+    result = run_horizon(cfg, state, replay)
+    result.wall_seconds = _time.perf_counter() - t_start
+    return result
 
 
 # ---------------------------------------------------------------------------

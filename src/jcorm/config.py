@@ -37,24 +37,16 @@ PLACEMENTS = ("grid", "uniform")
 
 @dataclass
 class ToleranceConfig:
-    """Iteration caps and convergence thresholds for the slot solver."""
+    """Iteration cap and convergence threshold for the slot solver."""
 
-    r_max: int = 50            # Dinkelbach outer iterations
-    j_max: int = 50            # subgradient inner iterations
     i_max: int = 50            # alternating-optimization passes per slot
-    eps_dinkelbach: float = 0.01   # root-property residual, rate-normalized
-    xi_inner: float = 0.01         # inner-loop power-change threshold (W)
-    tau_outer: float = 0.01        # slot-objective change, Mbit-normalized
-    step_a: float = 0.1            # subgradient step schedule a/(b+j)
-    step_b: float = 1.0
+    tau_outer: float = 0.01    # slot-objective change, Mbit-normalized
 
     def validate(self) -> None:
-        if min(self.r_max, self.j_max, self.i_max) < 1:
-            raise ConfigError("iteration caps must be >= 1")
-        if min(self.eps_dinkelbach, self.xi_inner, self.tau_outer) <= 0:
-            raise ConfigError("convergence thresholds must be > 0")
-        if self.step_a <= 0 or self.step_b <= 0:
-            raise ConfigError("subgradient step parameters must be > 0")
+        if self.i_max < 1:
+            raise ConfigError("i_max must be >= 1")
+        if self.tau_outer <= 0:
+            raise ConfigError("tau_outer must be > 0")
 
 
 @dataclass
@@ -274,7 +266,7 @@ _TOL_FIELDS = {f.name for f in dataclasses.fields(ToleranceConfig)}
 _GA_FIELDS = {f.name for f in dataclasses.fields(GaConfig)}
 
 _INT_FIELDS = {"num_uavs", "k_sens_min", "k_sens_max", "k_tol_min", "k_tol_max",
-               "num_slots", "seed", "r_max", "j_max", "i_max",
+               "num_slots", "seed", "i_max",
                "population", "generations", "elitism", "tournament"}
 _STR_FIELDS = {"uav_placement", "algo", "solver_mode"}
 

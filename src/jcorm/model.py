@@ -156,15 +156,6 @@ class SlotDecision:
     delta_tol: np.ndarray   # DT forwarding start time inside the slot (s)
     gamma: np.ndarray       # offloaded fraction of the DS load, in [0, 1]
 
-    def copy(self) -> "SlotDecision":
-        return SlotDecision(self.power.copy(), self.f_leo.copy(),
-                            self.delta_tol.copy(), self.gamma.copy())
-
-
-def zero_decision(num_uavs: int) -> SlotDecision:
-    z = np.zeros(num_uavs)
-    return SlotDecision(z.copy(), z.copy(), z.copy(), z.copy())
-
 
 # ---------------------------------------------------------------------------
 # delays

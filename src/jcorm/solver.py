@@ -4,8 +4,8 @@ ratio) and the horizon runner.
 The slot problem decomposes into four blocks solved in rotation until the
 slot objective settles:
 
-  1. DS uplink power -- fractional (energy-per-rate) program solved with a
-     Dinkelbach outer loop around a Lagrangian inner step,
+  1. DS uplink power -- the lowest power meeting the deadline, in closed
+     form (energy per delivered bit rises with power),
   2. satellite compute share -- closed form at the deadline-tight minimum,
   3. DT forwarding start time -- linear program over an interval,
   4. offload ratio -- linear program over an interval.
@@ -13,27 +13,24 @@ slot objective settles:
 Each block only ever replaces a UAV's value when doing so does not lower
 that UAV's objective contribution (unless the incumbent has become
 infeasible and must be repaired), so the per-pass objective trace is
-non-decreasing up to float noise.
+non-decreasing up to float noise. The half-slot baseline (ATSM) runs the
+same rotation with the forwarding start pinned.
 
-Internally the power solver works in Mbit-normalized units (data / 1e6,
-rates / 1e6): the fractional objective is invariant to that scaling and
-it puts multipliers, step sizes, and the configured thresholds on a sane
-common scale.
+The power block works in Mbit-normalized units (data / 1e6, band / 1e6);
+the required rate is invariant to that scaling.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
-from .config import ScenarioConfig, ToleranceConfig
+from .config import ScenarioConfig
 from .model import SlotContext, SlotDecision
 
-_LN2 = math.log(2.0)
 _NOISE = 1e-9          # accepted objective decrease attributable to float noise
 
 
@@ -43,99 +40,44 @@ _NOISE = 1e-9          # accepted objective decrease attributable to float noise
 
 @dataclass
 class PowerSolveInfo:
-    """Per-UAV diagnostics of the power subproblem."""
+    """Per-UAV outcome of the power subproblem."""
 
-    eta: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-    outer_iters: np.ndarray
-    inner_iters: np.ndarray
-    residual: np.ndarray      # |A p - eta R| / R at exit
     infeasible: np.ndarray    # bool: no power can satisfy the deadline
 
 
 def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
-                    gamma: np.ndarray, tol: ToleranceConfig):
-    """Minimize transmit energy per delivered offload rate subject to the
-    satellite-branch deadline and the power box.
+                    gamma: np.ndarray):
+    """Lowest transmit power that meets the satellite-branch deadline, within
+    the power box.
+
+    Energy per delivered bit, p / log2(1 + p g / N0), rises with p, so the
+    fractional energy-per-rate program ends at the lowest power whose rate
+    pushes the offloaded bits through the deadline slack:
+    p_req = (2^(gamma D / (slack B/U)) - 1) N0 / g, clipped to pmax.
 
     Returns (power array, PowerSolveInfo). UAVs with nothing to offload get
-    zero power; UAVs whose deadline cannot be met at any power are flagged.
+    zero power. UAVs with no compute share, no slack left, or p_req above
+    pmax are flagged and get zero power.
     """
-    n = ctx.num_uavs
-    p_out = np.zeros(n)
-    info = PowerSolveInfo(np.zeros(n), np.zeros(n), np.zeros(n),
-                          np.zeros(n, dtype=int), np.zeros(n, dtype=int),
-                          np.zeros(n), np.zeros(n, dtype=bool))
-    b_n = ctx.leo_bandwidth_hz / 1e6 / n      # per-UAV band share, Mbit/s per unit log2
-    for u in range(n):
-        g = float(ctx.sat_gain[u])
-        gam = float(gamma[u])
-        d_mbit = float(ctx.sum_d[u]) / 1e6
-        if gam <= 0.0 or d_mbit <= 0.0:
-            continue  # no offload stream: zero power is optimal and feasible
-        f_u = float(f_leo[u])
-        if f_u <= 0.0:
-            info.infeasible[u] = True
-            continue
-        slack = (float(delta_tol[u]) - ctx.l_off[u]
-                 - ctx.cycles_per_bit * gam * float(ctx.sum_d[u]) / f_u
-                 - 2.0 * ctx.l_prop)
-        if slack <= 0.0:
-            info.infeasible[u] = True
-            continue
-        demand = gam * d_mbit                      # Mbit to push through the link
-        a_coef = ctx.omega * demand                # fractional-objective numerator weight
-        snr_per_w = g / ctx.noise_w
-
-        def rate(p):  # Mbit/s
-            return b_n * math.log2(1.0 + p * snr_per_w)
-
-        # minimum power meeting the deadline: rate(p) >= demand / slack
-        p_req = (2.0 ** (demand / (slack * b_n)) - 1.0) / snr_per_w
-        if p_req > ctx.pmax_w * (1.0 + 1e-9):
-            info.infeasible[u] = True
-            continue
-        p_req = min(p_req, ctx.pmax_w)
-
-        eta = 0.0
-        p_r = p_req
-        outer = 0
-        inner_total = 0
-        for outer in range(1, tol.r_max + 1):
-            # Lagrangian inner loop: candidate power from the stationarity
-            # closed form, multipliers by projected dual ascent
-            lam = 0.0
-            mu = 0.0
-            p_prev = None
-            for j in range(1, tol.j_max + 1):
-                inner_total += 1
-                p_hat = (eta + lam * slack) * b_n / ((a_coef + mu) * _LN2) - 1.0 / snr_per_w
-                p_hat = min(max(p_hat, 0.0), ctx.pmax_w)
-                r_hat = rate(p_hat)
-                step = tol.step_a / (tol.step_b + j)
-                lam = max(0.0, lam + step * (demand - slack * r_hat))
-                mu = max(0.0, mu + step * (p_hat - ctx.pmax_w))
-                if p_prev is not None and abs(p_hat - p_prev) <= tol.xi_inner:
-                    break
-                p_prev = p_hat
-            # exact optimum of the eta-subproblem over the feasible interval
-            # (convex in p, so the stationary point clamps cleanly)
-            p_unc = max(0.0, eta * b_n / (a_coef * _LN2) - 1.0 / snr_per_w)
-            p_r = min(max(p_unc, p_req), ctx.pmax_w)
-            r_r = rate(p_r)
-            resid = a_coef * p_r - eta * r_r
-            if abs(resid) <= tol.eps_dinkelbach * max(r_r, 1e-12):
-                break
-            eta = a_coef * p_r / r_r
-        info.eta[u] = eta
-        info.lam[u] = lam
-        info.mu[u] = mu
-        info.outer_iters[u] = outer
-        info.inner_iters[u] = inner_total
-        info.residual[u] = abs(a_coef * p_r - eta * rate(p_r)) / max(rate(p_r), 1e-12)
-        p_out[u] = p_r
-    return p_out, info
+    gamma = np.asarray(gamma, dtype=float)
+    f_leo = np.asarray(f_leo, dtype=float)
+    d_mbit = ctx.sum_d / 1e6
+    live = (gamma > 0.0) & (d_mbit > 0.0)
+    has_f = f_leo > 0.0
+    slack = (delta_tol - ctx.l_off
+             - ctx.cycles_per_bit * gamma * ctx.sum_d / np.where(has_f, f_leo, 1.0)
+             - 2.0 * ctx.l_prop)
+    has_slack = slack > 0.0
+    b_n = ctx.leo_bandwidth_hz / 1e6 / ctx.num_uavs   # per-UAV band share, MHz
+    exponent = gamma * d_mbit / (np.where(has_slack, slack, 1.0) * b_n)
+    # float_power rounds like the scalar libm pow (np.power's SIMD kernel can
+    # differ in the last bit). A tiny band share overflows to inf, which the
+    # pmax test below flags.
+    with np.errstate(over="ignore"):
+        p_req = (np.float_power(2.0, exponent) - 1.0) / (ctx.sat_gain / ctx.noise_w)
+    infeasible = live & (~has_f | ~has_slack | (p_req > ctx.pmax_w * (1.0 + 1e-9)))
+    power = np.where(live & ~infeasible, np.minimum(p_req, ctx.pmax_w), 0.0)
+    return power, PowerSolveInfo(infeasible)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +180,12 @@ def solve_sp3_start_time(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
 
     Returns (delta_tol array, empty-interval mask)."""
     lo, hi = sp3_bounds(ctx, power, f_leo, gamma, mode=mode, local_only=local_only)
+    return _start_in(ctx, lo, hi)
+
+
+def _start_in(ctx: SlotContext, lo: np.ndarray, hi: np.ndarray):
+    """The better end of the start-time interval [lo, hi] (see
+    solve_sp3_start_time); an empty interval gets the slot end."""
     empty = lo > hi + 1e-12
     gain_from_waiting = ctx.omega * ctx.dt_uplink_power_w - ctx.r_tol_leo
     delta = np.where(gain_from_waiting >= 0.0, hi, lo)
@@ -319,16 +267,6 @@ class SlotSolveTrace:
     budget_scaled: int = 0
     sp_seconds: dict = field(default_factory=lambda: {"sp1": 0.0, "sp2": 0.0,
                                                       "sp3": 0.0, "sp4": 0.0})
-    dinkelbach_iters: int = 0
-    final_lam: np.ndarray | None = None
-    final_mu: np.ndarray | None = None
-
-
-def _objective_terms(ctx: SlotContext, power, f_leo, delta_tol, gamma) -> np.ndarray:
-    """Per-UAV objective contributions (bits minus omega * joules)."""
-    dec = SlotDecision(np.asarray(power, dtype=float), np.asarray(f_leo, dtype=float),
-                       np.asarray(delta_tol, dtype=float), np.asarray(gamma, dtype=float))
-    return model.objective_terms(ctx, dec)
 
 
 def _branch_need(ctx, power, f_leo, gamma):
@@ -336,24 +274,35 @@ def _branch_need(ctx, power, f_leo, gamma):
     return np.maximum(local, sat)
 
 
-def _guarded(base_terms, incumbent_feasible, cand_terms, incumbent, candidate):
+def _guarded(terms, incumbent_feasible, cand_terms, incumbent, candidate):
     """Per-UAV accept rule: keep the incumbent only where it is feasible and
-    strictly better than the candidate."""
-    keep = incumbent_feasible & (base_terms > cand_terms)
-    return np.where(keep, incumbent, candidate), keep
+    strictly better than the candidate. Returns the merged values and their
+    objective terms."""
+    keep = incumbent_feasible & (terms > cand_terms)
+    return np.where(keep, incumbent, candidate), np.where(keep, terms, cand_terms)
 
 
-def solve_slot_jcorm(ctx: SlotContext, cfg: ScenarioConfig):
-    """Joint per-slot optimization by block rotation (power, compute share,
-    forwarding start, offload ratio). Returns (SlotDecision, SlotSolveTrace)."""
+def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig,
+                        pinned_start: float | None = None):
+    """Block rotation (power, compute share, forwarding start, offload ratio)
+    until the slot objective settles. With ``pinned_start`` every UAV starts
+    forwarding at that time and the start-time block is skipped.
+
+    ``terms`` holds the per-UAV objective terms of the incumbent decision.
+    Each block evaluates only its candidate and merges the two with the
+    guard's mask; that is exact because the terms are elementwise per UAV.
+    A decision that fails check_feasible is replaced by fallback_decision,
+    keeping the pinned start if there is one. Returns (SlotDecision,
+    SlotSolveTrace)."""
     tol = cfg.tol
     mode = cfg.solver_mode
     n = ctx.num_uavs
     p = np.full(n, ctx.pmax_w / 2.0)
     f = np.full(n, ctx.leo_cpu_hz / n)
-    dt = np.full(n, ctx.slot_seconds / 2.0)
+    dt = np.full(n, ctx.slot_seconds / 2.0 if pinned_start is None else pinned_start)
     gm = np.full(n, 0.5)
     gm[ctx.sum_d <= 0.0] = 0.0
+    terms = model.objective_terms(ctx, SlotDecision(p, f, dt, gm))
 
     trace = SlotSolveTrace()
     prev_obj = None
@@ -361,15 +310,14 @@ def solve_slot_jcorm(ctx: SlotContext, cfg: ScenarioConfig):
         trace.iterations = i
 
         t0 = time.perf_counter()
-        p_cand, p_info = solve_sp1_power(ctx, f, dt, gm, tol)
+        p_cand, p_info = solve_sp1_power(ctx, f, dt, gm)
         trace.sp1_infeasible += int(np.sum(p_info.infeasible))
-        trace.dinkelbach_iters += int(np.sum(p_info.outer_iters))
-        trace.final_lam, trace.final_mu = p_info.lam, p_info.mu
         inc_ok = (_branch_need(ctx, p, f, gm) <= dt + 1e-9) & (p <= ctx.pmax_w + 1e-12)
-        base = _objective_terms(ctx, p, f, dt, gm)
-        cand = _objective_terms(ctx, p_cand, f, dt, gm)
-        p_cand = np.where(p_info.infeasible, p, p_cand)  # keep incumbent where SP1 gave up
-        p, _ = _guarded(base, inc_ok, cand, p, p_cand)
+        cand = model.objective_terms(ctx, SlotDecision(p_cand, f, dt, gm))
+        # keep the incumbent where it wins the guard or where SP1 gave up
+        keep = (inc_ok & (terms > cand)) | p_info.infeasible
+        p = np.where(keep, p, p_cand)
+        terms = np.where(keep, terms, cand)
         trace.sp_seconds["sp1"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -377,34 +325,31 @@ def solve_slot_jcorm(ctx: SlotContext, cfg: ScenarioConfig):
         trace.sp2_infeasible += int(np.sum(f_bad))
         trace.budget_scaled += int(scaled)
         inc_ok = (_branch_need(ctx, p, f, gm) <= dt + 1e-9) & (f <= ctx.leo_cpu_hz + 1e-6)
-        base = _objective_terms(ctx, p, f, dt, gm)
-        cand = _objective_terms(ctx, p, f_cand, dt, gm)
-        f_new, kept = _guarded(base, inc_ok, cand, f, f_cand)
-        if np.sum(f_new) > ctx.leo_cpu_hz * (1.0 + 1e-9):
-            f_new = f_cand          # mixing broke the pool budget; candidate honors it
-        f = f_new
+        cand = model.objective_terms(ctx, SlotDecision(p, f_cand, dt, gm))
+        f, terms = _guarded(terms, inc_ok, cand, f, f_cand)
+        if np.sum(f) > ctx.leo_cpu_hz * (1.0 + 1e-9):
+            f, terms = f_cand, cand  # mixing broke the pool budget; candidate honors it
         trace.sp_seconds["sp2"] += time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        dt_cand, dt_empty = solve_sp3_start_time(ctx, p, f, gm, mode=mode)
-        trace.sp3_empty += int(np.sum(dt_empty))
-        base = _objective_terms(ctx, p, f, dt, gm)
-        cand = _objective_terms(ctx, p, f, dt_cand, gm)
-        lo3, hi3 = sp3_bounds(ctx, p, f, gm, mode=mode)
-        inc_ok = (dt >= lo3 - 1e-9) & (dt <= hi3 + 1e-9)
-        dt, _ = _guarded(base, inc_ok, cand, dt, dt_cand)
-        trace.sp_seconds["sp3"] += time.perf_counter() - t0
+        if pinned_start is None:
+            t0 = time.perf_counter()
+            lo3, hi3 = sp3_bounds(ctx, p, f, gm, mode=mode)
+            dt_cand, dt_empty = _start_in(ctx, lo3, hi3)
+            trace.sp3_empty += int(np.sum(dt_empty))
+            cand = model.objective_terms(ctx, SlotDecision(p, f, dt_cand, gm))
+            inc_ok = (dt >= lo3 - 1e-9) & (dt <= hi3 + 1e-9)
+            dt, terms = _guarded(terms, inc_ok, cand, dt, dt_cand)
+            trace.sp_seconds["sp3"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         gm_cand, gm_empty = solve_sp4_ratio(ctx, p, f, dt)
         trace.sp4_empty += int(np.sum(gm_empty))
         inc_ok = (_branch_need(ctx, p, f, gm) <= dt + 1e-9)
-        base = _objective_terms(ctx, p, f, dt, gm)
-        cand = _objective_terms(ctx, p, f, dt, gm_cand)
-        gm, _ = _guarded(base, inc_ok, cand, gm, gm_cand)
+        cand = model.objective_terms(ctx, SlotDecision(p, f, dt, gm_cand))
+        gm, terms = _guarded(terms, inc_ok, cand, gm, gm_cand)
         trace.sp_seconds["sp4"] += time.perf_counter() - t0
 
-        obj = float(np.sum(_objective_terms(ctx, p, f, dt, gm))) / 1e6
+        obj = float(np.sum(terms)) / 1e6
         trace.objective_mbit.append(obj)
         if prev_obj is not None:
             if obj < prev_obj - _NOISE:
@@ -415,11 +360,18 @@ def solve_slot_jcorm(ctx: SlotContext, cfg: ScenarioConfig):
         prev_obj = obj
 
     decision = SlotDecision(p, f, dt, gm)
-    report = model.check_feasible(ctx, decision)
-    if not report.ok:
+    if not model.check_feasible(ctx, decision).ok:
         decision = fallback_decision(ctx)
+        if pinned_start is not None:
+            decision.delta_tol = dt  # the delay violation stays visible in the metrics
         trace.fallback = True
     return decision, trace
+
+
+def solve_slot_jcorm(ctx: SlotContext, cfg: ScenarioConfig):
+    """Joint per-slot optimization: the block rotation over all four
+    decisions. Returns (SlotDecision, SlotSolveTrace)."""
+    return solve_slot_rotation(ctx, cfg)
 
 
 def fallback_decision(ctx: SlotContext) -> SlotDecision:

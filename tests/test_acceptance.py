@@ -47,7 +47,7 @@ def test_criterion_1_blocks_match_grid_references():
         fixed = random_fixed_decision(ctx, rng)
 
         p, info = solve_sp1_power(ctx, fixed.f_leo, fixed.delta_tol,
-                                  fixed.gamma, TOL)
+                                  fixed.gamma)
         res = grid_sp1(ctx, fixed)
         live = res.feasible & ~info.infeasible & (fixed.gamma > 0)
         rate = ctx.ds_rate(p)

@@ -246,6 +246,15 @@ class TestCli:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_removed_solver_key_is_config_error(self, tmp_path, capsys):
+        # the power block's former iteration knobs are unknown keys now
+        for key in ("r_max", "j_max", "eps_dinkelbach", "xi_inner", "step_a", "step_b"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = 1\n")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+        capsys.readouterr()
+
     def test_bad_usage_is_config_error(self, capsys):
         assert main(["run", "--no-such-flag"]) == EXIT_CONFIG
         assert main([]) == EXIT_CONFIG

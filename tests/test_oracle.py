@@ -57,7 +57,7 @@ class TestPowerGrid:
         hits = 0
         for ctx, fixed in draw_instances(8):
             p, info = solve_sp1_power(ctx, fixed.f_leo, fixed.delta_tol,
-                                      fixed.gamma, TOL)
+                                      fixed.gamma)
             res = grid_sp1(ctx, fixed)
             rate = ctx.ds_rate(p)
             live = res.feasible & ~info.infeasible & (fixed.gamma > 0)
