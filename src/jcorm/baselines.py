@@ -48,28 +48,22 @@ class GaTrace:
 
 
 def _ga_fitness(ctx: SlotContext, p, f, dt, gm, penalty_weight: float,
-                free=None) -> np.ndarray:
+                free) -> np.ndarray:
     """Penalized fitness of a population, arrays shaped (pop, U).
 
     Fitness is the slot objective on the Mbit scale minus penalty_weight
     times the summed constraint violations, each measured on a unit scale
     (seconds for deadlines, Mbit for storage terms, GHz for the pool).
-    ``free`` is the storage free at the slot start, ctx.storage_free by
-    default."""
-    if free is None:
-        free = ctx.storage_free
+    ``free`` is the storage free at the slot start."""
     dec = SlotDecision(p, f, dt, gm)
     obj = np.sum(model.objective_terms(ctx, dec), axis=-1) / 1e6
 
-    local, sat = model.deadline_lower_bounds(ctx, p, f, gm)
-    need = np.maximum(local, sat)
+    need = model.completion_time(ctx, p, f, gm)
     v_deadline = np.sum(np.minimum(np.maximum(need - dt, 0.0), 1e6), axis=-1)
 
-    collected = ctx.dt_dev_rate_sum * dt
+    collected, nominal_up, available = model.storage_terms(ctx, dt, free)
     v_storage = np.sum(np.maximum(collected - free, 0.0), axis=-1) / 1e6
-    window = np.clip(ctx.slot_seconds - dt, 0.0, None)
-    available = collected + (ctx.storage_capacity - free)
-    v_backlog = np.sum(np.maximum(ctx.r_tol_leo * window - available, 0.0), axis=-1) / 1e6
+    v_backlog = np.sum(np.maximum(nominal_up - available, 0.0), axis=-1) / 1e6
 
     v_budget = np.maximum(np.sum(f, axis=-1) - ctx.leo_cpu_hz, 0.0) / 1e9
 
@@ -140,7 +134,8 @@ def solve_slot_ga(ctx: SlotContext, cfg: ScenarioConfig):
     trace = GaTrace()
 
     def fitness(genomes):
-        return _ga_fitness(ctx, *_split_genes(genomes, n), ga.penalty_weight)
+        return _ga_fitness(ctx, *_split_genes(genomes, n), ga.penalty_weight,
+                           ctx.storage_free)
 
     best = _evolve(rng, ga, hi, fitness, trace)
     p, f, dt, gm = (np.array(a, dtype=float) for a in _split_genes(best, n))
@@ -175,17 +170,14 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
     trace = GaTrace()
 
     def fitness(genomes):
-        pop = genomes.shape[0]
-        free = np.broadcast_to(base_free, (pop, n)).copy()
-        fit = np.zeros(pop)
+        free = base_free
+        fit = np.zeros(genomes.shape[0])
         for t, ctx in enumerate(ctxs):
             p, f, dt, gm = _split_genes(genomes[:, t * 4 * n:(t + 1) * 4 * n], n)
             fit += _ga_fitness(ctx, p, f, dt, gm, ga.penalty_weight, free)
             # physical storage threading for the next slot's bounds
-            window = np.clip(ctx.slot_seconds - dt, 0.0, None)
-            collected = np.minimum(ctx.dt_dev_rate_sum * dt, free)
-            uplink = np.minimum(ctx.r_tol_leo * window, collected + (ctx.storage_capacity - free))
-            free = np.clip(free - collected + uplink, 0.0, ctx.storage_capacity)
+            free = model.dt_collection_step(ctx.dt_dev_rate_sum, dt, ctx.slot_seconds,
+                                            ctx.r_tol_leo, free, ctx.storage_capacity).next_free
         return fit
 
     if t_slots == 0:
@@ -213,7 +205,7 @@ def solve_slot_no_offload(ctx: SlotContext, cfg: ScenarioConfig):
     on-board completion bound. Returns (SlotDecision, SlotSolveTrace)."""
     n = ctx.num_uavs
     zeros = np.zeros(n)
-    dt, empty = solve_sp3_start_time(ctx, zeros, zeros, zeros, local_only=True)
+    dt, empty = solve_sp3_start_time(ctx, zeros, zeros, zeros)
     trace = SlotSolveTrace()
     trace.iterations = 1
     trace.converged = True

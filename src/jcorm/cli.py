@@ -13,6 +13,7 @@ infeasibility fallback (results are still written).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -37,7 +38,7 @@ def _parse_floats(text: str) -> list:
 
 def _parse_ints(text: str) -> list:
     values = _parse_floats(text)
-    if any(v != int(v) for v in values):
+    if not all(math.isfinite(v) and v == int(v) for v in values):
         raise ConfigError(f"expected integers, got {text!r}")
     return [int(v) for v in values]
 

@@ -181,6 +181,10 @@ class ScenarioConfig:
         return math.radians(self.elevation_deg)
 
     def validate(self) -> None:
+        for prefix, part in (("", self), ("", self.tol), ("ga_", self.ga)):
+            for f in dataclasses.fields(part):
+                if f.type == "float" and not math.isfinite(getattr(part, f.name)):
+                    raise ConfigError(f"{prefix}{f.name} must be finite")
         if self.num_uavs < 1:
             raise ConfigError("num_uavs must be >= 1")
         if self.area_x_m < 0 or self.area_y_m < 0:
@@ -282,7 +286,7 @@ def _parse_scalar(key: str, raw: str):
                 raise ValueError
             return int(v)
         return float(raw)
-    except ValueError:
+    except (ValueError, OverflowError):   # int(inf) overflows
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
 
 

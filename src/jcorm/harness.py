@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
 from .config import ConfigError, ScenarioConfig
 from .scenario import generate_scenario
-from .solver import run_horizon, solve_slot_jcorm
+from .solver import HorizonResult, run_horizon, solve_slot_jcorm
 
 
 # ---------------------------------------------------------------------------
@@ -28,20 +28,11 @@ from .solver import run_horizon, solve_slot_jcorm
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(HorizonResult):
     """One algorithm run over one scenario horizon."""
 
     algorithm: str
     seed: int
-    slot_metrics: list            # model.SlotMetrics per slot
-    decisions: list
-    traces: list
-    infeasible_slots: list        # slot indices that needed a fallback
-    utility_bits: float           # cumulative over the horizon
-    total_uplinked_bits: float
-    total_energy_j: float
-    mean_ds_delay_s: float
-    wall_seconds: float
 
 
 _SLOT_SOLVERS = {
@@ -61,19 +52,7 @@ def run_experiment(cfg: ScenarioConfig) -> ExperimentResult:
         horizon = run_horizon_ga(cfg, state)
     else:
         horizon = run_horizon(cfg, state, _SLOT_SOLVERS[cfg.algo])
-    return ExperimentResult(
-        algorithm=cfg.algo,
-        seed=cfg.seed,
-        slot_metrics=horizon.slot_metrics,
-        decisions=horizon.decisions,
-        traces=horizon.traces,
-        infeasible_slots=list(horizon.infeasible_slots),
-        utility_bits=horizon.utility_bits,
-        total_uplinked_bits=horizon.total_uplinked_bits,
-        total_energy_j=horizon.total_energy_j,
-        mean_ds_delay_s=horizon.mean_ds_delay_s,
-        wall_seconds=horizon.wall_seconds,
-    )
+    return ExperimentResult(**vars(horizon), algorithm=cfg.algo, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +230,8 @@ class SweepResult:
         return np.array([table[v] for v in self.values], dtype=float)
 
 
-def _sweep_cell(args):
-    cfg_text, axis, value, algo, seed = args
-    from .config import load_config_text
-    base = load_config_text(cfg_text)
-    cfg = apply_axis(base, axis, value).copy(algo=algo, seed=seed)
+def _run_cell(cell):
+    cfg, axis, value = cell
     return result_rows(run_experiment(cfg), axis=axis, value=value)
 
 
@@ -270,20 +246,14 @@ def run_sweep(base_cfg: ScenarioConfig, axis: str, values, seeds,
     seeds = [int(s) for s in seeds]
     apply_axis(base_cfg, axis, values[0] if values else 0)  # fail fast on axis name
 
-    cells = [(algo, value, seed)
+    cells = [(apply_axis(base_cfg, axis, value).copy(algo=algo, seed=seed), axis, value)
              for algo in algorithms for value in values for seed in seeds]
-    rows: list = []
     if workers > 1 and len(cells) > 1:
-        from .config import config_to_text
-        cfg_text = config_to_text(base_cfg)
-        args = [(cfg_text, axis, value, algo, seed) for algo, value, seed in cells]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell_rows in pool.map(_sweep_cell, args):
-                rows.extend(cell_rows)
+            per_cell = list(pool.map(_run_cell, cells))
     else:
-        for algo, value, seed in cells:
-            cfg = apply_axis(base_cfg, axis, value).copy(algo=algo, seed=seed)
-            rows.extend(result_rows(run_experiment(cfg), axis=axis, value=value))
+        per_cell = map(_run_cell, cells)
+    rows = [row for cell_rows in per_cell for row in cell_rows]
     rows.extend(aggregate_rows(rows))
     return SweepResult(axis, values, seeds, algorithms, rows)
 
@@ -293,11 +263,9 @@ def run_compare(base_cfg: ScenarioConfig, algorithms, seeds) -> SweepResult:
     Modeled as a degenerate sweep over the single value None."""
     algorithms = list(algorithms)
     seeds = [int(s) for s in seeds]
-    rows: list = []
-    for algo in algorithms:
-        for seed in seeds:
-            cfg = base_cfg.copy(algo=algo, seed=seed)
-            rows.extend(result_rows(run_experiment(cfg), axis="", value=None))
+    cells = [(base_cfg.copy(algo=algo, seed=seed), "", None)
+             for algo in algorithms for seed in seeds]
+    rows = [row for cell in cells for row in _run_cell(cell)]
     rows.extend(aggregate_rows(rows))
     return SweepResult("", [None], seeds, algorithms, rows)
 

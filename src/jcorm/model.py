@@ -59,13 +59,16 @@ def uav_sat_distance(sat_altitude_m: float, earth_radius_m: float,
 # channels and rates
 # ---------------------------------------------------------------------------
 
-def rician_fading_gain(k0: float, scatter: complex) -> float:
+def rician_fading_gain(k0: float, scatter):
     """Squared magnitude |G|^2 of a Rician small-scale coefficient built from
-    a deterministic line-of-sight part and a CN(0,1) scatter sample."""
+    a deterministic line-of-sight part and CN(0,1) scatter samples
+    (elementwise over a complex array)."""
     if k0 < 0:
         raise ValueError("Rician factor must be >= 0")
-    coeff = math.sqrt(k0 / (1.0 + k0)) + math.sqrt(1.0 / (1.0 + k0)) * scatter
-    return abs(coeff) ** 2
+    scatter = np.asarray(scatter, dtype=complex)
+    los = math.sqrt(k0 / (1.0 + k0))
+    amp = math.sqrt(1.0 / (1.0 + k0))
+    return (los + amp * scatter.real) ** 2 + (amp * scatter.imag) ** 2
 
 
 def device_uav_gain(distance_m, pathloss_coeff: float, pathloss_exp: float,
@@ -195,9 +198,7 @@ def ds_completion_time(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
             raise ValueError("offloading with zero DS uplink rate")
         if np.any(active & (decision.f_leo <= 0.0)):
             raise ValueError("offloading with zero satellite compute share")
-    local = local_compute_time(ctx.sum_d, gamma, ctx.cycles_per_bit, ctx.uav_cpu_hz)
-    sat = satellite_branch_time(ctx, decision.power, decision.f_leo, gamma)
-    return ctx.l_off + np.maximum(local, sat)
+    return completion_time(ctx, decision.power, decision.f_leo, gamma)
 
 
 def deadline_lower_bounds(ctx: SlotContext, power, f_leo, gamma):
@@ -211,22 +212,40 @@ def deadline_lower_bounds(ctx: SlotContext, power, f_leo, gamma):
     return local, sat
 
 
+def completion_time(ctx: SlotContext, power, f_leo, gamma):
+    """DS completion time per UAV, the later of the two deadline_lower_bounds:
+    the smallest delta_tol meeting the deadline. +inf where gamma > 0 but
+    the link or the compute share cannot carry the offload."""
+    return np.maximum(*deadline_lower_bounds(ctx, power, f_leo, gamma))
+
+
 # ---------------------------------------------------------------------------
 # storage dynamics
 # ---------------------------------------------------------------------------
 
+def storage_terms(ctx: SlotContext, delta_tol, storage_free):
+    """Nominal storage terms of a forwarding start (elementwise): the bits
+    devices deliver before ``delta_tol``, the bits the uplink would ship
+    after it, and the bits the buffer can forward (this slot's collection
+    plus the backlog already stored)."""
+    collected = ctx.dt_dev_rate_sum * delta_tol
+    nominal_up = ctx.r_tol_leo * np.clip(ctx.slot_seconds - delta_tol, 0.0, None)
+    available = collected + (ctx.storage_capacity - storage_free)
+    return collected, nominal_up, available
+
+
 @dataclass
 class CollectionStep:
-    collected: float      # bits gathered from DT devices this slot
-    uplinked: float       # bits actually forwarded to the satellite
-    next_free: float      # free buffer space at the next slot start
-    overflow: bool        # requested collection exceeded the free space
+    collected: np.ndarray   # bits gathered from DT devices this slot
+    uplinked: np.ndarray    # bits actually forwarded to the satellite
+    next_free: np.ndarray   # free buffer space at the next slot start
+    overflow: np.ndarray    # requested collection exceeded the free space
 
 
-def dt_collection_step(dev_rate_sum: float, delta_tol: float, slot_seconds: float,
-                       r_tol_leo: float, storage_free: float,
-                       storage_capacity: float) -> CollectionStep:
-    """Advance one UAV's DT buffer across a slot.
+def dt_collection_step(dev_rate_sum, delta_tol, slot_seconds: float,
+                       r_tol_leo, storage_free, storage_capacity: float) -> CollectionStep:
+    """Advance DT buffers across a slot, elementwise over broadcastable
+    per-UAV (or per-genome) arrays.
 
     Devices deliver ``dev_rate_sum * delta_tol`` bits; a request beyond the
     free space is an overflow (flagged, then capped -- the buffer cannot
@@ -234,17 +253,20 @@ def dt_collection_step(dev_rate_sum: float, delta_tol: float, slot_seconds: floa
     for the remainder of the slot, bounded by what the buffer holds: this
     slot's collection plus the backlog already stored.
     """
-    if not 0.0 <= delta_tol <= slot_seconds + 1e-12:
+    delta_tol = np.asarray(delta_tol, dtype=float)
+    storage_free = np.asarray(storage_free, dtype=float)
+    # min and max propagate NaN, which then fails the range checks
+    if not (delta_tol.min() >= 0.0 and delta_tol.max() <= slot_seconds + 1e-12):
         raise ValueError("delta_tol must lie in [0, slot length]")
-    if not 0.0 <= storage_free <= storage_capacity + 1e-9:
+    if not (storage_free.min() >= 0.0 and storage_free.max() <= storage_capacity + 1e-9):
         raise ValueError("storage_free must lie in [0, capacity]")
     requested = dev_rate_sum * delta_tol
     overflow = requested > storage_free + 1e-9
-    collected = min(requested, storage_free)
+    collected = np.minimum(requested, storage_free)
     backlog_cap = collected + (storage_capacity - storage_free)
-    uplinked = min(r_tol_leo * (slot_seconds - delta_tol), backlog_cap)
-    next_free = min(storage_free - collected + uplinked, storage_capacity)
-    next_free = max(next_free, 0.0)
+    uplinked = np.minimum(r_tol_leo * (slot_seconds - delta_tol), backlog_cap)
+    next_free = np.minimum(storage_free - collected + uplinked, storage_capacity)
+    next_free = np.maximum(next_free, 0.0)
     return CollectionStep(collected, uplinked, next_free, overflow)
 
 
@@ -339,21 +361,16 @@ def check_feasible(ctx: SlotContext, decision: SlotDecision,
     if not budget_ok:
         viol["budget"] = budget - ctx.leo_cpu_hz
 
-    local, sat = deadline_lower_bounds(ctx, d.power, d.f_leo, d.gamma)
-    need = np.maximum(local, sat)
-    gap = need - d.delta_tol
+    gap = completion_time(ctx, d.power, d.f_leo, d.gamma) - d.delta_tol
     deadline_ok = bool(np.all(gap <= time_slack))
     if not deadline_ok:
         viol["deadline"] = float(np.max(gap))
 
-    collected = ctx.dt_dev_rate_sum * d.delta_tol
+    collected, nominal_up, available = storage_terms(ctx, d.delta_tol, ctx.storage_free)
     storage_ok = bool(np.all(collected <= ctx.storage_free + 1e-3))
     if not storage_ok:
         viol["storage"] = float(np.max(collected - ctx.storage_free))
 
-    window = np.clip(ctx.slot_seconds - d.delta_tol, 0.0, None)
-    nominal_up = ctx.r_tol_leo * window
-    available = collected + (ctx.storage_capacity - ctx.storage_free)
     backlog_ok = bool(np.all(nominal_up <= available + 1e-3))
     if not backlog_ok:
         viol["backlog"] = float(np.max(nominal_up - available))
@@ -397,22 +414,10 @@ class SlotMetrics:
 def meter_slot(ctx: SlotContext, decision: SlotDecision) -> SlotMetrics:
     """Run the physical bookkeeping for one slot and price the utility from
     what actually moved (storage caps applied)."""
-    n = ctx.num_uavs
-    collected = np.zeros(n)
-    uplinked = np.zeros(n)
-    next_free = np.zeros(n)
-    overflow = np.zeros(n, dtype=bool)
-    for u in range(n):
-        step = dt_collection_step(float(ctx.dt_dev_rate_sum[u]),
-                                  float(decision.delta_tol[u]), ctx.slot_seconds,
-                                  float(ctx.r_tol_leo[u]), float(ctx.storage_free[u]),
-                                  ctx.storage_capacity)
-        collected[u] = step.collected
-        uplinked[u] = step.uplinked
-        next_free[u] = step.next_free
-        overflow[u] = step.overflow
+    step = dt_collection_step(ctx.dt_dev_rate_sum, decision.delta_tol, ctx.slot_seconds,
+                              ctx.r_tol_leo, ctx.storage_free, ctx.storage_capacity)
     e_comm, e_uav, e_leo = slot_energy(ctx, decision)
     delay = ds_completion_time(ctx, decision)
-    utility = float(np.sum(uplinked) - ctx.omega * np.sum(e_comm + e_uav + e_leo))
-    return SlotMetrics(collected, uplinked, e_comm, e_uav, e_leo, delay,
-                       next_free, overflow, utility)
+    utility = float(np.sum(step.uplinked) - ctx.omega * np.sum(e_comm + e_uav + e_leo))
+    return SlotMetrics(step.collected, step.uplinked, e_comm, e_uav, e_leo, delay,
+                       step.next_free, step.overflow, utility)

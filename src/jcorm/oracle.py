@@ -27,7 +27,7 @@ _BITS_SLACK = 1e-3
 @dataclass
 class GridSpec:
     """Axis definitions for the grid searches: (lower, upper) per variable
-    plus point counts and the objective-comparison tolerance."""
+    plus point counts."""
 
     power: tuple = (0.0, 1.0)            # W
     compute: tuple = (0.0, 1.0e10)       # Hz
@@ -37,7 +37,6 @@ class GridSpec:
     compute_points: int = 20
     start_points: int = 20
     ratio_points: int = 20
-    obj_tol: float = 1e-3
 
     def validate(self) -> None:
         for name in ("power", "compute", "start", "ratio"):
@@ -52,12 +51,11 @@ class GridSpec:
         return np.linspace(lo, hi, getattr(self, name + "_points"))
 
     @classmethod
-    def for_context(cls, ctx: SlotContext, points: int = 20,
-                    obj_tol: float = 1e-3) -> "GridSpec":
+    def for_context(cls, ctx: SlotContext, points: int = 20) -> "GridSpec":
         return cls(power=(0.0, ctx.pmax_w), compute=(0.0, ctx.leo_cpu_hz),
                    start=(0.0, ctx.slot_seconds), ratio=(0.0, 1.0),
                    power_points=points, compute_points=points,
-                   start_points=points, ratio_points=points, obj_tol=obj_tol)
+                   start_points=points, ratio_points=points)
 
 
 @dataclass

@@ -79,12 +79,10 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> NetworkState:
     def fading(count: int) -> np.ndarray:
         # CN(0,1) scatter component; the Rician mixing happens here so the
         # underlying draws are shared across rician_k0 sweep values
-        re = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
-        im = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
-        k0 = cfg.rician_k0
-        los = math.sqrt(k0 / (1.0 + k0))
-        amp = math.sqrt(1.0 / (1.0 + k0))
-        return (los + amp * re) ** 2 + (amp * im) ** 2
+        scatter = np.empty((t, count), dtype=complex)
+        scatter.real = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
+        scatter.imag = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
+        return model.rician_fading_gain(cfg.rician_k0, scatter)
 
     sens_fade = [fading(int(n)) for n in n_sens]
     tol_fade = [fading(int(n)) for n in n_tol]

@@ -126,8 +126,7 @@ def solve_sp2_compute(ctx: SlotContext, power: np.ndarray, delta_tol: np.ndarray
 # ---------------------------------------------------------------------------
 
 def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
-               gamma: np.ndarray, mode: str = "paper-relaxed",
-               local_only: bool = False):
+               gamma: np.ndarray, mode: str = "paper-relaxed"):
     """Feasible interval [lo, hi] for the DT forwarding start time.
 
     mode='strict' takes the true two-branch completion bound as the lower
@@ -137,16 +136,13 @@ def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     meaningful while both branches are live: UAVs currently offloading
     nothing keep the exact on-board bound, since their satellite constraint
     is vacuous and averaging against it would undercut the real deadline.
-    local_only=True restricts the deadline to the on-board branch
-    (no-offload operation).
+    At gamma = 0 both modes therefore give the on-board bound.
     """
     n = ctx.num_uavs
-    local, sat = model.deadline_lower_bounds(ctx, power, f_leo, gamma)
-    if local_only:
-        lo_deadline = local
-    elif mode == "strict":
-        lo_deadline = np.maximum(local, sat)
+    if mode == "strict":
+        lo_deadline = model.completion_time(ctx, power, f_leo, gamma)
     else:
+        local, sat = model.deadline_lower_bounds(ctx, power, f_leo, gamma)
         gamma = np.asarray(gamma, dtype=float)
         offloading = (gamma > 0.0) & (ctx.sum_d > 0.0)
         sat_ct = np.where(offloading, sat - ctx.l_off - 2.0 * ctx.l_prop, 0.0)
@@ -168,8 +164,7 @@ def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
 
 
 def solve_sp3_start_time(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
-                         gamma: np.ndarray, mode: str = "paper-relaxed",
-                         local_only: bool = False):
+                         gamma: np.ndarray, mode: str = "paper-relaxed"):
     """Choose when DT forwarding starts. The objective is linear in the start
     time, so the optimum sits on an interval end:
 
@@ -179,7 +174,7 @@ def solve_sp3_start_time(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
         admit.
 
     Returns (delta_tol array, empty-interval mask)."""
-    lo, hi = sp3_bounds(ctx, power, f_leo, gamma, mode=mode, local_only=local_only)
+    lo, hi = sp3_bounds(ctx, power, f_leo, gamma, mode=mode)
     return _start_in(ctx, lo, hi)
 
 
@@ -269,11 +264,6 @@ class SlotSolveTrace:
                                                       "sp3": 0.0, "sp4": 0.0})
 
 
-def _branch_need(ctx, power, f_leo, gamma):
-    local, sat = model.deadline_lower_bounds(ctx, power, f_leo, gamma)
-    return np.maximum(local, sat)
-
-
 def _guarded(terms, incumbent_feasible, cand_terms, incumbent, candidate):
     """Per-UAV accept rule: keep the incumbent only where it is feasible and
     strictly better than the candidate. Returns the merged values and their
@@ -312,7 +302,7 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig,
         t0 = time.perf_counter()
         p_cand, p_info = solve_sp1_power(ctx, f, dt, gm)
         trace.sp1_infeasible += int(np.sum(p_info.infeasible))
-        inc_ok = (_branch_need(ctx, p, f, gm) <= dt + 1e-9) & (p <= ctx.pmax_w + 1e-12)
+        inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9) & (p <= ctx.pmax_w + 1e-12)
         cand = model.objective_terms(ctx, SlotDecision(p_cand, f, dt, gm))
         # keep the incumbent where it wins the guard or where SP1 gave up
         keep = (inc_ok & (terms > cand)) | p_info.infeasible
@@ -324,7 +314,7 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig,
         f_cand, f_bad, scaled = solve_sp2_compute(ctx, p, dt, gm)
         trace.sp2_infeasible += int(np.sum(f_bad))
         trace.budget_scaled += int(scaled)
-        inc_ok = (_branch_need(ctx, p, f, gm) <= dt + 1e-9) & (f <= ctx.leo_cpu_hz + 1e-6)
+        inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9) & (f <= ctx.leo_cpu_hz + 1e-6)
         cand = model.objective_terms(ctx, SlotDecision(p, f_cand, dt, gm))
         f, terms = _guarded(terms, inc_ok, cand, f, f_cand)
         if np.sum(f) > ctx.leo_cpu_hz * (1.0 + 1e-9):
@@ -344,7 +334,7 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig,
         t0 = time.perf_counter()
         gm_cand, gm_empty = solve_sp4_ratio(ctx, p, f, dt)
         trace.sp4_empty += int(np.sum(gm_empty))
-        inc_ok = (_branch_need(ctx, p, f, gm) <= dt + 1e-9)
+        inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9)
         cand = model.objective_terms(ctx, SlotDecision(p, f, dt, gm_cand))
         gm, terms = _guarded(terms, inc_ok, cand, gm, gm_cand)
         trace.sp_seconds["sp4"] += time.perf_counter() - t0
@@ -377,11 +367,9 @@ def solve_slot_jcorm(ctx: SlotContext, cfg: ScenarioConfig):
 def fallback_decision(ctx: SlotContext) -> SlotDecision:
     """Deterministic safe decision: keep everything on board, start DT
     forwarding as soon as the on-board branch completes."""
-    n = ctx.num_uavs
-    local = ctx.l_off + model.local_compute_time(ctx.sum_d, 0.0,
-                                                 ctx.cycles_per_bit, ctx.uav_cpu_hz)
-    dt = np.clip(local, 0.0, ctx.slot_seconds)
-    return SlotDecision(np.zeros(n), np.zeros(n), dt, np.zeros(n))
+    z = np.zeros(ctx.num_uavs)
+    dt = np.clip(model.completion_time(ctx, z, z, z), 0.0, ctx.slot_seconds)
+    return SlotDecision(z, z.copy(), dt, z.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Experiment harness tests: scenario generation, config round-trips, CSV
 determinism, sweep axes, and the command-line interface."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import pytest
 
 from jcorm import harness
 from jcorm.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from jcorm.config import (ConfigError, ScenarioConfig, config_to_text,
-                          load_config, load_config_text)
+from jcorm.config import (ConfigError, GaConfig, ScenarioConfig, ToleranceConfig,
+                          config_to_text, load_config, load_config_text)
 from jcorm.scenario import generate_scenario
 
 
@@ -102,6 +103,22 @@ class TestConfig:
     def test_validation_catches_bad_horizon(self):
         with pytest.raises(ConfigError):
             load_config_text("num_slots = 1000\n")  # beyond the pass window
+
+    def test_non_finite_float_rejected(self):
+        # every float key of the config, its tolerances and its GA
+        keys = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
+        keys += [f.name for f in dataclasses.fields(ToleranceConfig) if f.type == "float"]
+        keys += ["ga_" + f.name for f in dataclasses.fields(GaConfig) if f.type == "float"]
+        assert len(keys) == 38 and "omega" in keys and "ga_penalty_weight" in keys
+        for key in keys:
+            for raw in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError, match="finite"):
+                    load_config_text(f"{key} = {raw}\n")
+
+    def test_non_finite_int_rejected(self):
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError):
+                load_config_text(f"num_uavs = {raw}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +275,22 @@ class TestCli:
     def test_bad_usage_is_config_error(self, capsys):
         assert main(["run", "--no-such-flag"]) == EXIT_CONFIG
         assert main([]) == EXIT_CONFIG
+        capsys.readouterr()
+
+    def test_infinite_energy_price_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(TINY + "omega = inf\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "omega must be finite" in capsys.readouterr().err
+
+    def test_non_finite_seed_is_config_error(self, tmp_path, capsys):
+        for seeds in ("inf", "nan"):
+            code = main(["compare", "--algos", "no-offload", "--seeds", seeds,
+                         "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
         capsys.readouterr()
 
     def test_unknown_axis_is_config_error(self, tmp_path):

@@ -90,6 +90,13 @@ class TestChannels:
     def test_rician_gain_zero_scatter_sample(self):
         assert model.rician_fading_gain(10.0, 0.0) == pytest.approx(10.0 / 11.0, rel=1e-12)
 
+    def test_rician_gain_elementwise(self):
+        scatter = np.array([[0.3 - 1.2j, 0.0], [-2.0 + 0.5j, 1.0 + 1.0j]])
+        gains = model.rician_fading_gain(4.0, scatter)
+        assert gains.shape == scatter.shape
+        for s, g in zip(scatter.ravel(), gains.ravel()):
+            assert g == model.rician_fading_gain(4.0, s)
+
     def test_rician_gain_unit_mean(self):
         rng = np.random.default_rng(7)
         scatter = (rng.normal(0, math.sqrt(0.5), 200_000)
@@ -198,6 +205,29 @@ class TestDelays:
         with pytest.raises(ValueError):
             model.ds_completion_time(ctx, dec)
 
+    def test_completion_time_matches_checked_completion(self):
+        ctx = make_ctx()
+        rng = np.random.default_rng(5)
+        compared = 0
+        for _ in range(300):
+            p = rng.choice([0.0, 1e-6, 0.5, 1.0], 2)
+            f = rng.choice([0.0, 1e8, 5e9, 1e10], 2)
+            gm = rng.choice([0.0, 0.3, 1.0], 2)
+            dec = SlotDecision(p, f, np.full(2, 5.0), gm)
+            try:
+                expect = model.ds_completion_time(ctx, dec)
+            except ValueError:
+                continue
+            compared += 1
+            got = model.completion_time(ctx, p, f, gm)
+            assert np.array_equal(got, expect)
+        assert compared > 50
+
+    def test_completion_time_infinite_without_power(self):
+        ctx = make_ctx()
+        t = model.completion_time(ctx, np.zeros(2), np.full(2, 5e9), np.array([0.4, 0.0]))
+        assert t[0] == np.inf and np.isfinite(t[1])
+
     def test_deadline_bounds_no_offload_branch(self):
         ctx = make_ctx()
         local, sat = model.deadline_lower_bounds(ctx, np.zeros(2), np.zeros(2),
@@ -261,6 +291,43 @@ class TestStorage:
     def test_bad_state_rejected(self):
         with pytest.raises(ValueError):
             model.dt_collection_step(1e8, 5.0, 10.0, 3e8, 2e10, 1.2e10)
+
+    def test_population_step_equals_scalar_steps(self):
+        # a (pop, U) block advances exactly like one scalar call per element
+        rng = np.random.default_rng(23)
+        cap, slot = 1.2e10, 10.0
+        pop, n = 40, 6
+        rate = rng.uniform(0.0, 2e9, n)
+        r_tol = rng.uniform(0.0, 2e9, n)
+        free = rng.uniform(0.0, cap, (pop, n))
+        free[::4] = cap    # empty buffers
+        free[1::4] = 0.0   # full buffers
+        dt = rng.uniform(0.0, slot, (pop, n))
+        dt[2::5] = 0.0
+        dt[3::5] = slot
+        step = model.dt_collection_step(rate, dt, slot, r_tol, free, cap)
+        assert step.next_free.shape == (pop, n)
+        for i in range(pop):
+            for u in range(n):
+                ref = model.dt_collection_step(float(rate[u]), float(dt[i, u]), slot,
+                                               float(r_tol[u]), float(free[i, u]), cap)
+                assert step.collected[i, u] == ref.collected
+                assert step.uplinked[i, u] == ref.uplinked
+                assert step.next_free[i, u] == ref.next_free
+                assert step.overflow[i, u] == ref.overflow
+        assert np.any(step.overflow) and not np.all(step.overflow)
+
+    def test_nan_state_rejected(self):
+        dt = np.array([5.0, np.nan])
+        free = np.array([1e9, np.nan])
+        with pytest.raises(ValueError):
+            model.dt_collection_step(1e8, dt, 10.0, 3e8, 1e9, 1.2e10)
+        with pytest.raises(ValueError):
+            model.dt_collection_step(1e8, 5.0, 10.0, 3e8, free, 1.2e10)
+        with pytest.raises(ValueError):
+            model.dt_collection_step(1e8, math.nan, 10.0, 3e8, 1e9, 1.2e10)
+        with pytest.raises(ValueError):
+            model.dt_collection_step(1e8, 5.0, 10.0, 3e8, math.nan, 1.2e10)
 
 
 # ---------------------------------------------------------------------------

@@ -320,12 +320,20 @@ class TestStartTime:
         assert np.all(empty)
         assert np.all(dt == ctx.slot_seconds)
 
-    def test_local_only_ignores_satellite_branch(self):
-        ctx = make_ctx()
-        z = np.zeros(2)
-        lo, _ = sp3_bounds(ctx, z, z, np.full(2, 0.9), local_only=True)
-        local, _ = model.deadline_lower_bounds(ctx, z, z, np.full(2, 0.9))
-        assert np.all(lo >= local - 1e-12)
+    def test_no_offload_lower_end_is_onboard_bound(self):
+        # at gamma = 0 both modes' lower end is exactly the on-board bound
+        # (or the backlog bound where that is later)
+        for ctx in (make_ctx(), make_ctx(storage_free=np.array([1.2e10, 1.19e10])),
+                    scenario_ctx(seed=1)[0]):
+            z = np.zeros(ctx.num_uavs)
+            local, _ = model.deadline_lower_bounds(ctx, z, z, z)
+            used = ctx.storage_capacity - ctx.storage_free
+            backlog = ((ctx.r_tol_leo * ctx.slot_seconds - used)
+                       / (ctx.r_tol_leo + ctx.dt_dev_rate_sum))
+            expect = np.maximum.reduce([np.zeros(ctx.num_uavs), backlog, local])
+            for mode in ("strict", "paper-relaxed"):
+                lo, _ = sp3_bounds(ctx, z, z, z, mode=mode)
+                assert np.array_equal(lo, expect)
 
 
 # ---------------------------------------------------------------------------
