@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 MBIT = 1e6          # bits
 GBYTE = 8e9         # bits
 LIGHT_SPEED = 3e8   # m/s
+# Cap on omega times the largest horizon energy. Utilities stay within it,
+# so the squares that the std aggregate sums over seeds stay finite.
+MAX_ENERGY_COST_BITS = 1e150
 
 
 class ConfigError(ValueError):
@@ -185,6 +188,16 @@ class ScenarioConfig:
             for f in dataclasses.fields(part):
                 if f.type == "float" and not math.isfinite(getattr(part, f.name)):
                     raise ConfigError(f"{prefix}{f.name} must be finite")
+        for name, to_linear in (("ref_gain_db", db_to_linear),
+                                ("antenna_gain_db", db_to_linear),
+                                ("noise_dbm", dbm_to_watt)):
+            try:
+                linear = to_linear(getattr(self, name))
+            except OverflowError:
+                linear = math.inf
+            if not 0.0 < linear < math.inf:
+                raise ConfigError(f"{name} is out of range: its linear value "
+                                  "overflows or underflows to 0")
         if self.num_uavs < 1:
             raise ConfigError("num_uavs must be >= 1")
         if self.area_x_m < 0 or self.area_y_m < 0:
@@ -201,8 +214,8 @@ class ScenarioConfig:
             raise ConfigError("need 1 <= k_tol_min <= k_tol_max")
         if self.sat_altitude_m <= 0 or self.earth_radius_m <= 0:
             raise ConfigError("satellite geometry lengths must be > 0")
-        if not 0.0 <= self.elevation_deg <= 90.0:
-            raise ConfigError("elevation_deg must lie in [0, 90]")
+        if not 0.0 <= self.elevation_deg < 90.0:
+            raise ConfigError("elevation_deg must lie in [0, 90)")
         if self.sat_speed_mps <= 0:
             raise ConfigError("sat_speed_mps must be > 0")
         if self.slot_seconds <= 0:
@@ -237,6 +250,18 @@ class ScenarioConfig:
             raise ConfigError("storage_initial_free_bits must lie in [0, capacity]")
         if self.omega < 0:
             raise ConfigError("omega must be >= 0")
+        # the most energy a run can spend: every UAV's radios at full power
+        # through every slot (the DS uplink must finish within the slot),
+        # plus the largest DS load computed at the faster CPU's full speed
+        cpu_hz = max(self.uav_cpu_hz, self.leo_cpu_hz)
+        e_max = self.num_uavs * self.num_slots * (
+            (self.pmax_w + self.dt_uplink_power_w) * self.slot_seconds
+            + self.cycles_per_bit * self.switch_cap * self.k_sens_max
+            * self.ds_size_max_bits * cpu_hz * cpu_hz)
+        if self.omega * e_max > MAX_ENERGY_COST_BITS:
+            raise ConfigError(
+                f"omega = {self.omega:g} prices the largest horizon energy "
+                f"({e_max:.3g} J) above {MAX_ENERGY_COST_BITS:g} bits")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"algo must be one of {ALGORITHMS}")
         if self.solver_mode not in SOLVER_MODES:
@@ -251,6 +276,16 @@ class ScenarioConfig:
             raise ConfigError(
                 f"horizon {self.num_slots * self.slot_seconds:.1f} s exceeds the "
                 f"satellite visibility window {t_v:.1f} s")
+        d_sat = model.uav_sat_distance(self.sat_altitude_m, self.earth_radius_m,
+                                       self.elevation_rad)
+        try:
+            g_sat = model.uav_leo_gain(d_sat, self.ref_gain, self.antenna_gain,
+                                       self.sat_ref_distance_m)
+        except OverflowError:
+            g_sat = math.inf
+        if not 0.0 < g_sat < math.inf:
+            raise ConfigError("the satellite link gain (ref_gain_db, antenna_gain_db, "
+                              "sat_ref_distance_m) overflows or underflows to 0")
 
     def copy(self, **overrides) -> "ScenarioConfig":
         cfg = dataclasses.replace(

@@ -6,6 +6,10 @@ sizes. The same (config, seed) pair always produces bit-identical draws;
 sweep axes that only rescale parameters (bandwidths, the Rician factor,
 task-size ranges, powers) leave the underlying draws untouched so paired
 comparisons stay paired.
+
+The device-to-UAV links are evaluated once per scenario, into (T, U)
+tables; assembling a slot's context takes a row of each and adds the
+buffer state.
 """
 
 from __future__ import annotations
@@ -21,16 +25,16 @@ from .config import LIGHT_SPEED, ScenarioConfig
 
 @dataclass
 class NetworkState:
-    """Immutable random inputs of one run."""
+    """Immutable random inputs of one run, and the device-link tables
+    derived from them. None of the tables depends on the buffer state."""
 
     uav_xy: np.ndarray            # (U, 2) positions, m
     n_sens: np.ndarray            # (U,) DS device counts
     n_tol: np.ndarray             # (U,) DT device counts
-    sens_dist: list               # per UAV: (K_sens,) 3-D device-UAV distances
-    tol_dist: list                # per UAV: (K_tol,) distances
-    sens_fade: list               # per UAV: (T, K_sens) squared fading gains
-    tol_fade: list                # per UAV: (T, K_tol) squared fading gains
     ds_bits: list                 # per UAV: (T, K_sens) task volumes, bits
+    sum_d: np.ndarray             # (T, U) DS bits per UAV and slot
+    l_off: np.ndarray             # (T, U) slowest DS device-to-UAV upload, s
+    dt_dev_rate_sum: np.ndarray   # (T, U) summed DT device-to-UAV rates, bit/s
     sat_distance_m: float
     sat_gain: float
     num_slots: int
@@ -46,9 +50,19 @@ def _grid_positions(num: int, ax: float, ay: float) -> np.ndarray:
     return np.array(pts[:num])
 
 
+def _blocks(flat: np.ndarray, starts: np.ndarray, shape: tuple) -> np.ndarray:
+    """Stack equal-shape segments of a flat draw: row i is the C-order
+    ``shape`` block that begins at ``flat[starts[i]]``."""
+    size = math.prod(shape)
+    return flat[starts[:, None] + np.arange(size)].reshape(len(starts), *shape)
+
+
 def generate_scenario(cfg: ScenarioConfig, seed: int) -> NetworkState:
     """Draw one scenario. RNG order (fixed): placement, device counts,
-    device offsets, fading per slot, task sizes per slot."""
+    device offsets, fading per slot, task sizes per slot. Within each draw
+    kind the devices go UAV by UAV, the DS devices of every UAV before the
+    DT devices; each kind is one RNG call, which PCG64 makes equal to one
+    call per UAV in that order."""
     rng = np.random.default_rng(seed)
     u = cfg.num_uavs
     t = cfg.num_slots
@@ -66,77 +80,84 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> NetworkState:
 
     n_sens = rng.integers(cfg.k_sens_min, cfg.k_sens_max + 1, size=u)
     n_tol = rng.integers(cfg.k_tol_min, cfg.k_tol_max + 1, size=u)
+    counts = np.concatenate([n_sens, n_tol])   # DS links of each UAV, then DT
+    first = np.cumsum(counts) - counts         # index of each one's first device
+    n_dev = int(counts.sum())
 
-    def disc_distances(count: int) -> np.ndarray:
-        # uniform in the disc around the UAV ground projection; 3-D range to
-        # the UAV includes the altitude
-        r = cfg.device_disc_radius_m * np.sqrt(rng.uniform(size=count))
-        return np.sqrt(r ** 2 + cfg.uav_altitude_m ** 2)
+    # uniform in the disc around the UAV ground projection; 3-D range to
+    # the UAV includes the altitude
+    r = cfg.device_disc_radius_m * np.sqrt(rng.uniform(size=n_dev))
+    dist = np.sqrt(r ** 2 + cfg.uav_altitude_m ** 2)
 
-    sens_dist = [disc_distances(int(n)) for n in n_sens]
-    tol_dist = [disc_distances(int(n)) for n in n_tol]
+    # CN(0,1) scatter, per UAV a (T, K) real block then a (T, K) imaginary
+    # one; the Rician mixing happens here so the underlying draws are shared
+    # across rician_k0 sweep values
+    normals = rng.normal(0.0, math.sqrt(0.5), size=2 * t * n_dev)
+    imag = np.repeat(np.tile([False, True], counts.size), np.repeat(t * counts, 2))
+    scatter = np.empty(t * n_dev, dtype=complex)
+    scatter.real = normals[~imag]
+    scatter.imag = normals[imag]
+    # flat; a (T, K) block per UAV and link kind, at t * first
+    fade = model.rician_fading_gain(cfg.rician_k0, scatter)
 
-    def fading(count: int) -> np.ndarray:
-        # CN(0,1) scatter component; the Rician mixing happens here so the
-        # underlying draws are shared across rician_k0 sweep values
-        scatter = np.empty((t, count), dtype=complex)
-        scatter.real = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
-        scatter.imag = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
-        return model.rician_fading_gain(cfg.rician_k0, scatter)
-
-    sens_fade = [fading(int(n)) for n in n_sens]
-    tol_fade = [fading(int(n)) for n in n_tol]
-
-    ds_bits = []
     lo, hi = cfg.ds_size_min_bits, cfg.ds_size_max_bits
-    for n in n_sens:
-        raw = rng.uniform(size=(t, int(n)))
-        ds_bits.append(lo + raw * (hi - lo))
+    bits = lo + rng.uniform(size=t * int(n_sens.sum())) * (hi - lo)
+    ds_bits = [seg.reshape(t, int(n))
+               for seg, n in zip(np.split(bits, t * first[1:u]), n_sens)]
+
+    def rates(links, k, power_w, band_hz):
+        # (U_k, T, K) device-to-UAV rates of the K-device links whose first
+        # devices are ``links``
+        gain = model.device_uav_gain(_blocks(dist, links, (1, k)), cfg.pathloss_coeff,
+                                     cfg.pathloss_exp, _blocks(fade, t * links, (t, k)))
+        return model.device_uav_rate(power_w, gain, cfg.noise_w, band_hz, k)
+
+    # one block per device count K: a row reduces over its K devices
+    # exactly as that UAV's 1-D array would, which zero padding to the
+    # largest K would not (numpy's pairwise sum unrolls from 8 terms on)
+    sum_d = np.empty((t, u))
+    l_off = np.empty((t, u))
+    dt_rate_sum = np.empty((t, u))
+    for k in range(cfg.k_sens_min, cfg.k_sens_max + 1):
+        idx = np.flatnonzero(n_sens == k)
+        if idx.size:
+            rate = rates(first[idx], k, cfg.device_power_sens_w,
+                         cfg.beta * cfg.uav_bandwidth_hz)
+            block = _blocks(bits, t * first[idx], (t, k))
+            sum_d[:, idx] = block.sum(axis=-1).T
+            with np.errstate(divide="ignore"):
+                upload = np.where(block > 0, block / np.maximum(rate, 1e-300), 0.0)
+            l_off[:, idx] = upload.max(axis=-1).T
+    for k in range(cfg.k_tol_min, cfg.k_tol_max + 1):
+        idx = np.flatnonzero(n_tol == k)
+        if idx.size:
+            rate = rates(first[u + idx], k, cfg.device_power_tol_w,
+                         (1.0 - cfg.beta) * cfg.uav_bandwidth_hz)
+            dt_rate_sum[:, idx] = rate.sum(axis=-1).T
 
     d_sat = model.uav_sat_distance(cfg.sat_altitude_m, cfg.earth_radius_m,
                                    cfg.elevation_rad)
     g_sat = model.uav_leo_gain(d_sat, cfg.ref_gain, cfg.antenna_gain,
                                cfg.sat_ref_distance_m)
 
-    return NetworkState(xy, n_sens, n_tol, sens_dist, tol_dist,
-                        sens_fade, tol_fade, ds_bits, d_sat, g_sat, t)
+    return NetworkState(xy, n_sens, n_tol, ds_bits, sum_d, l_off, dt_rate_sum,
+                        d_sat, g_sat, t)
 
 
 def build_slot_context(cfg: ScenarioConfig, state: NetworkState, slot: int,
                        storage_free: np.ndarray) -> model.SlotContext:
-    """Evaluate rates/loads for one slot given the current buffer state."""
+    """One slot's context: that slot's row of the scenario's device-link
+    tables, the current buffer state and the config scalars."""
     u = cfg.num_uavs
-    sum_d = np.zeros(u)
-    l_off = np.zeros(u)
-    dt_rate_sum = np.zeros(u)
-    for i in range(u):
-        g_sens = model.device_uav_gain(state.sens_dist[i], cfg.pathloss_coeff,
-                                       cfg.pathloss_exp, state.sens_fade[i][slot])
-        r_sens = model.device_uav_rate(cfg.device_power_sens_w, g_sens, cfg.noise_w,
-                                       cfg.beta * cfg.uav_bandwidth_hz,
-                                       int(state.n_sens[i]))
-        bits = state.ds_bits[i][slot]
-        sum_d[i] = float(np.sum(bits))
-        with np.errstate(divide="ignore"):
-            upload = np.where(bits > 0, bits / np.maximum(r_sens, 1e-300), 0.0)
-        l_off[i] = float(np.max(upload)) if len(bits) else 0.0
-
-        g_tol = model.device_uav_gain(state.tol_dist[i], cfg.pathloss_coeff,
-                                      cfg.pathloss_exp, state.tol_fade[i][slot])
-        r_tol = model.device_uav_rate(cfg.device_power_tol_w, g_tol, cfg.noise_w,
-                                      (1.0 - cfg.beta) * cfg.uav_bandwidth_hz,
-                                      int(state.n_tol[i]))
-        dt_rate_sum[i] = float(np.sum(r_tol))
-
     sat_gain = np.full(u, state.sat_gain)
     r_tol_leo = model.uav_leo_rate(cfg.dt_uplink_power_w, sat_gain, cfg.noise_w,
                                    cfg.leo_bandwidth_hz, u)
     return model.SlotContext(
         slot_seconds=cfg.slot_seconds,
         omega=cfg.omega,
-        sum_d=sum_d,
-        l_off=l_off,
-        dt_dev_rate_sum=dt_rate_sum,
+        sum_d=state.sum_d[slot].copy(),
+        l_off=state.l_off[slot].copy(),
+        dt_dev_rate_sum=state.dt_dev_rate_sum[slot].copy(),
         r_tol_leo=np.asarray(r_tol_leo, dtype=float),
         sat_gain=sat_gain,
         l_prop=state.sat_distance_m / LIGHT_SPEED,

@@ -286,6 +286,50 @@ class TestCli:
         assert not out.exists()
         assert "omega must be finite" in capsys.readouterr().err
 
+    def test_huge_energy_price_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(TINY + "omega = 1e308\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "omega" in capsys.readouterr().err
+        # a price just under the cap runs, and its aggregates stay finite
+        cfg.write_text(TINY + "omega = 1e146\n")
+        code = main(["compare", "--config", str(cfg), "--algos", "no-offload",
+                     "--seeds", "0,1,2", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = harness.read_csv(str(out / "compare.csv"))
+        assert all(np.isfinite(r["utility_bits"]) for r in rows)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("line, key", [
+        ("noise_dbm = 4000", "noise_dbm"),
+        ("ref_gain_db = -4000", "ref_gain_db"),
+        ("antenna_gain_db = 4000", "antenna_gain_db"),
+        # finite linear values whose product, the satellite gain, is not
+        ("ref_gain_db = -3200", "satellite link gain"),
+        ("sat_ref_distance_m = 1e200", "satellite link gain"),
+    ])
+    def test_db_value_out_of_float_range_is_config_error(self, tmp_path, capsys,
+                                                           line, key):
+        cfg = tmp_path / "db.cfg"
+        cfg.write_text(TINY + line + "\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    def test_overhead_elevation_is_config_error(self, tmp_path, capsys):
+        # rejected even with an empty horizon, which fits any visibility window
+        for extra in ("", "num_slots = 0\n"):
+            cfg = tmp_path / "zenith.cfg"
+            cfg.write_text(TINY + extra + "elevation_deg = 90\n")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert code == EXIT_CONFIG
+            assert "elevation_deg must lie in [0, 90)" in capsys.readouterr().err
+
     def test_non_finite_seed_is_config_error(self, tmp_path, capsys):
         for seeds in ("inf", "nan"):
             code = main(["compare", "--algos", "no-offload", "--seeds", seeds,
