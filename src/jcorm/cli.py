@@ -13,13 +13,13 @@ infeasibility fallback (results are still written).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
-from .config import ALGORITHMS, SOLVER_MODES, ConfigError, ScenarioConfig, load_config
+from .config import (ALGORITHMS, SOLVER_MODES, ConfigError, ScenarioConfig, coerce,
+                     load_config)
 from . import harness
 from .oracle import GridSpec, grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
 from .scenario import build_slot_context, generate_scenario
@@ -36,11 +36,8 @@ def _parse_floats(text: str) -> list:
         raise ConfigError(f"cannot parse value list {text!r}") from None
 
 
-def _parse_ints(text: str) -> list:
-    values = _parse_floats(text)
-    if not all(math.isfinite(v) and v == int(v) for v in values):
-        raise ConfigError(f"expected integers, got {text!r}")
-    return [int(v) for v in values]
+def _parse_seeds(text: str) -> list:
+    return [coerce("seed", token) for token in text.replace(",", " ").split()]
 
 
 def _base_config(args) -> ScenarioConfig:
@@ -60,7 +57,7 @@ def _base_config(args) -> ScenarioConfig:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="scenario seed")
+    parser.add_argument("--seed", default=None, help="scenario seed")
     parser.add_argument("--algo", choices=ALGORITHMS, default=None,
                         help="algorithm selector")
     parser.add_argument("--mode", choices=SOLVER_MODES, default=None,
@@ -144,7 +141,7 @@ def _sweep_common(args, result) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _base_config(args)
     values = _parse_floats(args.values)
-    seeds = _parse_ints(args.seeds)
+    seeds = _parse_seeds(args.seeds)
     algos = args.algos.split(",") if args.algos else None
     result = harness.run_sweep(cfg, args.axis, values, seeds,
                                algorithms=algos, workers=args.workers)
@@ -158,7 +155,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _base_config(args)
     algos = args.algos.split(",")
-    seeds = _parse_ints(args.seeds)
+    seeds = _parse_seeds(args.seeds)
     result = harness.run_compare(cfg, algos, seeds)
     for algo in algos:
         mean = result.stat_metric(algo, "utility_bits", "mean")[0]

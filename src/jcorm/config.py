@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -83,6 +84,8 @@ class GaConfig:
             raise ConfigError("ga tournament must be >= 1")
         if self.penalty_weight < 0:
             raise ConfigError("ga penalty_weight must be >= 0")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("ga_seed must be >= 0")
 
 
 @dataclass
@@ -184,10 +187,15 @@ class ScenarioConfig:
         return math.radians(self.elevation_deg)
 
     def validate(self) -> None:
-        for prefix, part in (("", self), ("", self.tol), ("ga_", self.ga)):
-            for f in dataclasses.fields(part):
-                if f.type == "float" and not math.isfinite(getattr(part, f.name)):
-                    raise ConfigError(f"{prefix}{f.name} must be finite")
+        for key, (owner, name, declared) in CONFIG_KEYS.items():
+            value = getattr(getattr(self, owner) if owner else self, name)
+            if declared == "float":
+                if not math.isfinite(value):
+                    raise ConfigError(f"{key} must be finite")
+            elif declared.startswith("int") and not (
+                    isinstance(value, numbers.Integral)
+                    or (value is None and declared == "int | None")):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         for name, to_linear in (("ref_gain_db", db_to_linear),
                                 ("antenna_gain_db", db_to_linear),
                                 ("noise_dbm", dbm_to_watt)):
@@ -262,6 +270,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"omega = {self.omega:g} prices the largest horizon energy "
                 f"({e_max:.3g} J) above {MAX_ENERGY_COST_BITS:g} bits")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"algo must be one of {ALGORITHMS}")
         if self.solver_mode not in SOLVER_MODES:
@@ -299,43 +309,53 @@ class ScenarioConfig:
 # flat key=value config files
 # ---------------------------------------------------------------------------
 
-_SCENARIO_FIELDS = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)
-                    if f.name not in ("tol", "ga")}
-_TOL_FIELDS = {f.name for f in dataclasses.fields(ToleranceConfig)}
-_GA_FIELDS = {f.name for f in dataclasses.fields(GaConfig)}
+def _as_int(value) -> int:
+    # integers and digit strings stay exact; a whole float such as 4.0 or
+    # 1e3 converts, anything else (2.5, inf, nan, six) raises ValueError
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    if isinstance(value, numbers.Integral) or float(value).is_integer():
+        return int(value)
+    raise ValueError(value)
 
-_INT_FIELDS = {"num_uavs", "k_sens_min", "k_sens_max", "k_tol_min", "k_tol_max",
-               "num_slots", "seed", "i_max",
-               "population", "generations", "elitism", "tournament"}
-_STR_FIELDS = {"uav_placement", "algo", "solver_mode"}
+
+# declared field type -> coercion of a value given for that field
+_COERCE = {"float": float, "int": _as_int, "str": str,
+           "int | None": lambda v: None if v is None or str(v).lower() == "none" else _as_int(v)}
+
+# flat key -> (sub-config attribute, field name, declared type), read from the
+# dataclass annotations: scenario and tolerance fields under their own names,
+# GA fields with the ``ga_`` prefix
+CONFIG_KEYS = {prefix + f.name: (owner, f.name, f.type)
+               for owner, prefix, cls in (("", "", ScenarioConfig),
+                                          ("tol", "", ToleranceConfig),
+                                          ("ga", "ga_", GaConfig))
+               for f in dataclasses.fields(cls) if f.name not in ("tol", "ga")}
 
 
-def _parse_scalar(key: str, raw: str):
-    raw = raw.strip()
-    if key in _STR_FIELDS:
-        return raw
+def coerce(key: str, value):
+    """``value`` typed for the flat key ``key`` as its field declares: any
+    real number for a float key, an exact integer for an int key (a digit
+    string, an integer, or a whole float), a string as given, and None or
+    ``none`` for ``ga_seed``. Raises ConfigError otherwise."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"unknown configuration key {key!r}")
     try:
-        if key in _INT_FIELDS:
-            v = float(raw)
-            if v != int(v):
-                raise ValueError
-            return int(v)
-        return float(raw)
-    except (ValueError, OverflowError):   # int(inf) overflows
-        raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
+        return _COERCE[CONFIG_KEYS[key][2]](value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"cannot parse value {value!r} for key {key!r}") from None
 
 
 def set_field(cfg: ScenarioConfig, key: str, value) -> None:
-    """Assign one flat key on a config, routing ga_*/tolerance keys to
-    their sub-configs. Unknown keys are errors."""
-    if key.startswith("ga_") and key[3:] in _GA_FIELDS:
-        setattr(cfg.ga, key[3:], value)
-    elif key in _TOL_FIELDS:
-        setattr(cfg.tol, key, value)
-    elif key in _SCENARIO_FIELDS:
-        setattr(cfg, key, value)
-    else:
-        raise ConfigError(f"unknown configuration key {key!r}")
+    """Assign one flat key on a config, coerced to the field's declared
+    type and routed to the tolerance or GA sub-config where it belongs.
+    Unknown keys and unparsable values raise ConfigError."""
+    value = coerce(key, value)
+    owner, name, _ = CONFIG_KEYS[key]
+    setattr(getattr(cfg, owner) if owner else cfg, name, value)
 
 
 def load_config_text(source: str, base: ScenarioConfig | None = None,
@@ -351,13 +371,7 @@ def load_config_text(source: str, base: ScenarioConfig | None = None,
         if "=" not in text:
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = text.split("=", 1)
-        key = key.strip()
-        if key == "ga_seed" and raw.strip().lower() == "none":
-            cfg.ga.seed = None
-            continue
-        # ga_* keys look up their scalar type under the bare GA field name
-        scalar_name = key[3:] if key.startswith("ga_") and key[3:] in _GA_FIELDS else key
-        set_field(cfg, key, _parse_scalar(scalar_name, raw))
+        set_field(cfg, key.strip(), raw.strip())
     cfg.validate()
     return cfg
 
@@ -366,18 +380,3 @@ def load_config(path: str, base: ScenarioConfig | None = None) -> ScenarioConfig
     """Read a flat config file (see load_config_text for the format)."""
     with open(path, "r", encoding="utf-8") as fh:
         return load_config_text(fh.read(), base=base, origin=path)
-
-
-def config_to_text(cfg: ScenarioConfig) -> str:
-    """Serialize a config back to the flat format (round-trips with load_config)."""
-    lines = []
-    for f in dataclasses.fields(ScenarioConfig):
-        if f.name in ("tol", "ga"):
-            continue
-        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
-    for f in dataclasses.fields(ToleranceConfig):
-        lines.append(f"{f.name} = {getattr(cfg.tol, f.name)}")
-    for f in dataclasses.fields(GaConfig):
-        value = getattr(cfg.ga, f.name)
-        lines.append(f"ga_{f.name} = {'none' if value is None else value}")
-    return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ determinism guarantee is stated over.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -88,16 +89,12 @@ SWEEP_AXES = {
     "num_uavs": _plain_axis("num_uavs"),
 }
 
-_INT_AXES = {"num_uavs"}
-
 
 def apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     """Return a copy of ``cfg`` with the sweep axis set to ``value``."""
     if axis not in SWEEP_AXES:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; known axes: {sorted(SWEEP_AXES)}")
-    if axis in _INT_AXES:
-        value = int(value)
     return SWEEP_AXES[axis](cfg, value)
 
 
@@ -155,6 +152,20 @@ def result_rows(result: ExperimentResult, axis: str = "", value=None) -> list:
 _AGG_METRICS = ("utility_bits", "uplinked_bits", "energy_j", "ds_delay_s")
 
 
+def _finite_stat(stat, values: list) -> float:
+    """``stat`` (np.mean or np.std) of the values. Where finite values
+    overflow it (the std squares them), it is taken on the values divided
+    by their largest magnitude and scaled back, so it stays finite."""
+    if not all(map(math.isfinite, values)):
+        return float(stat(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = float(stat(values))
+    if not math.isfinite(out):
+        scale = max(map(abs, values))
+        out = float(stat(np.divide(values, scale))) * scale
+    return out
+
+
 def aggregate_rows(rows: list) -> list:
     """Mean and population-std rows per (algorithm, axis value), computed
     over the run rows, appended in first-seen group order."""
@@ -174,7 +185,7 @@ def aggregate_rows(rows: list) -> list:
                 if kind == "mean" else None,
             }
             for metric in _AGG_METRICS:
-                agg[metric] = float(stat([r[metric] for r in runs]))
+                agg[metric] = _finite_stat(stat, [r[metric] for r in runs])
             out.append(agg)
     return out
 
@@ -243,7 +254,7 @@ def run_sweep(base_cfg: ScenarioConfig, axis: str, values, seeds,
     byte-identical for identical inputs."""
     algorithms = list(algorithms) if algorithms else [base_cfg.algo]
     values = list(values)
-    seeds = [int(s) for s in seeds]
+    seeds = list(seeds)
     apply_axis(base_cfg, axis, values[0] if values else 0)  # fail fast on axis name
 
     cells = [(apply_axis(base_cfg, axis, value).copy(algo=algo, seed=seed), axis, value)
@@ -262,7 +273,7 @@ def run_compare(base_cfg: ScenarioConfig, algorithms, seeds) -> SweepResult:
     """Paired-seed comparison of several algorithms at a fixed configuration.
     Modeled as a degenerate sweep over the single value None."""
     algorithms = list(algorithms)
-    seeds = [int(s) for s in seeds]
+    seeds = list(seeds)
     cells = [(base_cfg.copy(algo=algo, seed=seed), "", None)
              for algo in algorithms for seed in seeds]
     rows = [row for cell in cells for row in _run_cell(cell)]

@@ -168,23 +168,31 @@ def local_compute_time(sum_d, gamma, cycles_per_bit: float, uav_cpu_hz: float):
     return cycles_per_bit * (1.0 - np.asarray(gamma)) * np.asarray(sum_d) / uav_cpu_hz
 
 
+def transmit_time(ctx: SlotContext, power, gamma):
+    """Seconds the DS uplink takes to carry the offloaded bits gamma*sum_d at
+    the given power; +inf where the rate is zero."""
+    rate = ctx.ds_rate(power)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(rate > 0.0, gamma * ctx.sum_d / np.maximum(rate, 1e-300), np.inf)
+
+
+def remote_compute_time(ctx: SlotContext, f_leo, gamma):
+    """Seconds the satellite compute share f_leo takes to process the
+    offloaded bits; +inf where the share is zero."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(f_leo > 0.0, ctx.cycles_per_bit * gamma * ctx.sum_d
+                        / np.maximum(f_leo, 1e-300), np.inf)
+
+
 def satellite_branch_time(ctx: SlotContext, power, f_leo, gamma):
     """Transmit + remote compute + round-trip propagation for the offloaded
     share. Zero where nothing is offloaded; +inf where gamma > 0 but the
     link or the compute allocation cannot carry it."""
     gamma = np.asarray(gamma, dtype=float)
-    power = np.asarray(power, dtype=float)
-    f_leo = np.asarray(f_leo, dtype=float)
-    out = np.zeros_like(gamma)
     active = (gamma > 0.0) & (ctx.sum_d > 0.0)
-    if np.any(active):
-        rate = ctx.ds_rate(power)
-        with np.errstate(divide="ignore", over="ignore"):
-            t_tx = np.where(rate > 0.0, gamma * ctx.sum_d / np.maximum(rate, 1e-300), np.inf)
-            t_cmp = np.where(f_leo > 0.0, ctx.cycles_per_bit * gamma * ctx.sum_d
-                             / np.maximum(f_leo, 1e-300), np.inf)
-        out = np.where(active, t_tx + t_cmp + 2.0 * ctx.l_prop, out)
-    return out
+    return np.where(active, transmit_time(ctx, power, gamma)
+                    + remote_compute_time(ctx, f_leo, gamma)
+                    + 2.0 * ctx.l_prop, 0.0)
 
 
 def ds_completion_time(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
@@ -283,6 +291,9 @@ def slot_energy(ctx: SlotContext, decision: SlotDecision):
     gamma = decision.gamma
     rate = ctx.ds_rate(decision.power)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # not transmit_time, which is +inf at zero rate: the rate floor of
+        # 1e-300 bit/s keeps the energy finite, so the GA still ranks genomes
+        # that offload over a dead link by how much they offload
         l_comm = np.where((gamma > 0.0) & (ctx.sum_d > 0.0),
                           gamma * ctx.sum_d / np.maximum(rate, 1e-300), 0.0)
         # an offload stream at zero power never transmits: the radio spends

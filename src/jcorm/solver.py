@@ -60,12 +60,10 @@ def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
     pmax are flagged and get zero power.
     """
     gamma = np.asarray(gamma, dtype=float)
-    f_leo = np.asarray(f_leo, dtype=float)
     d_mbit = ctx.sum_d / 1e6
     live = (gamma > 0.0) & (d_mbit > 0.0)
-    has_f = f_leo > 0.0
-    slack = (delta_tol - ctx.l_off
-             - ctx.cycles_per_bit * gamma * ctx.sum_d / np.where(has_f, f_leo, 1.0)
+    # no compute share makes the remote compute time, and so -slack, infinite
+    slack = (delta_tol - ctx.l_off - model.remote_compute_time(ctx, f_leo, gamma)
              - 2.0 * ctx.l_prop)
     has_slack = slack > 0.0
     b_n = ctx.leo_bandwidth_hz / 1e6 / ctx.num_uavs   # per-UAV band share, MHz
@@ -75,7 +73,7 @@ def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
     # pmax test below flags.
     with np.errstate(over="ignore"):
         p_req = (np.float_power(2.0, exponent) - 1.0) / (ctx.sat_gain / ctx.noise_w)
-    infeasible = live & (~has_f | ~has_slack | (p_req > ctx.pmax_w * (1.0 + 1e-9)))
+    infeasible = live & (~has_slack | (p_req > ctx.pmax_w * (1.0 + 1e-9)))
     power = np.where(live & ~infeasible, np.minimum(p_req, ctx.pmax_w), 0.0)
     return power, PowerSolveInfo(infeasible)
 
@@ -96,23 +94,14 @@ def solve_sp2_compute(ctx: SlotContext, power: np.ndarray, delta_tol: np.ndarray
     """
     gamma = np.asarray(gamma, dtype=float)
     active = (gamma > 0.0) & (ctx.sum_d > 0.0)
-    f_out = np.zeros(ctx.num_uavs)
-    infeasible = np.zeros(ctx.num_uavs, dtype=bool)
-    if np.any(active):
-        rate = ctx.ds_rate(power)
-        with np.errstate(divide="ignore"):
-            l_comm = np.where(rate > 0.0, gamma * ctx.sum_d / np.maximum(rate, 1e-300),
-                              np.inf)
-        slack = delta_tol - ctx.l_off - l_comm - 2.0 * ctx.l_prop
-        bad = active & ((slack <= 0.0) | ~np.isfinite(slack))
-        infeasible |= bad
-        ok = active & ~bad
-        f_min = np.zeros(ctx.num_uavs)
-        f_min[ok] = ctx.cycles_per_bit * gamma[ok] * ctx.sum_d[ok] / slack[ok]
-        over = ok & (f_min > ctx.leo_cpu_hz)
-        infeasible |= over            # even the whole pool cannot make the deadline
-        f_out = np.minimum(f_min, ctx.leo_cpu_hz)
-        f_out[bad] = ctx.leo_cpu_hz   # best effort; ratio pass must shrink gamma
+    slack = delta_tol - ctx.l_off - model.transmit_time(ctx, power, gamma) - 2.0 * ctx.l_prop
+    bad = active & ((slack <= 0.0) | ~np.isfinite(slack))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f_min = np.where(active & ~bad, ctx.cycles_per_bit * gamma * ctx.sum_d / slack, 0.0)
+    # where f_min exceeds the pool, even the whole pool misses the deadline
+    infeasible = bad | (f_min > ctx.leo_cpu_hz)
+    # best effort where the deadline is missed; the ratio pass must shrink gamma
+    f_out = np.where(bad, ctx.leo_cpu_hz, np.minimum(f_min, ctx.leo_cpu_hz))
     budget_scaled = False
     total = float(np.sum(f_out))
     if total > ctx.leo_cpu_hz * (1.0 + 1e-12):
@@ -138,7 +127,6 @@ def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     is vacuous and averaging against it would undercut the real deadline.
     At gamma = 0 both modes therefore give the on-board bound.
     """
-    n = ctx.num_uavs
     if mode == "strict":
         lo_deadline = model.completion_time(ctx, power, f_leo, gamma)
     else:
@@ -151,15 +139,15 @@ def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
 
     used = ctx.storage_capacity - ctx.storage_free
     denom = ctx.r_tol_leo + ctx.dt_dev_rate_sum
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         backlog_lo = np.where(denom > 0.0,
                               (ctx.r_tol_leo * ctx.slot_seconds - used) / np.maximum(denom, 1e-300),
                               -np.inf)
         storage_hi = np.where(ctx.dt_dev_rate_sum > 0.0,
                               ctx.storage_free / np.maximum(ctx.dt_dev_rate_sum, 1e-300),
                               np.inf)
-    lo = np.maximum.reduce([np.zeros(n), backlog_lo, lo_deadline])
-    hi = np.minimum(np.full(n, ctx.slot_seconds), storage_hi)
+    lo = np.maximum(np.maximum(0.0, backlog_lo), lo_deadline)
+    hi = np.minimum(ctx.slot_seconds, storage_hi)
     return lo, hi
 
 
@@ -199,29 +187,18 @@ def solve_sp4_ratio(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     two deadline branches leave open; the sign of the per-bit saving
     (on-board compute energy versus remote compute + transmit energy)
     selects the end. Returns (gamma array, empty-interval mask)."""
-    n = ctx.num_uavs
     power = np.asarray(power, dtype=float)
     f_leo = np.asarray(f_leo, dtype=float)
     active = ctx.sum_d > 0.0
-    gamma = np.zeros(n)
-    empty = np.zeros(n, dtype=bool)
-    if not np.any(active):
-        return gamma, empty
-
+    rate = ctx.ds_rate(power)
+    usable = active & (rate > 0.0) & (f_leo > 0.0)
     load_cycles_time = ctx.cycles_per_bit * ctx.sum_d / ctx.uav_cpu_hz
     with np.errstate(divide="ignore", invalid="ignore"):
         g_min = 1.0 + np.where(active, (ctx.l_off - delta_tol) / np.maximum(load_cycles_time, 1e-300), 0.0)
-    g_min = np.clip(g_min, 0.0, 1.0)
-
-    rate = ctx.ds_rate(power)
-    usable = active & (rate > 0.0) & (f_leo > 0.0)
-    denom30 = np.empty(n)
-    denom30.fill(np.inf)
-    denom30[usable] = (1.0 / rate[usable] + ctx.cycles_per_bit / f_leo[usable]) * ctx.sum_d[usable]
-    with np.errstate(invalid="ignore"):
-        g_max = np.where(usable,
-                         (delta_tol - 2.0 * ctx.l_prop - ctx.l_off) / denom30,
-                         g_min)
+        g_min = np.clip(g_min, 0.0, 1.0)
+        # the slack over the time to offload the whole load
+        g_max = np.where(usable, (delta_tol - 2.0 * ctx.l_prop - ctx.l_off)
+                         / ((1.0 / rate + ctx.cycles_per_bit / f_leo) * ctx.sum_d), g_min)
     g_max = np.clip(g_max, 0.0, 1.0)
 
     # a stream without a usable link cannot carry offload: a lower bound at
@@ -234,10 +211,10 @@ def solve_sp4_ratio(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     empty = active & ((g_min > g_max + 1e-12) | (unusable & ~noise))
     # per-bit objective slope: on-board compute energy saved minus remote
     # compute and transmit energy spent
-    slope = np.zeros(n)
-    m = usable & ~empty
-    slope[m] = (ctx.cycles_per_bit * ctx.switch_cap * (ctx.uav_cpu_hz ** 2 - f_leo[m] ** 2)
-                - power[m] / rate[m])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(usable & ~empty,
+                         ctx.cycles_per_bit * ctx.switch_cap * (ctx.uav_cpu_hz ** 2 - f_leo ** 2)
+                         - power / rate, 0.0)
     choice = np.where(slope > 0.0, g_max, g_min)
     gamma = np.where(active, np.where(empty, g_min, choice), 0.0)
     gamma = np.clip(gamma, 0.0, 1.0)

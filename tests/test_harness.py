@@ -11,8 +11,8 @@ import pytest
 
 from jcorm import harness
 from jcorm.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from jcorm.config import (ConfigError, GaConfig, ScenarioConfig, ToleranceConfig,
-                          config_to_text, load_config, load_config_text)
+from jcorm.config import (CONFIG_KEYS, ConfigError, GaConfig, ScenarioConfig,
+                          ToleranceConfig, load_config, load_config_text)
 from jcorm.scenario import generate_scenario
 
 
@@ -81,18 +81,86 @@ class TestConfig:
         cfg = load_config_text("# a comment\n\nnum_uavs = 4  # trailing\n")
         assert cfg.num_uavs == 4
 
+    @staticmethod
+    def _as_text(cfg):
+        # every key of the table, written in the flat format
+        lines = []
+        for key, (owner, name, _) in CONFIG_KEYS.items():
+            value = getattr(getattr(cfg, owner) if owner else cfg, name)
+            lines.append(f"{key} = {'none' if value is None else value if isinstance(value, str) else repr(value)}")
+        return "\n".join(lines) + "\n"
+
     def test_round_trip(self):
         cfg = ScenarioConfig(num_uavs=3, omega=2.5, seed=11)
         cfg.ga.population = 17
         cfg.ga.seed = 5
-        back = load_config_text(config_to_text(cfg))
+        back = load_config_text(self._as_text(cfg))
         assert back == cfg
 
     def test_round_trip_unset_ga_seed(self):
         cfg = ScenarioConfig()
         assert cfg.ga.seed is None
-        back = load_config_text(config_to_text(cfg))
-        assert back.ga.seed is None
+        base = ScenarioConfig()
+        base.ga.seed = 5   # "none" must clear it
+        back = load_config_text(self._as_text(cfg), base=base)
+        assert back.ga.seed is None and back == cfg
+
+    def test_every_key_loads_typed(self):
+        # every key set to a value off its default, so a key routed to the
+        # wrong (sub-)config or typed wrongly shows up
+        strings = {"uav_placement": "uniform", "algo": "atsm", "solver_mode": "strict"}
+        tol_fields = {f.name for f in dataclasses.fields(ToleranceConfig)}
+        expected, lines = {}, []
+        for cls, prefix in ((ScenarioConfig, ""), (ToleranceConfig, ""), (GaConfig, "ga_")):
+            for f in dataclasses.fields(cls):
+                if f.name in ("tol", "ga"):
+                    continue
+                key = prefix + f.name
+                default = f.default
+                if key == "ga_seed":
+                    value, raw = None, "none"
+                elif f.type == "str":
+                    value = raw = strings[key]
+                elif f.type == "int":
+                    value = default + 1
+                    raw = str(value)
+                else:
+                    value = default / 2 if default else 0.25
+                    raw = repr(value)
+                expected[key] = value
+                lines.append(f"{key} = {raw}")
+        assert set(expected) == set(CONFIG_KEYS) and len(expected) == 54
+        base = ScenarioConfig()
+        base.ga.seed = 5   # "none" must clear it
+        cfg = load_config_text("\n".join(lines) + "\n", base=base)
+        for key, value in expected.items():
+            if key.startswith("ga_"):
+                got = getattr(cfg.ga, key[3:])
+            elif key in tol_fields:
+                got = getattr(cfg.tol, key)
+            else:
+                got = getattr(cfg, key)
+            assert got == value and type(got) is type(value), key
+
+    def test_int_keys_exact(self):
+        big = 9007199254740993   # 2**53 + 1, which a float rounds to ...992
+        assert load_config_text(f"seed = {big}\n").seed == big
+        assert load_config_text(f"ga_seed = {big}\n").ga.seed == big
+        for raw, value in (("4", 4), ("4.0", 4), ("1e1", 10), ("+3", 3)):
+            got = load_config_text(f"num_uavs = {raw}\n").num_uavs
+            assert got == value and type(got) is int
+        for raw in ("2.5", "inf", "nan", "six", "1e400"):
+            with pytest.raises(ConfigError, match="num_uavs"):
+                load_config_text(f"num_uavs = {raw}\n")
+
+    def test_non_integer_int_field_rejected(self):
+        # the Python API skips the parser; validate checks the type
+        with pytest.raises(ConfigError, match="num_uavs must be an integer"):
+            ScenarioConfig(num_uavs=2.5).validate()
+        cfg = ScenarioConfig()
+        cfg.ga.population = 60.0
+        with pytest.raises(ConfigError, match="ga_population must be an integer"):
+            cfg.validate()
 
     def test_file_loading(self, tmp_path):
         path = tmp_path / "net.cfg"
@@ -146,6 +214,11 @@ class TestAxes:
         cfg = harness.apply_axis(ScenarioConfig(), "num_uavs", 4.0)
         assert cfg.num_uavs == 4 and isinstance(cfg.num_uavs, int)
 
+    def test_fleet_size_axis_rejects_non_whole_values(self):
+        for value in (2.5, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="num_uavs"):
+                harness.apply_axis(ScenarioConfig(), "num_uavs", value)
+
     def test_expected_axes_registered(self):
         for axis in ("leo_bandwidth_hz", "uav_bandwidth_hz", "ds_size_bits",
                      "storage_capacity_bits", "rician_k0", "omega", "beta",
@@ -183,6 +256,22 @@ class TestResults:
         std = next(r for r in stats if r["kind"] == "std")
         assert mean["utility_bits"] == pytest.approx(np.mean(runs))
         assert std["utility_bits"] == pytest.approx(np.std(runs))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("overrides", [
+        dict(device_power_sens_w=0.0),                  # DS delays near 1e306 s
+        dict(switch_cap=1e150, omega=0.0),              # energies near 1e178 J
+        dict(ds_size_max_bits=1e300, omega=0.0),
+    ])
+    def test_aggregates_finite_for_huge_run_values(self, overrides):
+        res = harness.run_compare(small_cfg(**overrides), ["jcorm", "no-offload"], [0, 1])
+        runs = [r for r in res.rows if r["kind"] == "run"]
+        stats = [r for r in res.rows if r["kind"] in ("mean", "std")]
+        for metric in harness._AGG_METRICS:
+            assert all(np.isfinite(r[metric]) for r in runs)
+            assert all(np.isfinite(r[metric]) for r in stats), metric
+        assert max(r["ds_delay_s"] for r in runs) > 1e150 or \
+            max(r["energy_j"] for r in runs) > 1e150
 
     def test_csv_round_trip_is_stable(self, tmp_path):
         result = harness.run_experiment(small_cfg())
@@ -336,6 +425,48 @@ class TestCli:
                          "--out", str(tmp_path)])
             assert code == EXIT_CONFIG
         capsys.readouterr()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        code = main(["run", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        cfg.write_text(TINY + "ga_seed = -3\n")
+        code = main(["run", "--config", str(cfg), "--algo", "ga", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "ga_seed must be >= 0" in capsys.readouterr().err
+        cfg.write_text(TINY)
+        code = main(["compare", "--config", str(cfg), "--algos", "no-offload",
+                     "--seeds=-2", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_large_seed_written_exactly(self, tmp_path):
+        big = 9007199254740993   # 2**53 + 1, which a float rounds to ...992
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(TINY + f"seed = {big}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--algo", "no-offload",
+                     "--out", str(out)]) == EXIT_OK
+        rows = harness.read_csv(str(out / f"run_no-offload_seed{big}.csv"))
+        assert {r["seed"] for r in rows if r["kind"] == "run"} == {big}
+        cfg.write_text(TINY)
+        assert main(["compare", "--config", str(cfg), "--algos", "no-offload",
+                     "--seeds", f"{big}", "--out", str(out)]) == EXIT_OK
+        rows = harness.read_csv(str(out / "compare.csv"))
+        assert {r["seed"] for r in rows if r["kind"] == "run"} == {big}
+
+    @pytest.mark.parametrize("value", ["2.5", "inf", "nan"])
+    def test_non_whole_fleet_size_sweep_is_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--axis", "num_uavs",
+                     "--values", f"3,{value}", "--algos", "no-offload", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "num_uavs" in capsys.readouterr().err
 
     def test_unknown_axis_is_config_error(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

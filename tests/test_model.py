@@ -186,6 +186,18 @@ class TestDelays:
                   + 400.0 * ctx.sum_d / 5e9 + 2 * ctx.l_prop)
         assert np.allclose(model.ds_completion_time(ctx, dec), expect)
 
+    def test_branch_terms_elementwise(self):
+        ctx = make_ctx()
+        power = np.array([0.5, 0.0])
+        f_leo = np.array([5e9, 0.0])
+        gamma = np.array([0.3, 0.3])
+        t_tx = model.transmit_time(ctx, power, gamma)
+        t_cmp = model.remote_compute_time(ctx, f_leo, gamma)
+        assert t_tx[0] == pytest.approx(0.3 * ctx.sum_d[0] / ctx.ds_rate(0.5)[0], rel=1e-12)
+        assert t_cmp[0] == pytest.approx(400.0 * 0.3 * ctx.sum_d[0] / 5e9, rel=1e-12)
+        assert t_tx[1] == np.inf and t_cmp[1] == np.inf   # no rate, no share
+        assert np.all(model.transmit_time(ctx, np.full(2, 0.5), np.zeros(2)) == 0.0)
+
     def test_completion_takes_slower_branch(self):
         ctx = make_ctx()
         dec = SlotDecision(np.full(2, 0.5), np.full(2, 5e9), np.full(2, 5.0),
