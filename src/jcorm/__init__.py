@@ -2,8 +2,7 @@
 UAV sensing network: slot simulator, block-rotation optimizer, baselines,
 grid-search reference solvers, and an experiment harness."""
 
-from .baselines import (run_horizon_ga, solve_slot_atsm, solve_slot_ga,
-                        solve_slot_no_offload)
+from .baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
 from .config import (ConfigError, GaConfig, ScenarioConfig, ToleranceConfig,
                      load_config, load_config_text)
 from .harness import (ExperimentResult, SweepResult, run_compare,
@@ -11,7 +10,7 @@ from .harness import (ExperimentResult, SweepResult, run_compare,
 from .model import SlotContext, SlotDecision, SlotMetrics
 from .oracle import GridSpec, grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
 from .scenario import NetworkState, build_slot_context, generate_scenario
-from .solver import HorizonResult, run_horizon, solve_slot_jcorm
+from .solver import HorizonResult, run_horizon, run_horizons, solve_slot_jcorm
 
 __all__ = [
     "ConfigError",
@@ -28,9 +27,9 @@ __all__ = [
     "generate_scenario",
     "HorizonResult",
     "run_horizon",
+    "run_horizons",
     "solve_slot_jcorm",
     "solve_slot_atsm",
-    "solve_slot_ga",
     "solve_slot_no_offload",
     "run_horizon_ga",
     "GridSpec",

@@ -2,8 +2,8 @@
 
   * ATSM: the forwarding start is pinned to half the slot; power, compute
     share, and offload ratio are still optimized by the same block passes.
-  * GA: a genetic algorithm over the raw (p, f, start, ratio) boxes with
-    penalized constraint violations, solving each slot directly.
+  * GA: a genetic algorithm over the raw (p, f, start, ratio) boxes of
+    every slot at once, with penalized constraint violations.
   * No-Offloading: everything is computed on board; only the forwarding
     start is optimized against the on-board completion bound.
 """
@@ -122,26 +122,6 @@ def _sanitize_slot(ctx, p, f, dt, gm, trace):
     return SlotDecision(p, f, dt, gm)
 
 
-def solve_slot_ga(ctx: SlotContext, cfg: ScenarioConfig):
-    """Direct per-slot search with the genetic algorithm. Returns
-    (SlotDecision, GaTrace); always returns the best individual found,
-    sanitized so that offloading without power or compute is turned off."""
-    ga = cfg.ga
-    n = ctx.num_uavs
-    rng = np.random.default_rng(ga.seed if ga.seed is not None else cfg.seed)
-    hi = np.concatenate([np.full(n, ctx.pmax_w), np.full(n, ctx.leo_cpu_hz),
-                         np.full(n, ctx.slot_seconds), np.ones(n)])
-    trace = GaTrace()
-
-    def fitness(genomes):
-        return _ga_fitness(ctx, *_split_genes(genomes, n), ga.penalty_weight,
-                           ctx.storage_free)
-
-    best = _evolve(rng, ga, hi, fitness, trace)
-    p, f, dt, gm = (np.array(a, dtype=float) for a in _split_genes(best, n))
-    return _sanitize_slot(ctx, p, f, dt, gm, trace), trace
-
-
 def run_horizon_ga(cfg: ScenarioConfig, state):
     """Genetic algorithm over the whole horizon at once: one genome carries
     (power, compute, start, ratio) for every UAV of every slot, and fitness
@@ -203,16 +183,13 @@ def solve_slot_no_offload(ctx: SlotContext, cfg: ScenarioConfig):
     """Everything computed on board: zero power, zero compute share, zero
     ratio; the forwarding start solves the start-time block against the
     on-board completion bound. Returns (SlotDecision, SlotSolveTrace)."""
-    n = ctx.num_uavs
-    zeros = np.zeros(n)
+    zeros = np.zeros(ctx.sum_d.shape)
     dt, empty = solve_sp3_start_time(ctx, zeros, zeros, zeros)
-    trace = SlotSolveTrace()
-    trace.iterations = 1
-    trace.converged = True
-    trace.sp3_empty = int(np.sum(empty))
     decision = SlotDecision(zeros, zeros.copy(), dt, zeros.copy())
-    obj = model.slot_objective_mbit(ctx, decision)
-    trace.objective_mbit.append(obj)
-    if np.any(empty) or not model.check_feasible(ctx, decision).ok:
-        trace.fallback = True
+    rows = ctx.sum_d.shape[:-1]
+    fallback = np.any(empty, axis=-1) | np.logical_not(model.check_feasible(ctx, decision).ok)
+    trace = SlotSolveTrace.of([model.slot_objective_mbit(ctx, decision)],
+                              iterations=np.ones(rows, dtype=int),
+                              converged=np.ones(rows, dtype=bool), fallback=fallback,
+                              sp3_empty=np.sum(empty, axis=-1))
     return decision, trace

@@ -20,6 +20,11 @@ LIGHT_SPEED = 3e8   # m/s
 # Cap on omega times the largest horizon energy. Utilities stay within it,
 # so the squares that the std aggregate sums over seeds stay finite.
 MAX_ENERGY_COST_BITS = 1e150
+# Caps on the work of one run: UAVs, slots, and UAV-slots (their product).
+# At the caps the slowest algorithm, the GA, finishes a run within a minute.
+MAX_UAVS = 1024
+MAX_SLOTS = 1000
+MAX_UAV_SLOTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -196,6 +201,13 @@ class ScenarioConfig:
                     isinstance(value, numbers.Integral)
                     or (value is None and declared == "int | None")):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not 1 <= self.num_uavs <= MAX_UAVS:
+            raise ConfigError(f"num_uavs must lie in [1, {MAX_UAVS}]")
+        if not 0 <= self.num_slots <= MAX_SLOTS:
+            raise ConfigError(f"num_slots must lie in [0, {MAX_SLOTS}]")
+        if self.num_uavs * self.num_slots > MAX_UAV_SLOTS:
+            raise ConfigError(f"num_uavs * num_slots = {self.num_uavs * self.num_slots} "
+                              f"exceeds {MAX_UAV_SLOTS}")
         for name, to_linear in (("ref_gain_db", db_to_linear),
                                 ("antenna_gain_db", db_to_linear),
                                 ("noise_dbm", dbm_to_watt)):
@@ -206,8 +218,6 @@ class ScenarioConfig:
             if not 0.0 < linear < math.inf:
                 raise ConfigError(f"{name} is out of range: its linear value "
                                   "overflows or underflows to 0")
-        if self.num_uavs < 1:
-            raise ConfigError("num_uavs must be >= 1")
         if self.area_x_m < 0 or self.area_y_m < 0:
             raise ConfigError("area dimensions must be >= 0")
         if self.uav_altitude_m <= 0:
@@ -228,8 +238,6 @@ class ScenarioConfig:
             raise ConfigError("sat_speed_mps must be > 0")
         if self.slot_seconds <= 0:
             raise ConfigError("slot_seconds must be > 0")
-        if self.num_slots < 0:
-            raise ConfigError("num_slots must be >= 0")
         if self.uav_bandwidth_hz <= 0 or self.leo_bandwidth_hz <= 0:
             raise ConfigError("bandwidths must be > 0")
         if not 0.0 <= self.beta <= 1.0:

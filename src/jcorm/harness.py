@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
 from .config import ConfigError, ScenarioConfig
 from .scenario import generate_scenario
-from .solver import HorizonResult, run_horizon, solve_slot_jcorm
+from .solver import HorizonResult, run_horizon, run_horizons, solve_slot_jcorm
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +241,69 @@ class SweepResult:
         return np.array([table[v] for v in self.values], dtype=float)
 
 
-def _run_cell(cell):
-    cfg, axis, value = cell
-    return result_rows(run_experiment(cfg), axis=axis, value=value)
+# most UAVs (cells x fleet size) that one stacked horizon solves together
+STACK_UAVS = 1024
+
+
+def _group_key(cfg: ScenarioConfig) -> tuple:
+    """Cells with equal keys share array shapes and solver settings, so
+    their slots are solved together as one stacked rotation."""
+    return (cfg.algo, cfg.num_uavs, cfg.num_slots, cfg.solver_mode,
+            cfg.tol.i_max, cfg.tol.tau_outer)
+
+
+def _run_group(cells: list) -> list:
+    """Rows of each (config, axis, value) cell of one group, in order. The
+    GA searches each cell's horizon on its own."""
+    cfgs = [cfg for cfg, _, _ in cells]
+    if cfgs[0].algo == "ga":
+        results = [run_experiment(cfg) for cfg in cfgs]
+    else:
+        states = [generate_scenario(cfg, cfg.seed) for cfg in cfgs]
+        horizons = run_horizons(cfgs, states, _SLOT_SOLVERS[cfgs[0].algo])
+        results = [ExperimentResult(**vars(h), algorithm=cfg.algo, seed=cfg.seed)
+                   for h, cfg in zip(horizons, cfgs)]
+    return [result_rows(r, axis=axis, value=value)
+            for r, (_, axis, value) in zip(results, cells)]
+
+
+def _run_cells(cells: list, workers: int = 1) -> list:
+    """Slot and run rows of every (config, axis, value) cell, in cell order.
+    Every cell is validated before any runs. Cells are grouped by
+    ``_group_key`` and each group runs as stacked horizons of at most
+    ``STACK_UAVS`` UAVs in all, which bounds the memory a stack holds; with
+    ``workers > 1`` each group is also cut into at least that many
+    contiguous parts, which run over processes. Rows do not depend on the
+    grouping."""
+    for cfg, _, _ in cells:
+        cfg.validate()
+    groups: dict = {}
+    for i, (cfg, _, _) in enumerate(cells):
+        groups.setdefault(_group_key(cfg), []).append(i)
+    parts = []
+    for members in groups.values():
+        per_stack = max(1, STACK_UAVS // cells[members[0]][0].num_uavs)
+        count = max(-(-len(members) // per_stack), min(workers, len(members)))
+        parts += [part.tolist() for part in np.array_split(members, count)]
+    jobs = [[cells[i] for i in part] for part in parts]
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_group, jobs))
+    else:
+        done = map(_run_group, jobs)
+    per_cell = [None] * len(cells)
+    for part, part_rows in zip(parts, done):
+        for i, cell_rows in zip(part, part_rows):
+            per_cell[i] = cell_rows
+    return [row for cell_rows in per_cell for row in cell_rows]
 
 
 def run_sweep(base_cfg: ScenarioConfig, axis: str, values, seeds,
               algorithms=None, workers: int = 1) -> SweepResult:
     """Run every (algorithm, axis value, seed) cell and assemble the row
-    table. Cells are independent, so ``workers > 1`` fans them out over
-    processes; assembly order is fixed either way, keeping the CSV
-    byte-identical for identical inputs."""
+    table (see ``_run_cells``). Assembly order is fixed whatever the
+    grouping and ``workers``, keeping the CSV byte-identical for identical
+    inputs."""
     algorithms = list(algorithms) if algorithms else [base_cfg.algo]
     values = list(values)
     seeds = list(seeds)
@@ -259,12 +311,7 @@ def run_sweep(base_cfg: ScenarioConfig, axis: str, values, seeds,
 
     cells = [(apply_axis(base_cfg, axis, value).copy(algo=algo, seed=seed), axis, value)
              for algo in algorithms for value in values for seed in seeds]
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_run_cell, cells))
-    else:
-        per_cell = map(_run_cell, cells)
-    rows = [row for cell_rows in per_cell for row in cell_rows]
+    rows = _run_cells(cells, workers)
     rows.extend(aggregate_rows(rows))
     return SweepResult(axis, values, seeds, algorithms, rows)
 
@@ -276,7 +323,7 @@ def run_compare(base_cfg: ScenarioConfig, algorithms, seeds) -> SweepResult:
     seeds = list(seeds)
     cells = [(base_cfg.copy(algo=algo, seed=seed), "", None)
              for algo in algorithms for seed in seeds]
-    rows = [row for cell in cells for row in _run_cell(cell)]
+    rows = _run_cells(cells)
     rows.extend(aggregate_rows(rows))
     return SweepResult("", [None], seeds, algorithms, rows)
 

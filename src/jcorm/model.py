@@ -13,7 +13,7 @@ Units: meters, seconds, hertz, watts, bits. Rates are bit/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,6 +119,10 @@ class SlotContext:
 
     Arrays are indexed by UAV. Storage is per UAV: ``storage_free`` is the
     unused buffer space at the start of the slot.
+
+    A stacked context (see ``stack``) holds the same slot of B cells: its
+    arrays are (B, U) and its scalars (B, 1) columns, so every function of
+    this module works row by row.
     """
 
     slot_seconds: float
@@ -142,7 +146,15 @@ class SlotContext:
 
     @property
     def num_uavs(self) -> int:
-        return len(self.sum_d)
+        return self.sum_d.shape[-1]
+
+    @classmethod
+    def stack(cls, contexts: list) -> "SlotContext":
+        """One (B, U) context from B 1-D contexts that share U."""
+        return cls(**{f.name: np.stack([getattr(c, f.name) for c in contexts])
+                      if isinstance(getattr(contexts[0], f.name), np.ndarray)
+                      else np.array([[getattr(c, f.name)] for c in contexts])
+                      for f in fields(cls)})
 
     def ds_rate(self, power_w):
         """UAV->LEO rate (bit/s) for the DS stream at the given power(s)."""
@@ -158,6 +170,11 @@ class SlotDecision:
     f_leo: np.ndarray       # satellite compute share (cycles/s)
     delta_tol: np.ndarray   # DT forwarding start time inside the slot (s)
     gamma: np.ndarray       # offloaded fraction of the DS load, in [0, 1]
+
+    def row(self, b: int) -> "SlotDecision":
+        """Row ``b`` of a stacked decision, as a 1-D decision of its own."""
+        return SlotDecision(self.power[b].copy(), self.f_leo[b].copy(),
+                            self.delta_tol[b].copy(), self.gamma[b].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +319,16 @@ def slot_energy(ctx: SlotContext, decision: SlotDecision):
     window = np.clip(ctx.slot_seconds - decision.delta_tol, 0.0, None)
     e_comm = e_ds + ctx.dt_uplink_power_w * window
     base = ctx.cycles_per_bit * ctx.switch_cap * ctx.sum_d
-    e_uav = base * (1.0 - gamma) * ctx.uav_cpu_hz ** 2
+    e_uav = base * (1.0 - gamma) * cpu_squared(ctx)
     e_leo = base * gamma * decision.f_leo ** 2
     return e_comm, e_uav, e_leo
+
+
+def cpu_squared(ctx: SlotContext):
+    """The on-board clock squared, rounded like the scalar ``x ** 2`` (libm
+    pow) for a float and for a stacked column alike; numpy squares an
+    array as x * x, which differs from pow in the last bit now and then."""
+    return np.float_power(ctx.uav_cpu_hz, 2)
 
 
 def objective_terms(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
@@ -318,12 +342,13 @@ def objective_terms(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
     return dt_bits - ctx.omega * (e_comm + e_uav + e_leo)
 
 
-def slot_objective_bits(ctx: SlotContext, decision: SlotDecision) -> float:
-    """Slot utility the optimizers maximize (sum over UAVs)."""
-    return float(np.sum(objective_terms(ctx, decision)))
+def slot_objective_bits(ctx: SlotContext, decision: SlotDecision):
+    """Slot utility the optimizers maximize (sum over UAVs; one per row of a
+    stacked context)."""
+    return np.sum(objective_terms(ctx, decision), axis=-1)
 
 
-def slot_objective_mbit(ctx: SlotContext, decision: SlotDecision) -> float:
+def slot_objective_mbit(ctx: SlotContext, decision: SlotDecision):
     """Slot objective with the data term expressed in Mbit; the scale on which
     convergence thresholds and oracle tolerances operate."""
     return slot_objective_bits(ctx, decision) / 1e6
@@ -335,6 +360,11 @@ def slot_objective_mbit(ctx: SlotContext, decision: SlotDecision) -> float:
 
 @dataclass
 class FeasibilityReport:
+    """Which slot constraints a decision meets: bools for a 1-D context,
+    one entry per row for a stacked one. ``violations`` names each failed
+    constraint with its worst excess; on a stacked context its values are
+    per row, NaN (or False for a flag) on the rows that meet it."""
+
     box_ok: bool
     budget_ok: bool          # sum of satellite compute shares within the pool
     deadline_ok: bool        # completion time within delta_tol, every UAV
@@ -343,48 +373,51 @@ class FeasibilityReport:
     violations: dict = field(default_factory=dict)
 
     @property
-    def ok(self) -> bool:
-        return (self.box_ok and self.budget_ok and self.deadline_ok
-                and self.storage_ok and self.backlog_ok)
+    def ok(self):
+        return (self.box_ok & self.budget_ok & self.deadline_ok
+                & self.storage_ok & self.backlog_ok)
 
 
 def check_feasible(ctx: SlotContext, decision: SlotDecision,
                    time_slack: float = 1e-9) -> FeasibilityReport:
-    """Independent re-evaluation of every slot constraint on a decision."""
+    """Independent re-evaluation of every slot constraint on a decision,
+    reduced over the UAV axis only."""
     d = decision
+    stacked = d.gamma.ndim > 1
     viol = {}
-    box_ok = True
-    if np.any(d.gamma < -1e-12) or np.any(d.gamma > 1.0 + 1e-12):
-        box_ok = False
-        viol["gamma_box"] = float(np.max(np.abs(d.gamma - np.clip(d.gamma, 0, 1))))
-    if np.any(d.delta_tol < -1e-12) or np.any(d.delta_tol > ctx.slot_seconds + 1e-9):
-        box_ok = False
-        viol["delta_box"] = True
-    if np.any(d.f_leo < -1e-6) or np.any(d.f_leo > ctx.leo_cpu_hz * (1 + 1e-12) + 1e-6):
-        box_ok = False
-        viol["f_box"] = True
-    if np.any(d.power < -1e-12) or np.any(d.power > ctx.pmax_w + 1e-9):
-        box_ok = False
-        viol["p_box"] = True
 
-    budget = float(np.sum(d.f_leo))
-    budget_ok = budget <= ctx.leo_cpu_hz * (1 + 1e-9) + 1e-6
-    if not budget_ok:
-        viol["budget"] = budget - ctx.leo_cpu_hz
+    def holds(name, bad, excess=None):
+        # per row: no UAV fails ``bad``; a failure is recorded with the
+        # worst ``excess``, or as a flag without one
+        row_bad = bad.any(axis=-1)
+        if row_bad.any():
+            if excess is None:
+                viol[name] = row_bad if stacked else True
+            else:
+                worst = excess.max(axis=-1)
+                viol[name] = np.where(row_bad, worst, np.nan) if stacked else float(worst)
+        return ~row_bad if stacked else not row_bad
+
+    box_ok = (holds("gamma_box", (d.gamma < -1e-12) | (d.gamma > 1.0 + 1e-12),
+                    np.abs(d.gamma - np.clip(d.gamma, 0, 1)))
+              & holds("delta_box", (d.delta_tol < -1e-12)
+                      | (d.delta_tol > ctx.slot_seconds + 1e-9))
+              & holds("f_box", (d.f_leo < -1e-6)
+                      | (d.f_leo > ctx.leo_cpu_hz * (1 + 1e-12) + 1e-6))
+              & holds("p_box", (d.power < -1e-12) | (d.power > ctx.pmax_w + 1e-9)))
+
+    budget = d.f_leo.sum(axis=-1, keepdims=True)
+    budget_ok = holds("budget", ~(budget <= ctx.leo_cpu_hz * (1 + 1e-9) + 1e-6),
+                      budget - ctx.leo_cpu_hz)
 
     gap = completion_time(ctx, d.power, d.f_leo, d.gamma) - d.delta_tol
-    deadline_ok = bool(np.all(gap <= time_slack))
-    if not deadline_ok:
-        viol["deadline"] = float(np.max(gap))
+    deadline_ok = holds("deadline", ~(gap <= time_slack), gap)
 
     collected, nominal_up, available = storage_terms(ctx, d.delta_tol, ctx.storage_free)
-    storage_ok = bool(np.all(collected <= ctx.storage_free + 1e-3))
-    if not storage_ok:
-        viol["storage"] = float(np.max(collected - ctx.storage_free))
-
-    backlog_ok = bool(np.all(nominal_up <= available + 1e-3))
-    if not backlog_ok:
-        viol["backlog"] = float(np.max(nominal_up - available))
+    storage_ok = holds("storage", ~(collected <= ctx.storage_free + 1e-3),
+                       collected - ctx.storage_free)
+    backlog_ok = holds("backlog", ~(nominal_up <= available + 1e-3),
+                       nominal_up - available)
 
     return FeasibilityReport(box_ok, budget_ok, deadline_ok, storage_ok,
                              backlog_ok, viol)

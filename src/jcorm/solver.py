@@ -23,7 +23,7 @@ the required rate is invariant to that scaling.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -87,10 +87,10 @@ def solve_sp2_compute(ctx: SlotContext, power: np.ndarray, delta_tol: np.ndarray
     """Smallest compute share finishing the offloaded bits inside the deadline
     (remote compute energy grows with the share, so the minimum is optimal).
 
-    Returns (f array, per-UAV infeasible mask, budget_scaled flag). Shares
-    are clamped to the pool size; if the shares jointly exceed the pool they
-    are scaled down proportionally and flagged (the next ratio pass shrinks
-    the offload loads to match).
+    Returns (f array, per-UAV infeasible mask, budget_scaled flag per row).
+    Shares are clamped to the pool size; if a row's shares jointly exceed
+    the pool they are scaled down proportionally and flagged (the next
+    ratio pass shrinks the offload loads to match).
     """
     gamma = np.asarray(gamma, dtype=float)
     active = (gamma > 0.0) & (ctx.sum_d > 0.0)
@@ -102,11 +102,12 @@ def solve_sp2_compute(ctx: SlotContext, power: np.ndarray, delta_tol: np.ndarray
     infeasible = bad | (f_min > ctx.leo_cpu_hz)
     # best effort where the deadline is missed; the ratio pass must shrink gamma
     f_out = np.where(bad, ctx.leo_cpu_hz, np.minimum(f_min, ctx.leo_cpu_hz))
-    budget_scaled = False
-    total = float(np.sum(f_out))
-    if total > ctx.leo_cpu_hz * (1.0 + 1e-12):
-        f_out *= ctx.leo_cpu_hz / total
-        budget_scaled = True
+    # per row: scale the shares down together where they overflow the pool
+    total = f_out.sum(axis=-1, keepdims=True)
+    over = total > ctx.leo_cpu_hz * (1.0 + 1e-12)
+    budget_scaled = over.any(axis=-1)
+    if budget_scaled.any():
+        f_out = np.where(over, f_out * (ctx.leo_cpu_hz / np.where(over, total, 1.0)), f_out)
     return f_out, infeasible, budget_scaled
 
 
@@ -213,7 +214,7 @@ def solve_sp4_ratio(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     # compute and transmit energy spent
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(usable & ~empty,
-                         ctx.cycles_per_bit * ctx.switch_cap * (ctx.uav_cpu_hz ** 2 - f_leo ** 2)
+                         ctx.cycles_per_bit * ctx.switch_cap * (model.cpu_squared(ctx) - f_leo ** 2)
                          - power / rate, 0.0)
     choice = np.where(slope > 0.0, g_max, g_min)
     gamma = np.where(active, np.where(empty, g_min, choice), 0.0)
@@ -227,6 +228,10 @@ def solve_sp4_ratio(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
 
 @dataclass
 class SlotSolveTrace:
+    """What one slot solve did. On a stacked context every field but
+    ``sp_seconds`` holds one entry per row (``objective_mbit`` one list per
+    pass), and ``rows`` splits it into per-row traces."""
+
     objective_mbit: list = field(default_factory=list)   # per pass, normalized
     iterations: int = 0
     converged: bool = False
@@ -240,6 +245,28 @@ class SlotSolveTrace:
     sp_seconds: dict = field(default_factory=lambda: {"sp1": 0.0, "sp2": 0.0,
                                                       "sp3": 0.0, "sp4": 0.0})
 
+    @classmethod
+    def of(cls, objective_mbit: list, sp_seconds=None, **counts) -> "SlotSolveTrace":
+        """A trace from per-row numpy values: plain scalars for a 1-D
+        context, lists for a stacked one."""
+        trace = cls(objective_mbit=[np.asarray(o).tolist() for o in objective_mbit],
+                    **{k: np.asarray(v).tolist() for k, v in counts.items()})
+        if sp_seconds is not None:
+            trace.sp_seconds = sp_seconds
+        return trace
+
+    def rows(self) -> list:
+        """The per-row traces of a stacked solve. A row's passes end where it
+        converged; the block seconds of the stack are shared equally."""
+        n = len(self.iterations)
+        # fields a solver left at their defaults hold one value for all rows
+        per_row = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in ("objective_mbit", "sp_seconds")}
+        return [SlotSolveTrace(objective_mbit=[o[b] for o in self.objective_mbit[:self.iterations[b]]],
+                               sp_seconds={k: v / n for k, v in self.sp_seconds.items()},
+                               **{k: v[b] if isinstance(v, list) else v for k, v in per_row.items()})
+                for b in range(n)]
+
 
 def _guarded(terms, incumbent_feasible, cand_terms, incumbent, candidate):
     """Per-UAV accept rule: keep the incumbent only where it is feasible and
@@ -249,8 +276,7 @@ def _guarded(terms, incumbent_feasible, cand_terms, incumbent, candidate):
     return np.where(keep, incumbent, candidate), np.where(keep, terms, cand_terms)
 
 
-def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig,
-                        pinned_start: float | None = None):
+def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None):
     """Block rotation (power, compute share, forwarding start, offload ratio)
     until the slot objective settles. With ``pinned_start`` every UAV starts
     forwarding at that time and the start-time block is skipped.
@@ -258,80 +284,105 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig,
     ``terms`` holds the per-UAV objective terms of the incumbent decision.
     Each block evaluates only its candidate and merges the two with the
     guard's mask; that is exact because the terms are elementwise per UAV.
-    A decision that fails check_feasible is replaced by fallback_decision,
-    keeping the pinned start if there is one. Returns (SlotDecision,
-    SlotSolveTrace)."""
+    On a stacked context every row rotates on its own: a row that has
+    settled keeps its values while the others go on, so each row ends as
+    its 1-D solve would. A decision that fails check_feasible is replaced by
+    fallback_decision, keeping the pinned start if there is one. Returns
+    (SlotDecision, SlotSolveTrace)."""
     tol = cfg.tol
     mode = cfg.solver_mode
-    n = ctx.num_uavs
-    p = np.full(n, ctx.pmax_w / 2.0)
-    f = np.full(n, ctx.leo_cpu_hz / n)
-    dt = np.full(n, ctx.slot_seconds / 2.0 if pinned_start is None else pinned_start)
-    gm = np.full(n, 0.5)
-    gm[ctx.sum_d <= 0.0] = 0.0
+    shape = ctx.sum_d.shape
+    p = np.full(shape, ctx.pmax_w / 2.0)
+    f = np.full(shape, ctx.leo_cpu_hz / ctx.num_uavs)
+    dt = np.full(shape, ctx.slot_seconds / 2.0 if pinned_start is None else pinned_start)
+    gm = np.where(ctx.sum_d <= 0.0, 0.0, 0.5)
     terms = model.objective_terms(ctx, SlotDecision(p, f, dt, gm))
 
-    trace = SlotSolveTrace()
+    # per-row state: numpy scalars for a 1-D context, (B,) arrays stacked
+    rows = shape[:-1]
+    active = np.ones(rows, dtype=bool)[()]      # rows still rotating
+    iterations = np.zeros(rows, dtype=int)[()]
+    converged = np.zeros(rows, dtype=bool)[()]
+    monotone_ok = np.ones(rows, dtype=bool)[()]
+    counts = {name: np.zeros(rows, dtype=int)[()] for name in
+              ("sp1_infeasible", "sp2_infeasible", "sp3_empty", "sp4_empty", "budget_scaled")}
+    seconds = {"sp1": 0.0, "sp2": 0.0, "sp3": 0.0, "sp4": 0.0}
+    objective = []
     prev_obj = None
     for i in range(1, tol.i_max + 1):
-        trace.iterations = i
+        kept = (p, f, dt, gm, terms)
+        # counts of rows that have settled are dropped
+        live = True if active.all() else active
 
         t0 = time.perf_counter()
         p_cand, p_info = solve_sp1_power(ctx, f, dt, gm)
-        trace.sp1_infeasible += int(np.sum(p_info.infeasible))
+        counts["sp1_infeasible"] += p_info.infeasible.sum(axis=-1) * live
         inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9) & (p <= ctx.pmax_w + 1e-12)
         cand = model.objective_terms(ctx, SlotDecision(p_cand, f, dt, gm))
         # keep the incumbent where it wins the guard or where SP1 gave up
         keep = (inc_ok & (terms > cand)) | p_info.infeasible
         p = np.where(keep, p, p_cand)
         terms = np.where(keep, terms, cand)
-        trace.sp_seconds["sp1"] += time.perf_counter() - t0
+        seconds["sp1"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         f_cand, f_bad, scaled = solve_sp2_compute(ctx, p, dt, gm)
-        trace.sp2_infeasible += int(np.sum(f_bad))
-        trace.budget_scaled += int(scaled)
+        counts["sp2_infeasible"] += f_bad.sum(axis=-1) * live
+        counts["budget_scaled"] += scaled & live
         inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9) & (f <= ctx.leo_cpu_hz + 1e-6)
         cand = model.objective_terms(ctx, SlotDecision(p, f_cand, dt, gm))
         f, terms = _guarded(terms, inc_ok, cand, f, f_cand)
-        if np.sum(f) > ctx.leo_cpu_hz * (1.0 + 1e-9):
-            f, terms = f_cand, cand  # mixing broke the pool budget; candidate honors it
-        trace.sp_seconds["sp2"] += time.perf_counter() - t0
+        # where mixing broke a row's pool budget, the candidate honors it
+        broke = f.sum(axis=-1, keepdims=True) > ctx.leo_cpu_hz * (1.0 + 1e-9)
+        if broke.any():
+            f, terms = np.where(broke, f_cand, f), np.where(broke, cand, terms)
+        seconds["sp2"] += time.perf_counter() - t0
 
         if pinned_start is None:
             t0 = time.perf_counter()
             lo3, hi3 = sp3_bounds(ctx, p, f, gm, mode=mode)
             dt_cand, dt_empty = _start_in(ctx, lo3, hi3)
-            trace.sp3_empty += int(np.sum(dt_empty))
+            counts["sp3_empty"] += dt_empty.sum(axis=-1) * live
             cand = model.objective_terms(ctx, SlotDecision(p, f, dt_cand, gm))
             inc_ok = (dt >= lo3 - 1e-9) & (dt <= hi3 + 1e-9)
             dt, terms = _guarded(terms, inc_ok, cand, dt, dt_cand)
-            trace.sp_seconds["sp3"] += time.perf_counter() - t0
+            seconds["sp3"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         gm_cand, gm_empty = solve_sp4_ratio(ctx, p, f, dt)
-        trace.sp4_empty += int(np.sum(gm_empty))
+        counts["sp4_empty"] += gm_empty.sum(axis=-1) * live
         inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9)
         cand = model.objective_terms(ctx, SlotDecision(p, f, dt, gm_cand))
         gm, terms = _guarded(terms, inc_ok, cand, gm, gm_cand)
-        trace.sp_seconds["sp4"] += time.perf_counter() - t0
+        seconds["sp4"] += time.perf_counter() - t0
 
-        obj = float(np.sum(terms)) / 1e6
-        trace.objective_mbit.append(obj)
+        if live is not True:
+            p, f, dt, gm, terms = (np.where(active[..., None], new, old) for new, old
+                                   in zip((p, f, dt, gm, terms), kept))
+        obj = terms.sum(axis=-1) / 1e6
+        objective.append(obj)
+        iterations = iterations + active
         if prev_obj is not None:
-            if obj < prev_obj - _NOISE:
-                trace.monotone_ok = False
-            if abs(obj - prev_obj) <= tol.tau_outer:
-                trace.converged = True
+            monotone_ok = monotone_ok & ~(active & (obj < prev_obj - _NOISE))
+            settled = active & (abs(obj - prev_obj) <= tol.tau_outer)
+            converged = converged | settled
+            active = active & ~settled
+            if not active.any():
                 break
         prev_obj = obj
 
     decision = SlotDecision(p, f, dt, gm)
-    if not model.check_feasible(ctx, decision).ok:
-        decision = fallback_decision(ctx)
+    fallback = np.logical_not(model.check_feasible(ctx, decision).ok)
+    if np.any(fallback):
+        safe = fallback_decision(ctx)
         if pinned_start is not None:
-            decision.delta_tol = dt  # the delay violation stays visible in the metrics
-        trace.fallback = True
+            safe.delta_tol = dt  # the delay violation stays visible in the metrics
+        bad = fallback[..., None]
+        decision = SlotDecision(*(np.where(bad, a, b) for a, b in
+                                  zip(vars(safe).values(), vars(decision).values())))
+    trace = SlotSolveTrace.of(objective, seconds, iterations=iterations,
+                              converged=converged, monotone_ok=monotone_ok,
+                              fallback=fallback, **counts)
     return decision, trace
 
 
@@ -344,7 +395,7 @@ def solve_slot_jcorm(ctx: SlotContext, cfg: ScenarioConfig):
 def fallback_decision(ctx: SlotContext) -> SlotDecision:
     """Deterministic safe decision: keep everything on board, start DT
     forwarding as soon as the on-board branch completes."""
-    z = np.zeros(ctx.num_uavs)
+    z = np.zeros(ctx.sum_d.shape)
     dt = np.clip(model.completion_time(ctx, z, z, z), 0.0, ctx.slot_seconds)
     return SlotDecision(z, z.copy(), dt, z.copy())
 
@@ -377,25 +428,43 @@ class HorizonResult:
         return float(np.mean([m.ds_delay_s for m in self.slot_metrics]))
 
 
-def run_horizon(cfg: ScenarioConfig, state, slot_solver) -> HorizonResult:
-    """Thread storage through the slots, solving each with ``slot_solver``
-    (callable (ctx, cfg) -> (SlotDecision, trace))."""
+def run_horizons(cfgs: list, states: list, slot_solver) -> list:
+    """Thread storage through the slots of B cells that share num_uavs,
+    num_slots, solver_mode and tol, solving slot t of all of them with one
+    ``slot_solver`` call (callable (ctx, cfg) -> (SlotDecision, trace)) on
+    their stacked context; a single cell gets its 1-D context. Each cell is
+    metered on its own 1-D context. Returns one HorizonResult per cell; the
+    group's wall time is shared equally."""
     from .scenario import build_slot_context
 
-    storage_free = np.full(cfg.num_uavs, cfg.storage_initial_free_bits, dtype=float)
-    metrics_list, decisions, traces, infeasible = [], [], [], []
-    utility = 0.0
+    cfg = cfgs[0]
+    frees = [np.full(cfg.num_uavs, c.storage_initial_free_bits, dtype=float) for c in cfgs]
+    results = [HorizonResult([], [], [], [], 0.0, 0.0) for _ in cfgs]
     t_start = time.perf_counter()
     for t in range(cfg.num_slots):
-        ctx = build_slot_context(cfg, state, t, storage_free)
-        decision, trace = slot_solver(ctx, cfg)
-        metrics = model.meter_slot(ctx, decision)
-        storage_free = metrics.next_free
-        utility += metrics.utility_bits
-        metrics_list.append(metrics)
-        decisions.append(decision)
-        traces.append(trace)
-        if getattr(trace, "fallback", False):
-            infeasible.append(t)
-    wall = time.perf_counter() - t_start
-    return HorizonResult(metrics_list, decisions, traces, infeasible, utility, wall)
+        ctxs = [build_slot_context(c, state, t, free)
+                for c, state, free in zip(cfgs, states, frees)]
+        if len(ctxs) == 1:
+            solved = [slot_solver(ctxs[0], cfg)]
+        else:
+            decision, trace = slot_solver(SlotContext.stack(ctxs), cfg)
+            solved = [(decision.row(b), row) for b, row in enumerate(trace.rows())]
+        for b, (ctx, (decision, trace), result) in enumerate(zip(ctxs, solved, results)):
+            metrics = model.meter_slot(ctx, decision)
+            frees[b] = metrics.next_free
+            result.utility_bits += metrics.utility_bits
+            result.slot_metrics.append(metrics)
+            result.decisions.append(decision)
+            result.traces.append(trace)
+            if getattr(trace, "fallback", False):
+                result.infeasible_slots.append(t)
+    wall = (time.perf_counter() - t_start) / len(cfgs)
+    for result in results:
+        result.wall_seconds = wall
+    return results
+
+
+def run_horizon(cfg: ScenarioConfig, state, slot_solver) -> HorizonResult:
+    """Thread storage through the slots of one cell, solving each with
+    ``slot_solver`` (callable (ctx, cfg) -> (SlotDecision, trace))."""
+    return run_horizons([cfg], [state], slot_solver)[0]

@@ -1,14 +1,12 @@
-"""Baseline solver tests: half-slot split, genetic search (per slot and over
-the whole horizon), and the on-board-only policy."""
+"""Baseline solver tests: half-slot split, genetic search over the whole
+horizon, and the on-board-only policy."""
 
 import numpy as np
 import pytest
 
 from jcorm import model
-from jcorm.baselines import (run_horizon_ga, solve_slot_atsm, solve_slot_ga,
-                             solve_slot_no_offload)
+from jcorm.baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
 from jcorm.config import GaConfig, ScenarioConfig
-from jcorm.oracle import GridSpec, grid_joint
 from jcorm.scenario import generate_scenario
 from jcorm.solver import run_horizon, solve_slot_jcorm
 
@@ -51,84 +49,6 @@ class TestHalfSlot:
 
 
 # ---------------------------------------------------------------------------
-# genetic search, one slot
-# ---------------------------------------------------------------------------
-
-class TestSlotGa:
-    def test_population_one_no_generations_returns_seeded_draw(self):
-        ctx = make_ctx()
-        cfg = ScenarioConfig(num_uavs=2,
-                             ga=GaConfig(population=1, generations=0, seed=123))
-        decision, trace = solve_slot_ga(ctx, cfg)
-        n = ctx.num_uavs
-        hi = np.concatenate([np.full(n, ctx.pmax_w), np.full(n, ctx.leo_cpu_hz),
-                             np.full(n, ctx.slot_seconds), np.ones(n)])
-        raw = np.random.default_rng(123).uniform(0.0, 1.0, (1, 4 * n))[0] * hi
-        assert np.array_equal(decision.power, raw[:n])
-        assert np.array_equal(decision.f_leo, raw[n:2 * n])
-        assert np.array_equal(decision.delta_tol, raw[2 * n:3 * n])
-        assert np.array_equal(decision.gamma, raw[3 * n:])
-        assert trace.generations == 0
-
-    def test_scenario_seed_reused_when_ga_seed_unset(self):
-        ctx = make_ctx()
-        cfg_a = ScenarioConfig(num_uavs=2, seed=7,
-                               ga=GaConfig(population=1, generations=0))
-        cfg_b = ScenarioConfig(num_uavs=2, seed=7,
-                               ga=GaConfig(population=1, generations=0, seed=7))
-        d_a, _ = solve_slot_ga(ctx, cfg_a)
-        d_b, _ = solve_slot_ga(ctx, cfg_b)
-        assert np.array_equal(d_a.power, d_b.power)
-        assert np.array_equal(d_a.gamma, d_b.gamma)
-
-    def test_best_fitness_never_regresses(self):
-        ctx, cfg = scenario_ctx(seed=3)
-        _, trace = solve_slot_ga(ctx, cfg)
-        fit = np.array(trace.best_fitness)
-        assert len(fit) == cfg.ga.generations
-        assert np.all(np.diff(fit) >= -1e-9)
-
-    def test_sanitizer_disables_unpowered_offloading(self):
-        ctx = make_ctx()
-        # force a degenerate draw: population of one clamped later by hand
-        cfg = ScenarioConfig(num_uavs=2,
-                             ga=GaConfig(population=4, generations=2, seed=5))
-        decision, _ = solve_slot_ga(ctx, cfg)
-        on = decision.gamma > 0
-        assert np.all(decision.power[on] > 0.0)
-        assert np.all(decision.f_leo[on] > 0.0)
-
-    def test_near_oracle_on_single_uav_instances(self):
-        # the direct search should land within 10% of a fine joint grid on
-        # small instances, for the overwhelming majority of seeds
-        rng = np.random.default_rng(42)
-        good = 0
-        total = 50
-        for trial in range(total):
-            ctx = make_ctx(
-                sum_d=np.array([rng.uniform(3e5, 8e5)]),
-                l_off=np.array([rng.uniform(0.2, 0.5)]),
-                dt_dev_rate_sum=np.array([rng.uniform(1e7, 3e7)]),
-                r_tol_leo=np.array([5e7]),
-                sat_gain=np.array([3.33390087e-9]),
-                l_prop=0.005773,
-                storage_free=np.array([8e9]))
-            cfg = ScenarioConfig(num_uavs=1,
-                                 ga=GaConfig(population=60, generations=60,
-                                             seed=trial))
-            decision, _ = solve_slot_ga(ctx, cfg)
-            ga_obj = model.slot_objective_mbit(ctx, decision)
-            oracle = grid_joint(ctx, GridSpec.for_context(ctx, points=21))
-            assert oracle.feasible
-            band = 0.10 * max(abs(oracle.best_obj_mbit), 1.0)
-            if (ga_obj >= oracle.best_obj_mbit - band
-                    and ga_obj <= oracle.best_obj_mbit + band
-                    and model.check_feasible(ctx, decision).ok):
-                good += 1
-        assert good >= int(0.9 * total), f"only {good}/{total} near the oracle"
-
-
-# ---------------------------------------------------------------------------
 # genetic search, whole horizon
 # ---------------------------------------------------------------------------
 
@@ -158,6 +78,51 @@ class TestHorizonGa:
         for m in result.slot_metrics:
             assert np.all(m.next_free >= 0.0)
             assert np.all(m.next_free <= cfg.storage_capacity_bits + 1e-6)
+
+    def test_population_one_no_generations_returns_seeded_draw(self):
+        cfg = ScenarioConfig(num_uavs=2, num_slots=3,
+                             ga=GaConfig(population=1, generations=0, seed=123))
+        result = run_horizon_ga(cfg, generate_scenario(cfg, 0))
+        n, t_slots = cfg.num_uavs, cfg.num_slots
+        hi = np.tile(np.concatenate([np.full(n, cfg.pmax_w), np.full(n, cfg.leo_cpu_hz),
+                                     np.full(n, cfg.slot_seconds), np.ones(n)]), t_slots)
+        raw = np.random.default_rng(123).uniform(0.0, 1.0, (1, 4 * n * t_slots))[0] * hi
+        for t, decision in enumerate(result.decisions):
+            genes = raw[4 * n * t:4 * n * (t + 1)]
+            assert np.array_equal(decision.power, genes[:n])
+            assert np.array_equal(decision.f_leo, genes[n:2 * n])
+            assert np.array_equal(decision.delta_tol, genes[2 * n:3 * n])
+            assert np.array_equal(decision.gamma, genes[3 * n:])
+        assert result.traces[0].generations == 0
+
+    def test_scenario_seed_reused_when_ga_seed_unset(self):
+        cfg_a = ScenarioConfig(num_uavs=2, num_slots=3, seed=7,
+                               ga=GaConfig(population=1, generations=0))
+        cfg_b = ScenarioConfig(num_uavs=2, num_slots=3, seed=7,
+                               ga=GaConfig(population=1, generations=0, seed=7))
+        state = generate_scenario(cfg_a, 7)
+        r_a = run_horizon_ga(cfg_a, state)
+        r_b = run_horizon_ga(cfg_b, state)
+        for d_a, d_b in zip(r_a.decisions, r_b.decisions):
+            assert np.array_equal(d_a.power, d_b.power)
+            assert np.array_equal(d_a.gamma, d_b.gamma)
+
+    def test_best_fitness_never_regresses(self):
+        cfg = ScenarioConfig(seed=3, num_slots=3,
+                             ga=GaConfig(population=20, generations=30))
+        result = run_horizon_ga(cfg, generate_scenario(cfg, 3))
+        fit = np.array(result.traces[0].best_fitness)
+        assert len(fit) == cfg.ga.generations
+        assert np.all(np.diff(fit) >= -1e-9)
+
+    def test_sanitizer_disables_unpowered_offloading(self):
+        cfg = ScenarioConfig(num_uavs=2, num_slots=3,
+                             ga=GaConfig(population=4, generations=2, seed=5))
+        result = run_horizon_ga(cfg, generate_scenario(cfg, 0))
+        for decision in result.decisions:
+            on = decision.gamma > 0
+            assert np.all(decision.power[on] > 0.0)
+            assert np.all(decision.f_leo[on] > 0.0)
 
     def test_loses_to_decomposed_solver(self):
         cfg = ScenarioConfig(seed=0)

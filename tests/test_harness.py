@@ -11,7 +11,8 @@ import pytest
 
 from jcorm import harness
 from jcorm.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from jcorm.config import (CONFIG_KEYS, ConfigError, GaConfig, ScenarioConfig,
+from jcorm.config import (CONFIG_KEYS, MAX_SLOTS, MAX_UAV_SLOTS, MAX_UAVS, ConfigError,
+                          GaConfig, ScenarioConfig,
                           ToleranceConfig, load_config, load_config_text)
 from jcorm.scenario import generate_scenario
 
@@ -187,6 +188,18 @@ class TestConfig:
         for raw in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError):
                 load_config_text(f"num_uavs = {raw}\n")
+
+    def test_size_caps(self):
+        ScenarioConfig(num_uavs=MAX_UAVS, num_slots=MAX_UAV_SLOTS // MAX_UAVS).validate()
+        ScenarioConfig(num_uavs=MAX_UAV_SLOTS // MAX_SLOTS, num_slots=MAX_SLOTS,
+                       slot_seconds=0.4).validate()
+        for overrides, message in (
+                (dict(num_uavs=MAX_UAVS + 1, num_slots=1), "num_uavs must lie in"),
+                (dict(num_uavs=1, num_slots=MAX_SLOTS + 1, slot_seconds=0.4),
+                 "num_slots must lie in"),
+                (dict(num_uavs=101, num_slots=100, slot_seconds=4.0), r"num_uavs \* num_slots")):
+            with pytest.raises(ConfigError, match=message):
+                ScenarioConfig(**overrides).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +454,33 @@ class TestCli:
                      "--seeds=-2", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("num_uavs = 1e308\n", "num_uavs"),       # crashed with an OverflowError
+        ("num_slots = 1e308\n", "num_slots"),
+        ("num_uavs = 1e20\n", "num_uavs"),        # ran out of memory
+        ("slot_seconds = 0.001\nnum_slots = 100000\n", "num_slots"),   # ran for minutes
+    ], ids=["uavs-1e308", "slots-1e308", "uavs-1e20", "slots-1e5"])
+    def test_oversized_run_is_config_error(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--algos", "ga", "--seeds=0,1,2,-2"],
+        ["sweep", "--axis", "num_uavs", "--values", "2,3,2000", "--algos", "jcorm,ga"],
+    ], ids=["compare-negative-seed", "sweep-oversized-fleet"])
+    def test_no_cell_runs_when_one_is_invalid(self, tmp_path, capsys, monkeypatch, args):
+        runs = []
+        real = harness.generate_scenario
+        monkeypatch.setattr(harness, "generate_scenario",
+                            lambda cfg, seed: runs.append(seed) or real(cfg, seed))
+        assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert runs == []
+        capsys.readouterr()
 
     def test_large_seed_written_exactly(self, tmp_path):
         big = 9007199254740993   # 2**53 + 1, which a float rounds to ...992
