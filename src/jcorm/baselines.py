@@ -43,7 +43,6 @@ def solve_slot_atsm(ctx: SlotContext, cfg: ScenarioConfig):
 class GaTrace:
     generations: int = 0
     best_fitness: list = field(default_factory=list)
-    fallback: bool = False
     sanitized: bool = False
 
 

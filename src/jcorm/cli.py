@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--algos", default=None,
                          help="comma-separated algorithms (default: --algo)")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="processes; each group of cells that is solved as "
-                              "one stack is split into at least this many parts")
+                         help="most processes (>= 1); each group of cells that is "
+                              "solved as one stack is split into at least this many parts")
 
     p_cmp = sub.add_parser("compare", help="paired-seed algorithm comparison")
     _add_common(p_cmp)
@@ -168,9 +168,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _base_config(args)
-    state = generate_scenario(cfg, cfg.seed)
     if not 0 <= args.slot < cfg.num_slots:
         raise ConfigError(f"slot {args.slot} outside [0, {cfg.num_slots})")
+    if args.joint and cfg.num_uavs > 2:
+        raise ConfigError(f"--joint needs at most 2 UAVs, got {cfg.num_uavs}")
+    if args.joint and not 2 <= args.points <= 25:
+        raise ConfigError(f"--joint needs --points in [2, 25], got {args.points}")
+    state = generate_scenario(cfg, cfg.seed)
     storage = np.full(cfg.num_uavs, cfg.storage_initial_free_bits)
     ctx = build_slot_context(cfg, state, args.slot, storage)
     from .solver import solve_slot_jcorm

@@ -41,7 +41,6 @@ def dbm_to_watt(dbm: float) -> float:
 
 ALGORITHMS = ("jcorm", "atsm", "ga", "no-offload")
 SOLVER_MODES = ("strict", "paper-relaxed")
-PLACEMENTS = ("grid", "uniform")
 
 
 @dataclass
@@ -98,19 +97,15 @@ class ScenarioConfig:
     """Full description of one experiment scenario.
 
     Defaults reproduce the headline maritime data-collection setup:
-    six UAVs over a 2x2 km sea area, a 780 km LEO satellite at 20 deg
-    minimum elevation, 10 s slots, and the standard power/compute/storage
-    constants.
+    six UAVs, each over a 300 m disc of devices, a 780 km LEO satellite at
+    20 deg minimum elevation, 10 s slots, and the standard
+    power/compute/storage constants.
     """
 
-    # fleet and area
+    # fleet; a UAV's position enters no link, only its altitude and disc
     num_uavs: int = 6
-    area_x_m: float = 2000.0
-    area_y_m: float = 2000.0
     uav_altitude_m: float = 500.0
     device_disc_radius_m: float = 300.0
-    uav_placement: str = "grid"      # grid | uniform
-    placement_jitter_m: float = 0.0
 
     # device population (per UAV, drawn uniformly from the closed ranges)
     k_sens_min: int = 1
@@ -218,14 +213,10 @@ class ScenarioConfig:
             if not 0.0 < linear < math.inf:
                 raise ConfigError(f"{name} is out of range: its linear value "
                                   "overflows or underflows to 0")
-        if self.area_x_m < 0 or self.area_y_m < 0:
-            raise ConfigError("area dimensions must be >= 0")
         if self.uav_altitude_m <= 0:
             raise ConfigError("uav_altitude_m must be > 0")
         if self.device_disc_radius_m < 0:
             raise ConfigError("device_disc_radius_m must be >= 0")
-        if self.uav_placement not in PLACEMENTS:
-            raise ConfigError(f"uav_placement must be one of {PLACEMENTS}")
         if not (1 <= self.k_sens_min <= self.k_sens_max):
             raise ConfigError("need 1 <= k_sens_min <= k_sens_max")
         if not (1 <= self.k_tol_min <= self.k_tol_max):

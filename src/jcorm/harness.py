@@ -273,8 +273,10 @@ def _run_cells(cells: list, workers: int = 1) -> list:
     ``_group_key`` and each group runs as stacked horizons of at most
     ``STACK_UAVS`` UAVs in all, which bounds the memory a stack holds; with
     ``workers > 1`` each group is also cut into at least that many
-    contiguous parts, which run over processes. Rows do not depend on the
-    grouping."""
+    contiguous parts, which run over at most ``workers`` processes, one per
+    part and CPU. Rows do not depend on the grouping."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     for cfg, _, _ in cells:
         cfg.validate()
     groups: dict = {}
@@ -286,8 +288,10 @@ def _run_cells(cells: list, workers: int = 1) -> list:
         count = max(-(-len(members) // per_stack), min(workers, len(members)))
         parts += [part.tolist() for part in np.array_split(members, count)]
     jobs = [[cells[i] for i in part] for part in parts]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool forks all its processes up front, so size it to the work
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             done = list(pool.map(_run_group, jobs))
     else:
         done = map(_run_group, jobs)

@@ -1,11 +1,13 @@
 """Deterministic scenario generation.
 
-A scenario fixes everything random for a whole run up front: UAV and
-device placement, per-slot small-scale fading draws, and per-slot DS task
-sizes. The same (config, seed) pair always produces bit-identical draws;
-sweep axes that only rescale parameters (bandwidths, the Rician factor,
-task-size ranges, powers) leave the underlying draws untouched so paired
-comparisons stay paired.
+A scenario fixes everything random for a whole run up front: device
+counts and placement, per-slot small-scale fading draws, and per-slot DS
+task sizes. Each UAV's devices lie in a disc around it and every UAV sees
+the satellite at the same slant range, so a UAV's position enters no link
+and is not drawn. The same (config, seed) pair always produces
+bit-identical draws; sweep axes that only rescale parameters (bandwidths,
+the Rician factor, task-size ranges, powers) leave the underlying draws
+untouched so paired comparisons stay paired.
 
 The device-to-UAV links are evaluated once per scenario, into (T, U)
 tables; assembling a slot's context takes a row of each and adds the
@@ -28,26 +30,13 @@ class NetworkState:
     """Immutable random inputs of one run, and the device-link tables
     derived from them. None of the tables depends on the buffer state."""
 
-    uav_xy: np.ndarray            # (U, 2) positions, m
     n_sens: np.ndarray            # (U,) DS device counts
     n_tol: np.ndarray             # (U,) DT device counts
-    ds_bits: list                 # per UAV: (T, K_sens) task volumes, bits
     sum_d: np.ndarray             # (T, U) DS bits per UAV and slot
     l_off: np.ndarray             # (T, U) slowest DS device-to-UAV upload, s
     dt_dev_rate_sum: np.ndarray   # (T, U) summed DT device-to-UAV rates, bit/s
     sat_distance_m: float
     sat_gain: float
-    num_slots: int
-
-
-def _grid_positions(num: int, ax: float, ay: float) -> np.ndarray:
-    cols = int(math.ceil(math.sqrt(num * ax / ay))) if ay > 0 else num
-    cols = max(cols, 1)
-    rows = int(math.ceil(num / cols))
-    xs = (np.arange(cols) + 0.5) * (ax / cols)
-    ys = (np.arange(rows) + 0.5) * (ay / rows)
-    pts = [(x, y) for y in ys for x in xs]
-    return np.array(pts[:num])
 
 
 def _blocks(flat: np.ndarray, starts: np.ndarray, shape: tuple) -> np.ndarray:
@@ -58,26 +47,14 @@ def _blocks(flat: np.ndarray, starts: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def generate_scenario(cfg: ScenarioConfig, seed: int) -> NetworkState:
-    """Draw one scenario. RNG order (fixed): placement, device counts,
-    device offsets, fading per slot, task sizes per slot. Within each draw
-    kind the devices go UAV by UAV, the DS devices of every UAV before the
-    DT devices; each kind is one RNG call, which PCG64 makes equal to one
-    call per UAV in that order."""
+    """Draw one scenario. RNG order (fixed): device counts, device offsets,
+    fading per slot, task sizes per slot. Within each draw kind the devices
+    go UAV by UAV, the DS devices of every UAV before the DT devices; each
+    kind is one RNG call, which PCG64 makes equal to one call per UAV in
+    that order."""
     rng = np.random.default_rng(seed)
     u = cfg.num_uavs
     t = cfg.num_slots
-
-    if cfg.uav_placement == "grid":
-        xy = _grid_positions(u, cfg.area_x_m, cfg.area_y_m)
-        if cfg.placement_jitter_m > 0:
-            xy = xy + rng.uniform(-cfg.placement_jitter_m, cfg.placement_jitter_m,
-                                  size=xy.shape)
-            xy[:, 0] = np.clip(xy[:, 0], 0, cfg.area_x_m)
-            xy[:, 1] = np.clip(xy[:, 1], 0, cfg.area_y_m)
-    else:
-        xy = np.column_stack([rng.uniform(0, cfg.area_x_m, u),
-                              rng.uniform(0, cfg.area_y_m, u)])
-
     n_sens = rng.integers(cfg.k_sens_min, cfg.k_sens_max + 1, size=u)
     n_tol = rng.integers(cfg.k_tol_min, cfg.k_tol_max + 1, size=u)
     counts = np.concatenate([n_sens, n_tol])   # DS links of each UAV, then DT
@@ -101,9 +78,8 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> NetworkState:
     fade = model.rician_fading_gain(cfg.rician_k0, scatter)
 
     lo, hi = cfg.ds_size_min_bits, cfg.ds_size_max_bits
+    # flat; a (T, K) block per UAV at t * first
     bits = lo + rng.uniform(size=t * int(n_sens.sum())) * (hi - lo)
-    ds_bits = [seg.reshape(t, int(n))
-               for seg, n in zip(np.split(bits, t * first[1:u]), n_sens)]
 
     def rates(links, k, power_w, band_hz):
         # (U_k, T, K) device-to-UAV rates of the K-device links whose first
@@ -140,8 +116,7 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> NetworkState:
     g_sat = model.uav_leo_gain(d_sat, cfg.ref_gain, cfg.antenna_gain,
                                cfg.sat_ref_distance_m)
 
-    return NetworkState(xy, n_sens, n_tol, ds_bits, sum_d, l_off, dt_rate_sum,
-                        d_sat, g_sat, t)
+    return NetworkState(n_sens, n_tol, sum_d, l_off, dt_rate_sum, d_sat, g_sat)
 
 
 def build_slot_context(cfg: ScenarioConfig, state: NetworkState, slot: int,

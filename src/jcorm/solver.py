@@ -38,13 +38,6 @@ _NOISE = 1e-9          # accepted objective decrease attributable to float noise
 # SP1: DS uplink power
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PowerSolveInfo:
-    """Per-UAV outcome of the power subproblem."""
-
-    infeasible: np.ndarray    # bool: no power can satisfy the deadline
-
-
 def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
                     gamma: np.ndarray):
     """Lowest transmit power that meets the satellite-branch deadline, within
@@ -55,9 +48,9 @@ def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
     pushes the offloaded bits through the deadline slack:
     p_req = (2^(gamma D / (slack B/U)) - 1) N0 / g, clipped to pmax.
 
-    Returns (power array, PowerSolveInfo). UAVs with nothing to offload get
-    zero power. UAVs with no compute share, no slack left, or p_req above
-    pmax are flagged and get zero power.
+    Returns (power array, per-UAV infeasible mask). UAVs with nothing to
+    offload get zero power. UAVs with no compute share, no slack left, or
+    p_req above pmax are flagged and get zero power.
     """
     gamma = np.asarray(gamma, dtype=float)
     d_mbit = ctx.sum_d / 1e6
@@ -75,7 +68,7 @@ def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
         p_req = (np.float_power(2.0, exponent) - 1.0) / (ctx.sat_gain / ctx.noise_w)
     infeasible = live & (~has_slack | (p_req > ctx.pmax_w * (1.0 + 1e-9)))
     power = np.where(live & ~infeasible, np.minimum(p_req, ctx.pmax_w), 0.0)
-    return power, PowerSolveInfo(infeasible)
+    return power, infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +308,12 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
         live = True if active.all() else active
 
         t0 = time.perf_counter()
-        p_cand, p_info = solve_sp1_power(ctx, f, dt, gm)
-        counts["sp1_infeasible"] += p_info.infeasible.sum(axis=-1) * live
+        p_cand, p_bad = solve_sp1_power(ctx, f, dt, gm)
+        counts["sp1_infeasible"] += p_bad.sum(axis=-1) * live
         inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9) & (p <= ctx.pmax_w + 1e-12)
         cand = model.objective_terms(ctx, SlotDecision(p_cand, f, dt, gm))
         # keep the incumbent where it wins the guard or where SP1 gave up
-        keep = (inc_ok & (terms > cand)) | p_info.infeasible
+        keep = (inc_ok & (terms > cand)) | p_bad
         p = np.where(keep, p, p_cand)
         terms = np.where(keep, terms, cand)
         seconds["sp1"] += time.perf_counter() - t0

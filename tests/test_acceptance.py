@@ -46,10 +46,10 @@ def test_criterion_1_blocks_match_grid_references():
         ctx, _ = scenario_ctx(seed=seed, slot=seed % 10)
         fixed = random_fixed_decision(ctx, rng)
 
-        p, info = solve_sp1_power(ctx, fixed.f_leo, fixed.delta_tol,
-                                  fixed.gamma)
+        p, p_bad = solve_sp1_power(ctx, fixed.f_leo, fixed.delta_tol,
+                                    fixed.gamma)
         res = grid_sp1(ctx, fixed)
-        live = res.feasible & ~info.infeasible & (fixed.gamma > 0)
+        live = res.feasible & ~p_bad & (fixed.gamma > 0)
         rate = ctx.ds_rate(p)
         obj = np.where(rate > 0, ctx.omega * fixed.gamma * ctx.sum_d * p
                        / np.maximum(rate, 1e-300), 0.0)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from jcorm import harness
+from jcorm import cli, harness
 from jcorm.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from jcorm.config import (CONFIG_KEYS, MAX_SLOTS, MAX_UAV_SLOTS, MAX_UAVS, ConfigError,
                           GaConfig, ScenarioConfig,
@@ -26,18 +26,14 @@ class TestScenario:
         cfg = ScenarioConfig(seed=3)
         s1 = generate_scenario(cfg, 3)
         s2 = generate_scenario(cfg, 3)
-        assert np.array_equal(s1.uav_xy, s2.uav_xy)
-        assert np.array_equal(s1.n_sens, s2.n_sens)
-        for a, b in zip(s1.ds_bits, s2.ds_bits):
-            assert np.array_equal(a, b)
+        for name in ("n_sens", "n_tol", "sum_d", "l_off", "dt_dev_rate_sum"):
+            assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
     def test_different_seed_differs(self):
         cfg = ScenarioConfig()
         s1 = generate_scenario(cfg, 0)
         s2 = generate_scenario(cfg, 1)
-        # placement is a deterministic grid; the device draws carry the seed
-        assert (not np.array_equal(s1.n_sens, s2.n_sens)
-                or not np.array_equal(s1.ds_bits[0], s2.ds_bits[0]))
+        assert not np.array_equal(s1.sum_d, s2.sum_d)
 
     def test_device_counts_within_bounds(self):
         cfg = ScenarioConfig()
@@ -48,17 +44,12 @@ class TestScenario:
             assert np.all((state.n_tol >= cfg.k_tol_min)
                           & (state.n_tol <= cfg.k_tol_max))
 
-    def test_degenerate_area_colocates(self):
-        cfg = ScenarioConfig(area_x_m=0.0, area_y_m=0.0)
-        state = generate_scenario(cfg, 0)
-        assert np.all(state.uav_xy == 0.0)
-
     def test_task_sizes_within_bounds(self):
         cfg = ScenarioConfig()
         state = generate_scenario(cfg, 2)
-        for bits in state.ds_bits:
-            assert np.all((bits >= cfg.ds_size_min_bits)
-                          & (bits <= cfg.ds_size_max_bits))
+        # each UAV's DS load is the sum of its devices' task sizes
+        assert np.all((state.sum_d >= state.n_sens * cfg.ds_size_min_bits)
+                      & (state.sum_d <= state.n_sens * cfg.ds_size_max_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +100,7 @@ class TestConfig:
     def test_every_key_loads_typed(self):
         # every key set to a value off its default, so a key routed to the
         # wrong (sub-)config or typed wrongly shows up
-        strings = {"uav_placement": "uniform", "algo": "atsm", "solver_mode": "strict"}
+        strings = {"algo": "atsm", "solver_mode": "strict"}
         tol_fields = {f.name for f in dataclasses.fields(ToleranceConfig)}
         expected, lines = {}, []
         for cls, prefix in ((ScenarioConfig, ""), (ToleranceConfig, ""), (GaConfig, "ga_")):
@@ -130,7 +121,7 @@ class TestConfig:
                     raw = repr(value)
                 expected[key] = value
                 lines.append(f"{key} = {raw}")
-        assert set(expected) == set(CONFIG_KEYS) and len(expected) == 54
+        assert set(expected) == set(CONFIG_KEYS) and len(expected) == 50
         base = ScenarioConfig()
         base.ga.seed = 5   # "none" must clear it
         cfg = load_config_text("\n".join(lines) + "\n", base=base)
@@ -178,7 +169,7 @@ class TestConfig:
         keys = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
         keys += [f.name for f in dataclasses.fields(ToleranceConfig) if f.type == "float"]
         keys += ["ga_" + f.name for f in dataclasses.fields(GaConfig) if f.type == "float"]
-        assert len(keys) == 38 and "omega" in keys and "ga_penalty_weight" in keys
+        assert len(keys) == 35 and "omega" in keys and "ga_penalty_weight" in keys
         for key in keys:
             for raw in ("nan", "inf", "-inf"):
                 with pytest.raises(ConfigError, match="finite"):
@@ -215,8 +206,7 @@ class TestAxes:
         cfg = harness.apply_axis(ScenarioConfig(), "ds_size_bits", 2e6)
         assert cfg.ds_size_min_bits == cfg.ds_size_max_bits == 2e6
         state = generate_scenario(cfg, 0)
-        for bits in state.ds_bits:
-            assert np.all(bits == 2e6)
+        assert np.all(state.sum_d == state.n_sens * 2e6)
 
     def test_storage_axis_clamps_initial_free(self):
         cfg = harness.apply_axis(ScenarioConfig(), "storage_capacity_bits", 4e9)
@@ -231,6 +221,22 @@ class TestAxes:
         for value in (2.5, float("inf"), float("nan")):
             with pytest.raises(ConfigError, match="num_uavs"):
                 harness.apply_axis(ScenarioConfig(), "num_uavs", value)
+
+    def test_omega_axis_moves_no_decision(self):
+        # at the default scale an energy price from 0.01 to 10 changes no
+        # decision bit: the energy term is about 1e-7 of the utility
+        for algo in ("jcorm", "atsm", "no-offload"):
+            for seed in (0, 1, 2):
+                runs = [harness.run_experiment(ScenarioConfig(seed=seed, algo=algo, omega=omega))
+                        for omega in (0.01, 0.1, 1.0, 10.0)]
+                # one (slots, 4, U) block of (power, share, start, ratio) per run
+                blocks = [np.array([list(vars(d).values()) for d in run.decisions])
+                          for run in runs]
+                for block in blocks[1:]:
+                    assert np.array_equal(block, blocks[0]), (algo, seed)
+                utility = [run.utility_bits for run in runs]
+                assert utility[0] > utility[-1]
+                assert (utility[0] - utility[-1]) / utility[0] < 1e-6
 
     def test_expected_axes_registered(self):
         for axis in ("leo_bandwidth_hz", "uav_bandwidth_hz", "ds_size_bits",
@@ -309,6 +315,41 @@ class TestResults:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_workers_bound_the_pool(self, monkeypatch):
+        # a recording stand-in for the process pool: it forks nothing
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return list(map(fn, jobs))
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        cfg = small_cfg(num_slots=1)
+        serial = harness.run_sweep(cfg, "omega", [1.0, 10.0], [0], ["no-offload"]).rows
+        assert pools == []
+        # two cells make two parts, so 5000 workers start two processes
+        rows = harness.run_sweep(cfg, "omega", [1.0, 10.0], [0], ["no-offload"],
+                                 workers=5000).rows
+        assert pools == [2] and rows == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        harness.run_sweep(cfg, "omega", [1.0, 10.0], [0, 1, 2, 3], ["no-offload"],
+                          workers=8)
+        assert pools == [2, 3]
+        for workers in (0, -1):
+            with pytest.raises(ConfigError, match="workers must be >= 1"):
+                harness.run_sweep(cfg, "omega", [1.0], [0], ["no-offload"], workers=workers)
+        assert pools == [2, 3]
+
     def test_compare_pairs_seeds(self):
         res = harness.run_compare(small_cfg(), ["jcorm", "no-offload"], [0, 1])
         means = {a: res.stat_metric(a, "utility_bits", "mean")[0]
@@ -373,6 +414,17 @@ class TestCli:
             code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
             assert code == EXIT_CONFIG
         capsys.readouterr()
+
+    def test_removed_placement_key_is_config_error(self, tmp_path, capsys):
+        # a UAV's position enters no link, so its keys are unknown keys now
+        for line in ("area_x_m = 2000", "area_y_m = 2000", "uav_placement = uniform",
+                     "placement_jitter_m = 150"):
+            cfg = tmp_path / "placement.cfg"
+            cfg.write_text(TINY + line + "\n")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert code == EXIT_CONFIG
+            assert "unknown configuration key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_usage_is_config_error(self, capsys):
         assert main(["run", "--no-such-flag"]) == EXIT_CONFIG
@@ -551,6 +603,34 @@ class TestCli:
         assert code == EXIT_OK
         text = capsys.readouterr().out
         assert "grid best per UAV" in text
+
+    @pytest.mark.parametrize("text, points, message", [
+        ("num_slots = 2\n", "15", "at most 2 UAVs"),     # the default 6 UAVs
+        ("num_slots = 2\nnum_uavs = 2\n", "1", "--points in [2, 25]"),
+        ("num_slots = 2\nnum_uavs = 2\n", "26", "--points in [2, 25]"),
+    ], ids=["six-uavs", "points-1", "points-26"])
+    def test_oracle_joint_limits_are_config_errors(self, tmp_path, capsys, monkeypatch,
+                                                   text, points, message):
+        solves = []
+        monkeypatch.setattr(cli, "generate_scenario", lambda *a: solves.append(a))
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text(text)
+        code = main(["oracle", "--config", str(cfg), "--joint", "--points", points,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG and solves == []
+        assert message in capsys.readouterr().err
+
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "_run_group", lambda jobs: pytest.fail("a cell ran"))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        for workers in ("0", "-3"):
+            code = main(["sweep", "--config", str(cfg), "--axis", "omega", "--values", "1,10",
+                         "--algos", "no-offload", "--workers", workers,
+                         "--out", str(tmp_path / "out")])
+            assert code == EXIT_CONFIG
+            assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_console_script_installed(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

@@ -56,11 +56,11 @@ class TestPowerGrid:
     def test_matches_closed_form(self):
         hits = 0
         for ctx, fixed in draw_instances(8):
-            p, info = solve_sp1_power(ctx, fixed.f_leo, fixed.delta_tol,
-                                      fixed.gamma)
+            p, bad = solve_sp1_power(ctx, fixed.f_leo, fixed.delta_tol,
+                                     fixed.gamma)
             res = grid_sp1(ctx, fixed)
             rate = ctx.ds_rate(p)
-            live = res.feasible & ~info.infeasible & (fixed.gamma > 0)
+            live = res.feasible & ~bad & (fixed.gamma > 0)
             obj = np.where(rate > 0,
                            ctx.omega * fixed.gamma * ctx.sum_d * p
                            / np.maximum(rate, 1e-300), 0.0)

@@ -63,10 +63,10 @@ def reference_rotation(ctx, cfg, pinned_start=None):
     gm = np.where(ctx.sum_d <= 0.0, 0.0, 0.5)
     objs = []
     for _ in range(cfg.tol.i_max):
-        p_cand, info = solve_sp1_power(ctx, f, dt, gm)
+        p_cand, bad = solve_sp1_power(ctx, f, dt, gm)
         ok = (need(p, f, gm) <= dt + 1e-9) & (p <= ctx.pmax_w + 1e-12)
         keep = ok & (terms(p, f, dt, gm) > terms(p_cand, f, dt, gm))
-        p = np.where(keep | info.infeasible, p, p_cand)
+        p = np.where(keep | bad, p, p_cand)
 
         f_cand, _, _ = solve_sp2_compute(ctx, p, dt, gm)
         ok = (need(p, f, gm) <= dt + 1e-9) & (f <= ctx.leo_cpu_hz + 1e-6)
@@ -105,15 +105,15 @@ def sat_slack(ctx, f, dt, gm):
 class TestPower:
     def test_zero_ratio_gives_zero_power(self):
         ctx = make_ctx()
-        p, info = solve_sp1_power(ctx, np.full(2, 5e9), np.full(2, 5.0),
-                                  np.zeros(2))
-        assert np.all(p == 0.0) and not np.any(info.infeasible)
+        p, bad = solve_sp1_power(ctx, np.full(2, 5e9), np.full(2, 5.0),
+                                 np.zeros(2))
+        assert np.all(p == 0.0) and not np.any(bad)
 
     def test_zero_load_gives_zero_power(self):
         ctx = make_ctx(sum_d=np.zeros(2))
-        p, info = solve_sp1_power(ctx, np.full(2, 5e9), np.full(2, 5.0),
-                                  np.full(2, 0.5))
-        assert np.all(p == 0.0) and not np.any(info.infeasible)
+        p, bad = solve_sp1_power(ctx, np.full(2, 5e9), np.full(2, 5.0),
+                                 np.full(2, 0.5))
+        assert np.all(p == 0.0) and not np.any(bad)
 
     def test_single_uav_fixture_matches_fine_grid(self):
         # 4 Mbit load, half offloaded, 5 s deadline, 5 GHz remote compute
@@ -124,8 +124,8 @@ class TestPower:
         f = np.array([5e9])
         dt = np.array([5.0])
         gm = np.array([0.5])
-        p, info = solve_sp1_power(ctx, f, dt, gm)
-        assert not info.infeasible[0]
+        p, bad = solve_sp1_power(ctx, f, dt, gm)
+        assert not bad[0]
         oracle = grid_sp1(ctx, SlotDecision(p, f, dt, gm), num_points=10001)
         assert oracle.feasible[0]
         rate = float(ctx.ds_rate(p)[0])
@@ -141,13 +141,13 @@ class TestPower:
             f = rng.uniform(0.5, 1.5, n) * 1e9
             dt = rng.uniform(4.0, 9.0, n)
             gm = rng.uniform(0.1, 0.8, n)
-            p, info = solve_sp1_power(ctx, f, dt, gm)
+            p, bad = solve_sp1_power(ctx, f, dt, gm)
             for u in range(n):
                 p_req = required_power(ctx, f[u], dt[u], gm[u], u)
                 if p_req > ctx.pmax_w * (1.0 + 1e-9):
-                    assert info.infeasible[u] and p[u] == 0.0
+                    assert bad[u] and p[u] == 0.0
                 else:
-                    assert not info.infeasible[u]
+                    assert not bad[u]
                     assert p[u] == min(p_req, ctx.pmax_w)
                     checked += 1
         assert checked >= 20
@@ -158,16 +158,16 @@ class TestPower:
         p_req = np.array([required_power(ctx, f[u], dt[u], gm[u], u) for u in range(2)])
         # exactly at the box: the lowest power itself
         ctx.pmax_w = float(p_req[0])
-        p, info = solve_sp1_power(ctx, f, dt, gm)
-        assert not info.infeasible[0] and p[0] == p_req[0]
+        p, bad = solve_sp1_power(ctx, f, dt, gm)
+        assert not bad[0] and p[0] == p_req[0]
         # inside the 1e-9 tolerance: clipped to the box
         ctx.pmax_w = float(p_req[0]) / (1.0 + 0.5e-9)
-        p, info = solve_sp1_power(ctx, f, dt, gm)
-        assert not info.infeasible[0] and p[0] == ctx.pmax_w
+        p, bad = solve_sp1_power(ctx, f, dt, gm)
+        assert not bad[0] and p[0] == ctx.pmax_w
         # beyond it: flagged, zero power
         ctx.pmax_w = float(p_req[0]) / (1.0 + 2e-9)
-        p, info = solve_sp1_power(ctx, f, dt, gm)
-        assert info.infeasible[0] and p[0] == 0.0
+        p, bad = solve_sp1_power(ctx, f, dt, gm)
+        assert bad[0] and p[0] == 0.0
 
     def test_power_meets_deadline_within_box(self):
         rng = np.random.default_rng(6)
@@ -177,8 +177,8 @@ class TestPower:
             f = rng.uniform(0.5, 1.5, n) * 1e9
             dt = rng.uniform(4.0, 9.0, n)
             gm = rng.uniform(0.1, 0.8, n)
-            p, info = solve_sp1_power(ctx, f, dt, gm)
-            ok = ~info.infeasible & (gm > 0)
+            p, bad = solve_sp1_power(ctx, f, dt, gm)
+            ok = ~bad & (gm > 0)
             assert np.all(p >= 0.0) and np.all(p <= ctx.pmax_w + 1e-12)
             rate = ctx.ds_rate(p)
             slack = sat_slack(ctx, f, dt, gm)
@@ -187,17 +187,17 @@ class TestPower:
 
     def test_impossible_deadline_flagged(self):
         ctx = make_ctx()
-        p, info = solve_sp1_power(ctx, np.full(2, 5e9), np.full(2, 0.6),
-                                  np.ones(2))
+        p, bad = solve_sp1_power(ctx, np.full(2, 5e9), np.full(2, 0.6),
+                                 np.ones(2))
         # 0.6 s minus upload and round trip leaves too little for 4-6 Mbit
-        assert np.all(info.infeasible)
+        assert np.all(bad)
         assert np.all(p == 0.0)
 
     def test_zero_compute_share_flagged(self):
         ctx = make_ctx()
-        p, info = solve_sp1_power(ctx, np.zeros(2), np.full(2, 5.0),
-                                  np.full(2, 0.5))
-        assert np.all(info.infeasible)
+        p, bad = solve_sp1_power(ctx, np.zeros(2), np.full(2, 5.0),
+                                 np.full(2, 0.5))
+        assert np.all(bad)
 
 
 # ---------------------------------------------------------------------------
