@@ -47,16 +47,16 @@ class GaTrace:
 
 
 def _ga_fitness(ctx: SlotContext, p, f, dt, gm, penalty_weight: float,
-                free) -> np.ndarray:
-    """Penalized fitness of a population, arrays shaped (pop, U).
+                free, obj_bits) -> np.ndarray:
+    """Penalized fitness terms of a population over T slots, against the
+    stacked (T, U) context of those slots: genes and ``free`` (the storage
+    free at each slot start) are (pop, T, U) arrays, ``obj_bits`` the
+    (pop, T) slot objectives in bits, and the result is (pop, T), one term
+    per genome and slot.
 
-    Fitness is the slot objective on the Mbit scale minus penalty_weight
+    A term is the slot objective on the Mbit scale minus penalty_weight
     times the summed constraint violations, each measured on a unit scale
-    (seconds for deadlines, Mbit for storage terms, GHz for the pool).
-    ``free`` is the storage free at the slot start."""
-    dec = SlotDecision(p, f, dt, gm)
-    obj = np.sum(model.objective_terms(ctx, dec), axis=-1) / 1e6
-
+    (seconds for deadlines, Mbit for storage terms, GHz for the pool)."""
     need = model.completion_time(ctx, p, f, gm)
     v_deadline = np.sum(np.minimum(np.maximum(need - dt, 0.0), 1e6), axis=-1)
 
@@ -64,9 +64,11 @@ def _ga_fitness(ctx: SlotContext, p, f, dt, gm, penalty_weight: float,
     v_storage = np.sum(np.maximum(collected - free, 0.0), axis=-1) / 1e6
     v_backlog = np.sum(np.maximum(nominal_up - available, 0.0), axis=-1) / 1e6
 
-    v_budget = np.maximum(np.sum(f, axis=-1) - ctx.leo_cpu_hz, 0.0) / 1e9
+    # keepdims: the (pop, T, 1) pool sums line up with the (T, 1) pool column
+    pool = np.sum(f, axis=-1, keepdims=True) - ctx.leo_cpu_hz
+    v_budget = np.maximum(pool, 0.0)[..., 0] / 1e9
 
-    return obj - penalty_weight * (v_deadline + v_storage + v_backlog + v_budget)
+    return obj_bits / 1e6 - penalty_weight * (v_deadline + v_storage + v_backlog + v_budget)
 
 
 def _split_genes(g, n):
@@ -89,16 +91,23 @@ def _evolve(rng, ga, hi, fitness_fn, trace: GaTrace) -> np.ndarray:
 
         contenders = rng.integers(0, pop, size=(2 * pop, ga.tournament))
         winners = contenders[np.arange(2 * pop), np.argmax(fitness[contenders], axis=1)]
+        # peak memory at large genomes: drop each (pop, dim) block once used
         parents = genomes[winners].reshape(2, pop, dim)
+        del genomes
 
-        cross = rng.random((pop, dim)) < 0.5
-        children = np.where(cross, parents[0], parents[1])
+        children = np.where(rng.random((pop, dim)) < 0.5, parents[0], parents[1])
         no_cross = rng.random(pop) >= ga.crossover_rate
         children[no_cross] = parents[0][no_cross]
+        del parents
 
-        mutate = rng.random((pop, dim)) < ga.mutation_rate
-        noise = rng.normal(0.0, ga.mutation_sigma_frac, size=(pop, dim)) * hi
-        children = np.clip(children + np.where(mutate, noise, 0.0), 0.0, hi)
+        keep = rng.random((pop, dim)) >= ga.mutation_rate
+        noise = rng.normal(0.0, ga.mutation_sigma_frac, size=(pop, dim))
+        noise *= hi
+        np.copyto(noise, 0.0, where=keep)
+        del keep
+        children += noise
+        del noise
+        np.clip(children, 0.0, hi, out=children)
 
         children[:ga.elitism] = elite
         genomes = children
@@ -128,6 +137,13 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
     does. This matches reading the heuristic as solving the full problem
     directly rather than slot by slot.
 
+    Fitness scores a whole generation at once: the genomes are viewed as
+    (pop, T, 4, U), and the deadline, storage and pool penalties of all
+    slots come from one call against the stacked context of the T slots.
+    Only the storage chain (each slot's starting free space) and the
+    objective run slot by slot. The per-slot terms are then added in slot
+    order, so the sums round as a slot-by-slot fitness would.
+
     The best genome is replayed slot by slot through solver.run_horizon.
     Returns a solver.HorizonResult; the single GaTrace is shared by all
     slots."""
@@ -140,27 +156,40 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
     t_slots = cfg.num_slots
     rng = np.random.default_rng(ga.seed if ga.seed is not None else cfg.seed)
     t_start = _time.perf_counter()
+    if t_slots == 0:
+        return HorizonResult([], [], [], [], 0.0, _time.perf_counter() - t_start)
 
     base_free = np.full(n, cfg.storage_initial_free_bits, dtype=float)
     ctxs = [build_slot_context(cfg, state, t, base_free) for t in range(t_slots)]
+    stacked = SlotContext.stack(ctxs)
     hi_slot = np.concatenate([np.full(n, cfg.pmax_w), np.full(n, cfg.leo_cpu_hz),
                               np.full(n, cfg.slot_seconds), np.ones(n)])
-    hi = np.tile(hi_slot, max(t_slots, 1))
+    hi = np.tile(hi_slot, t_slots)
     trace = GaTrace()
 
     def fitness(genomes):
-        free = base_free
-        fit = np.zeros(genomes.shape[0])
+        pop = len(genomes)
+        p, f, dt, gm = _split_genes(genomes.reshape(pop, t_slots, 4 * n), n)
+        obj_bits = np.empty((pop, t_slots))
+        free = np.empty((pop, t_slots, n))
+        free[:, 0] = base_free
         for t, ctx in enumerate(ctxs):
-            p, f, dt, gm = _split_genes(genomes[:, t * 4 * n:(t + 1) * 4 * n], n)
-            fit += _ga_fitness(ctx, p, f, dt, gm, ga.penalty_weight, free)
-            # physical storage threading for the next slot's bounds
-            free = model.dt_collection_step(ctx.dt_dev_rate_sum, dt, ctx.slot_seconds,
-                                            ctx.r_tol_leo, free, ctx.storage_capacity).next_free
+            # one objective_terms call per slot: the benchmark's trace
+            # (bench/tracing.py) counts the genomes the GA scores as these
+            # calls over the slot count
+            dec = SlotDecision(p[:, t], f[:, t], dt[:, t], gm[:, t])
+            obj_bits[:, t] = np.sum(model.objective_terms(ctx, dec), axis=-1)
+            if t + 1 < t_slots:
+                # physical storage threading: each slot starts from the last one's end
+                free[:, t + 1] = model.dt_collection_step(
+                    ctx.dt_dev_rate_sum, dt[:, t], ctx.slot_seconds, ctx.r_tol_leo,
+                    free[:, t], ctx.storage_capacity).next_free
+        terms = _ga_fitness(stacked, p, f, dt, gm, ga.penalty_weight, free, obj_bits)
+        # slot by slot from zero: np.sum over T >= 8 would sum pairwise
+        fit = np.zeros(pop)
+        for t in range(t_slots):
+            fit += terms[:, t]
         return fit
-
-    if t_slots == 0:
-        return HorizonResult([], [], [], [], 0.0, _time.perf_counter() - t_start)
 
     best = _evolve(rng, ga, hi, fitness, trace)
     genes = iter(np.split(best, t_slots))

@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle", help="grid search one slot (debug)")
     _add_common(p_orc)
     p_orc.add_argument("--slot", type=int, default=0, help="slot index")
-    p_orc.add_argument("--points", type=int, default=15,
-                       help="grid points per axis")
+    p_orc.add_argument("--points", type=int, default=None,
+                       help="joint grid points per axis (with --joint; default 15)")
     p_orc.add_argument("--joint", action="store_true",
                        help="also run the joint grid (needs <= 2 UAVs)")
     return parser
@@ -170,10 +170,13 @@ def _cmd_oracle(args) -> int:
     cfg = _base_config(args)
     if not 0 <= args.slot < cfg.num_slots:
         raise ConfigError(f"slot {args.slot} outside [0, {cfg.num_slots})")
+    if args.points is not None and not args.joint:
+        raise ConfigError("--points sets the joint grid and needs --joint")
+    points = 15 if args.points is None else args.points
     if args.joint and cfg.num_uavs > 2:
         raise ConfigError(f"--joint needs at most 2 UAVs, got {cfg.num_uavs}")
-    if args.joint and not 2 <= args.points <= 25:
-        raise ConfigError(f"--joint needs --points in [2, 25], got {args.points}")
+    if args.joint and not 2 <= points <= 25:
+        raise ConfigError(f"--joint needs --points in [2, 25], got {points}")
     state = generate_scenario(cfg, cfg.seed)
     storage = np.full(cfg.num_uavs, cfg.storage_initial_free_bits)
     ctx = build_slot_context(cfg, state, args.slot, storage)
@@ -188,7 +191,7 @@ def _cmd_oracle(args) -> int:
         best = np.array2string(res.best, precision=4)
         print(f"  {name:8s} grid best per UAV: {best}")
     if args.joint:
-        joint = grid_joint(ctx, GridSpec.for_context(ctx, points=args.points))
+        joint = grid_joint(ctx, GridSpec.for_context(ctx, points=points))
         if joint.feasible:
             print(f"  joint grid optimum {joint.best_obj_mbit:.6f} Mbit")
         else:

@@ -254,7 +254,7 @@ def storage_terms(ctx: SlotContext, delta_tol, storage_free):
     after it, and the bits the buffer can forward (this slot's collection
     plus the backlog already stored)."""
     collected = ctx.dt_dev_rate_sum * delta_tol
-    nominal_up = ctx.r_tol_leo * np.clip(ctx.slot_seconds - delta_tol, 0.0, None)
+    nominal_up = ctx.r_tol_leo * np.maximum(ctx.slot_seconds - delta_tol, 0.0)
     available = collected + (ctx.storage_capacity - storage_free)
     return collected, nominal_up, available
 
@@ -316,7 +316,7 @@ def slot_energy(ctx: SlotContext, decision: SlotDecision):
         # an offload stream at zero power never transmits: the radio spends
         # nothing (the deadline bound is what rules the stream out)
         e_ds = np.where(decision.power > 0.0, decision.power * l_comm, 0.0)
-    window = np.clip(ctx.slot_seconds - decision.delta_tol, 0.0, None)
+    window = np.maximum(ctx.slot_seconds - decision.delta_tol, 0.0)
     e_comm = e_ds + ctx.dt_uplink_power_w * window
     base = ctx.cycles_per_bit * ctx.switch_cap * ctx.sum_d
     e_uav = base * (1.0 - gamma) * cpu_squared(ctx)
@@ -337,7 +337,7 @@ def objective_terms(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
     rate-times-window volume; the storage caps are handled as constraints
     (and by the metering in dt_collection_step)."""
     e_comm, e_uav, e_leo = slot_energy(ctx, decision)
-    window = np.clip(ctx.slot_seconds - decision.delta_tol, 0.0, None)
+    window = np.maximum(ctx.slot_seconds - decision.delta_tol, 0.0)
     dt_bits = ctx.r_tol_leo * window
     return dt_bits - ctx.omega * (e_comm + e_uav + e_leo)
 

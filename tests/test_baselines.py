@@ -1,16 +1,24 @@
 """Baseline solver tests: half-slot split, genetic search over the whole
 horizon, and the on-board-only policy."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from jcorm import model
-from jcorm.baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
+from jcorm import baselines, model
+from jcorm.baselines import (GaTrace, run_horizon_ga, solve_slot_atsm,
+                             solve_slot_no_offload)
 from jcorm.config import GaConfig, ScenarioConfig
-from jcorm.scenario import generate_scenario
+from jcorm.model import SlotDecision
+from jcorm.scenario import build_slot_context, generate_scenario
 from jcorm.solver import run_horizon, solve_slot_jcorm
 
 from conftest import make_ctx, scenario_ctx
+from test_batch import CPU_HZ_POW_DIFFERS, TIGHT_BUFFER
+from test_properties import configs
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +92,8 @@ class TestHorizonGa:
                              ga=GaConfig(population=1, generations=0, seed=123))
         result = run_horizon_ga(cfg, generate_scenario(cfg, 0))
         n, t_slots = cfg.num_uavs, cfg.num_slots
-        hi = np.tile(np.concatenate([np.full(n, cfg.pmax_w), np.full(n, cfg.leo_cpu_hz),
-                                     np.full(n, cfg.slot_seconds), np.ones(n)]), t_slots)
-        raw = np.random.default_rng(123).uniform(0.0, 1.0, (1, 4 * n * t_slots))[0] * hi
+        raw = (np.random.default_rng(123).uniform(0.0, 1.0, (1, 4 * n * t_slots))[0]
+               * gene_box(cfg))
         for t, decision in enumerate(result.decisions):
             genes = raw[4 * n * t:4 * n * (t + 1)]
             assert np.array_equal(decision.power, genes[:n])
@@ -130,6 +137,138 @@ class TestHorizonGa:
         main = run_horizon(cfg, state, solve_slot_jcorm)
         whole = run_horizon_ga(cfg, state)
         assert main.utility_bits >= whole.utility_bits
+
+
+# ---------------------------------------------------------------------------
+# the GA's block fitness against a slot-by-slot reference
+# ---------------------------------------------------------------------------
+
+def gene_box(cfg):
+    """Upper corner of the GA's search box: (power, compute, start, ratio)
+    per UAV, slot after slot."""
+    n = cfg.num_uavs
+    return np.tile(np.concatenate([np.full(n, cfg.pmax_w), np.full(n, cfg.leo_cpu_hz),
+                                   np.full(n, cfg.slot_seconds), np.ones(n)]),
+                   cfg.num_slots)
+
+
+def per_slot_fitness(cfg, state):
+    """The GA fitness evaluated one slot at a time on (pop, U) arrays, with
+    the storage state threaded from each slot into the next: the reference
+    that the block evaluation must match bit for bit."""
+    n = cfg.num_uavs
+    base_free = np.full(n, cfg.storage_initial_free_bits)
+    ctxs = [build_slot_context(cfg, state, t, base_free) for t in range(cfg.num_slots)]
+    weight = cfg.ga.penalty_weight
+
+    def slot_terms(ctx, p, f, dt, gm, free):
+        obj = np.sum(model.objective_terms(ctx, SlotDecision(p, f, dt, gm)), axis=-1) / 1e6
+        need = model.completion_time(ctx, p, f, gm)
+        v_deadline = np.sum(np.minimum(np.maximum(need - dt, 0.0), 1e6), axis=-1)
+        collected, nominal_up, available = model.storage_terms(ctx, dt, free)
+        v_storage = np.sum(np.maximum(collected - free, 0.0), axis=-1) / 1e6
+        v_backlog = np.sum(np.maximum(nominal_up - available, 0.0), axis=-1) / 1e6
+        v_budget = np.maximum(np.sum(f, axis=-1) - ctx.leo_cpu_hz, 0.0) / 1e9
+        return obj - weight * (v_deadline + v_storage + v_backlog + v_budget)
+
+    def fitness(genomes):
+        free = base_free
+        fit = np.zeros(len(genomes))
+        for t, ctx in enumerate(ctxs):
+            g = genomes[:, 4 * n * t:4 * n * (t + 1)]
+            p, f, dt, gm = g[:, :n], g[:, n:2 * n], g[:, 2 * n:3 * n], g[:, 3 * n:]
+            fit += slot_terms(ctx, p, f, dt, gm, free)
+            free = model.dt_collection_step(ctx.dt_dev_rate_sum, dt, ctx.slot_seconds,
+                                            ctx.r_tol_leo, free, ctx.storage_capacity).next_free
+        return fit
+
+    return fitness
+
+
+def reference_evolve(rng, ga, hi, fitness_fn, trace):
+    """The GA loop written with a fresh array per step: the same draws in
+    the same order as baselines._evolve, which works in place."""
+    pop, dim = ga.population, len(hi)
+    genomes = rng.uniform(0.0, 1.0, size=(pop, dim)) * hi
+    fitness = fitness_fn(genomes)
+    for _ in range(ga.generations):
+        order = np.argsort(fitness)[::-1]
+        elite = genomes[order[:ga.elitism]].copy()
+        contenders = rng.integers(0, pop, size=(2 * pop, ga.tournament))
+        winners = contenders[np.arange(2 * pop), np.argmax(fitness[contenders], axis=1)]
+        parents = genomes[winners].reshape(2, pop, dim)
+        cross = rng.random((pop, dim)) < 0.5
+        children = np.where(cross, parents[0], parents[1])
+        no_cross = rng.random(pop) >= ga.crossover_rate
+        children[no_cross] = parents[0][no_cross]
+        mutate = rng.random((pop, dim)) < ga.mutation_rate
+        noise = rng.normal(0.0, ga.mutation_sigma_frac, size=(pop, dim)) * hi
+        children = np.clip(children + np.where(mutate, noise, 0.0), 0.0, hi)
+        children[:ga.elitism] = elite
+        genomes = children
+        fitness = fitness_fn(genomes)
+        trace.best_fitness.append(float(np.max(fitness)))
+    return genomes[int(np.argmax(fitness))]
+
+
+def assert_block_fitness_matches(cfg):
+    """Run the GA with every fitness call checked against the slot-by-slot
+    reference, on the evolving populations and on the box's corners; then
+    check the best genome and the best-fitness trace against a reference
+    run."""
+    state = generate_scenario(cfg, cfg.seed)
+    reference = per_slot_fitness(cfg, state)
+    hi = gene_box(cfg)
+    corners = np.stack([np.zeros_like(hi), hi, np.where(np.arange(len(hi)) % 3, hi, 0.0)])
+    evolve = baselines._evolve
+    got = {}
+
+    def checked_evolve(rng, ga, box, fitness_fn, trace):
+        assert np.array_equal(box, hi)
+
+        def checked(genomes):
+            fit = fitness_fn(genomes)
+            assert np.array_equal(fit, reference(genomes))
+            return fit
+
+        got["best"] = evolve(rng, ga, box, checked, trace)
+        assert np.array_equal(fitness_fn(corners), reference(corners))
+        return got["best"]
+
+    with mock.patch.object(baselines, "_evolve", checked_evolve):
+        result = run_horizon_ga(cfg, state)
+    want = GaTrace()
+    seed = cfg.ga.seed if cfg.ga.seed is not None else cfg.seed
+    best = reference_evolve(np.random.default_rng(seed), cfg.ga, hi, reference, want)
+    assert np.array_equal(got["best"], best)
+    assert result.traces[0].best_fitness == want.best_fitness
+
+
+SHORT_GA = GaConfig(generations=15)
+
+
+class TestBlockFitness:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(num_uavs=13), dict(omega=1e3), TIGHT_BUFFER,
+        dict(num_uavs=1, num_slots=1),
+        dict(num_uavs=2, num_slots=3, ga=GaConfig(population=1, generations=0)),
+        dict(uav_cpu_hz=CPU_HZ_POW_DIFFERS),
+    ], ids=["default", "U=13", "omega-1e3", "tight-buffer", "U=1-T=1", "pop-1-gen-0",
+            "pow-clock"])
+    def test_equals_per_slot_loop(self, overrides, seed):
+        assert_block_fitness_matches(ScenarioConfig(seed=seed, **{"ga": SHORT_GA, **overrides}))
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=configs(), population=st.integers(1, 8), generations=st.integers(0, 3),
+           mutation_rate=st.floats(0.0, 1.0), ga_seed=st.integers(0, 2 ** 32))
+    def test_property_equals_per_slot_loop(self, cfg, population, generations,
+                                           mutation_rate, ga_seed):
+        cfg.ga = GaConfig(population=population, generations=generations,
+                          mutation_rate=mutation_rate, seed=ga_seed)
+        cfg.validate()
+        assert_block_fitness_matches(cfg)
 
 
 # ---------------------------------------------------------------------------

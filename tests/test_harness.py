@@ -14,7 +14,9 @@ from jcorm.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from jcorm.config import (CONFIG_KEYS, MAX_SLOTS, MAX_UAV_SLOTS, MAX_UAVS, ConfigError,
                           GaConfig, ScenarioConfig,
                           ToleranceConfig, load_config, load_config_text)
-from jcorm.scenario import generate_scenario
+from jcorm.oracle import grid_sp1, grid_sp2, grid_sp3, grid_sp4
+from jcorm.scenario import build_slot_context, generate_scenario
+from jcorm.solver import solve_slot_jcorm
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +605,42 @@ class TestCli:
         assert code == EXIT_OK
         text = capsys.readouterr().out
         assert "grid best per UAV" in text
+
+    def test_oracle_points_without_joint_is_config_error(self, tmp_path, capsys,
+                                                         monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "generate_scenario", lambda *a: solves.append(a))
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("num_slots = 2\nnum_uavs = 2\n")
+        code = main(["oracle", "--config", str(cfg), "--points", "3",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG and solves == []
+        assert "needs --joint" in capsys.readouterr().err
+
+    def test_oracle_default_output(self, tmp_path, capsys):
+        # the per-coordinate grids keep their 10001 points; the joint grid
+        # defaults to 15 points per axis
+        cfg_path = tmp_path / "two.cfg"
+        cfg_path.write_text("num_slots = 2\nnum_uavs = 2\n")
+        out = {}
+        for extra in ((), ("--joint",), ("--joint", "--points", "15")):
+            assert main(["oracle", "--config", str(cfg_path), "--slot", "0", *extra,
+                         "--out", str(tmp_path)]) == EXIT_OK
+            out[extra] = capsys.readouterr().out
+        assert out[("--joint",)] == out[("--joint", "--points", "15")]
+        assert out[("--joint",)].startswith(out[()])
+        assert "joint grid" in out[("--joint",)] and "joint grid" not in out[()]
+
+        cfg = ScenarioConfig(num_slots=2, num_uavs=2)
+        state = generate_scenario(cfg, cfg.seed)
+        ctx = build_slot_context(cfg, state, 0, np.full(2, cfg.storage_initial_free_bits))
+        decision, _ = solve_slot_jcorm(ctx, cfg)
+        lines = out[()].splitlines()
+        for line, (name, grid) in zip(lines[1:], (("power", grid_sp1), ("compute", grid_sp2),
+                                                  ("start", grid_sp3), ("ratio", grid_sp4))):
+            best = np.array2string(grid(ctx, decision, num_points=10001).best, precision=4)
+            assert line == f"  {name:8s} grid best per UAV: {best}"
+        assert len(lines) == 5
 
     @pytest.mark.parametrize("text, points, message", [
         ("num_slots = 2\n", "15", "at most 2 UAVs"),     # the default 6 UAVs
