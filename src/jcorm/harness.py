@@ -14,7 +14,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -241,60 +241,99 @@ class SweepResult:
         return np.array([table[v] for v in self.values], dtype=float)
 
 
-# most UAVs (cells x fleet size) that one stacked horizon solves together
+# most UAVs (scenarios x fleet size) that one part of a sweep or compare
+# holds at once: a part keeps its scenarios alive while every algorithm's
+# stack runs on them, and a stack holds all its cells' results
 STACK_UAVS = 1024
+
+# config fields that only the solvers read; every other field keys the scenario
+_SOLVER_FIELDS = {"algo", "solver_mode", "tol", "ga"}
+
+
+def _scenario_key(cfg: ScenarioConfig) -> tuple:
+    """Cells with equal keys draw the same scenario. Any field not known to
+    be solver-only enters the key, so a new field can only lose sharing.
+    Floats enter by their bits: 0.0 and -0.0 are equal but may draw apart."""
+    return tuple(value.hex() if isinstance(value, float) else value
+                 for value in (getattr(cfg, f.name) for f in fields(cfg)
+                               if f.name not in _SOLVER_FIELDS))
 
 
 def _group_key(cfg: ScenarioConfig) -> tuple:
-    """Cells with equal keys share array shapes and solver settings, so
-    their slots are solved together as one stacked rotation."""
+    """Cells with equal keys share array shapes, solver settings and buffer
+    capacity, so their slots are solved and metered together as one stacked
+    rotation. With one capacity, the stacked context holds it as a scalar,
+    so a stack's next_free can be checked against one number (as the
+    benchmark's traced storage check in bench/tracing.py does)."""
     return (cfg.algo, cfg.num_uavs, cfg.num_slots, cfg.solver_mode,
-            cfg.tol.i_max, cfg.tol.tau_outer)
+            cfg.tol.i_max, cfg.tol.tau_outer, cfg.storage_capacity_bits)
 
 
-def _run_group(cells: list) -> list:
-    """Rows of each (config, axis, value) cell of one group, in order. The
-    GA searches each cell's horizon on its own."""
+def _run_group(cells: list, states: list) -> list:
+    """Rows of each (config, axis, value) cell of one group, in order, on
+    the cells' scenarios. The GA searches each cell's horizon on its own."""
     cfgs = [cfg for cfg, _, _ in cells]
     if cfgs[0].algo == "ga":
-        results = [run_experiment(cfg) for cfg in cfgs]
+        horizons = [run_horizon_ga(cfg, state) for cfg, state in zip(cfgs, states)]
     else:
-        states = [generate_scenario(cfg, cfg.seed) for cfg in cfgs]
         horizons = run_horizons(cfgs, states, _SLOT_SOLVERS[cfgs[0].algo])
-        results = [ExperimentResult(**vars(h), algorithm=cfg.algo, seed=cfg.seed)
-                   for h, cfg in zip(horizons, cfgs)]
-    return [result_rows(r, axis=axis, value=value)
-            for r, (_, axis, value) in zip(results, cells)]
+    return [result_rows(ExperimentResult(**vars(h), algorithm=cfg.algo, seed=cfg.seed),
+                        axis=axis, value=value)
+            for h, (cfg, axis, value) in zip(horizons, cells)]
+
+
+def _run_part(cells: list) -> list:
+    """Rows of each (config, axis, value) cell of one part, in order. Each
+    distinct scenario is generated once and shared by every algorithm's
+    cells; the cells then run as one stack per ``_group_key``."""
+    keys = [_scenario_key(cfg) for cfg, _, _ in cells]
+    states = {}
+    for key, (cfg, _, _) in zip(keys, cells):
+        if key not in states:
+            states[key] = generate_scenario(cfg, cfg.seed)
+    groups: dict = {}
+    for i, (cfg, _, _) in enumerate(cells):
+        groups.setdefault(_group_key(cfg), []).append(i)
+    per_cell = [None] * len(cells)
+    for members in groups.values():
+        rows = _run_group([cells[i] for i in members], [states[keys[i]] for i in members])
+        for i, cell_rows in zip(members, rows):
+            per_cell[i] = cell_rows
+    return per_cell
 
 
 def _run_cells(cells: list, workers: int = 1) -> list:
     """Slot and run rows of every (config, axis, value) cell, in cell order.
-    Every cell is validated before any runs. Cells are grouped by
-    ``_group_key`` and each group runs as stacked horizons of at most
-    ``STACK_UAVS`` UAVs in all, which bounds the memory a stack holds; with
-    ``workers > 1`` each group is also cut into at least that many
-    contiguous parts, which run over at most ``workers`` processes, one per
-    part and CPU. Rows do not depend on the grouping."""
+    Every cell is validated before any runs. Parts are cut by scenario: the
+    distinct scenarios of each fleet size are split into near-equal
+    contiguous chunks of at most ``STACK_UAVS`` UAVs in all, which bounds
+    the memory a part holds, and a part runs every cell of its chunk's
+    scenarios (see ``_run_part``). With ``workers > 1`` each fleet size is
+    also cut into at least that many parts, which run over at most
+    ``workers`` processes, one per part and CPU. Rows do not depend on the
+    cut."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     for cfg, _, _ in cells:
         cfg.validate()
-    groups: dict = {}
+    by_fleet: dict = {}
     for i, (cfg, _, _) in enumerate(cells):
-        groups.setdefault(_group_key(cfg), []).append(i)
+        by_fleet.setdefault(cfg.num_uavs, {}).setdefault(_scenario_key(cfg), []).append(i)
     parts = []
-    for members in groups.values():
-        per_stack = max(1, STACK_UAVS // cells[members[0]][0].num_uavs)
-        count = max(-(-len(members) // per_stack), min(workers, len(members)))
-        parts += [part.tolist() for part in np.array_split(members, count)]
+    for num_uavs, scenarios in by_fleet.items():
+        keyed = list(scenarios.values())
+        per_part = max(1, STACK_UAVS // num_uavs)
+        count = max(-(-len(keyed) // per_part), min(workers, len(keyed)))
+        for chunk in np.array_split(np.arange(len(keyed)), count):
+            parts.append(sorted(i for k in chunk for i in keyed[k]))
     jobs = [[cells[i] for i in part] for part in parts]
     # the pool forks all its processes up front, so size it to the work
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            done = list(pool.map(_run_group, jobs))
+            done = list(pool.map(_run_part, jobs))
     else:
-        done = map(_run_group, jobs)
+        done = map(_run_part, jobs)
     per_cell = [None] * len(cells)
     for part, part_rows in zip(parts, done):
         for i, cell_rows in zip(part, part_rows):

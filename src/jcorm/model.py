@@ -121,8 +121,8 @@ class SlotContext:
     unused buffer space at the start of the slot.
 
     A stacked context (see ``stack``) holds the same slot of B cells: its
-    arrays are (B, U) and its scalars (B, 1) columns, so every function of
-    this module works row by row.
+    arrays are (B, U), and a scalar that differs between rows is a (B, 1)
+    column, so every function of this module works row by row.
     """
 
     slot_seconds: float
@@ -150,11 +150,21 @@ class SlotContext:
 
     @classmethod
     def stack(cls, contexts: list) -> "SlotContext":
-        """One (B, U) context from B 1-D contexts that share U."""
-        return cls(**{f.name: np.stack([getattr(c, f.name) for c in contexts])
-                      if isinstance(getattr(contexts[0], f.name), np.ndarray)
-                      else np.array([[getattr(c, f.name)] for c in contexts])
-                      for f in fields(cls)})
+        """One (B, U) context from B 1-D contexts that share U. A scalar
+        that every row holds bit for bit stays the first row's scalar, so
+        it computes as in a 1-D context; one that differs becomes a (B, 1)
+        column."""
+        out = {}
+        for f in fields(cls):
+            values = [getattr(c, f.name) for c in contexts]
+            if isinstance(values[0], np.ndarray):
+                out[f.name] = np.stack(values)
+                continue
+            column = np.array(values, dtype=float)[:, None]
+            bits = column.view(np.uint64)
+            # bits, not ==: 0.0 and -0.0 are equal but may compute apart
+            out[f.name] = values[0] if (bits == bits[0]).all() else column
+        return cls(**out)
 
     def ds_rate(self, power_w):
         """UAV->LEO rate (bit/s) for the DS stream at the given power(s)."""
@@ -270,7 +280,9 @@ class CollectionStep:
 def dt_collection_step(dev_rate_sum, delta_tol, slot_seconds: float,
                        r_tol_leo, storage_free, storage_capacity: float) -> CollectionStep:
     """Advance DT buffers across a slot, elementwise over broadcastable
-    per-UAV (or per-genome) arrays.
+    per-UAV (or per-genome) arrays. ``slot_seconds`` and
+    ``storage_capacity`` may be (B, 1) columns of a stacked context; the
+    range checks hold element by element, and NaN fails them.
 
     Devices deliver ``dev_rate_sum * delta_tol`` bits; a request beyond the
     free space is an overflow (flagged, then capped -- the buffer cannot
@@ -280,10 +292,12 @@ def dt_collection_step(dev_rate_sum, delta_tol, slot_seconds: float,
     """
     delta_tol = np.asarray(delta_tol, dtype=float)
     storage_free = np.asarray(storage_free, dtype=float)
-    # min and max propagate NaN, which then fails the range checks
-    if not (delta_tol.min() >= 0.0 and delta_tol.max() <= slot_seconds + 1e-12):
+    # min propagates NaN and every comparison with NaN is False, so NaN
+    # fails the range checks; the upper bounds are compared element by
+    # element, since they may be columns
+    if not (delta_tol.min() >= 0.0 and (delta_tol <= slot_seconds + 1e-12).all()):
         raise ValueError("delta_tol must lie in [0, slot length]")
-    if not (storage_free.min() >= 0.0 and storage_free.max() <= storage_capacity + 1e-9):
+    if not (storage_free.min() >= 0.0 and (storage_free <= storage_capacity + 1e-9).all()):
         raise ValueError("storage_free must lie in [0, capacity]")
     requested = dev_rate_sum * delta_tol
     overflow = requested > storage_free + 1e-9
@@ -429,7 +443,9 @@ def check_feasible(ctx: SlotContext, decision: SlotDecision,
 
 @dataclass
 class SlotMetrics:
-    """Physical outcome of one slot under a decision."""
+    """Physical outcome of one slot under a decision. Metered on a stacked
+    context, its arrays are (B, U) and ``utility_bits`` is (B,); ``row``
+    splits it per cell."""
 
     collected_bits: np.ndarray   # device->UAV DT bits per UAV
     uplinked_bits: np.ndarray    # UAV->LEO DT bits per UAV (storage-capped)
@@ -440,6 +456,12 @@ class SlotMetrics:
     next_free: np.ndarray        # storage free space at next slot start
     overflow: np.ndarray         # bool per UAV: collection request was capped
     utility_bits: float          # capped DT volume minus omega * energy
+
+    def row(self, b: int) -> "SlotMetrics":
+        """Row ``b`` of stacked metrics, as the metrics of one cell."""
+        arrays = {f.name: getattr(self, f.name)[b].copy() for f in fields(self)
+                  if f.name != "utility_bits"}
+        return SlotMetrics(**arrays, utility_bits=float(self.utility_bits[b]))
 
     @property
     def total_energy_j(self) -> float:
@@ -457,11 +479,17 @@ class SlotMetrics:
 
 def meter_slot(ctx: SlotContext, decision: SlotDecision) -> SlotMetrics:
     """Run the physical bookkeeping for one slot and price the utility from
-    what actually moved (storage caps applied)."""
+    what actually moved (storage caps applied). Row by row on a stacked
+    context, where the utility is one float per row; a 1-D context gives
+    a float."""
     step = dt_collection_step(ctx.dt_dev_rate_sum, decision.delta_tol, ctx.slot_seconds,
                               ctx.r_tol_leo, ctx.storage_free, ctx.storage_capacity)
     e_comm, e_uav, e_leo = slot_energy(ctx, decision)
     delay = ds_completion_time(ctx, decision)
-    utility = float(np.sum(step.uplinked) - ctx.omega * np.sum(e_comm + e_uav + e_leo))
+    # keepdims: a (B, 1) omega column multiplies (B, 1) sums, never (B,) ones
+    utility = (np.sum(step.uplinked, axis=-1, keepdims=True)
+               - ctx.omega * np.sum(e_comm + e_uav + e_leo, axis=-1, keepdims=True))[..., 0]
+    if utility.ndim == 0:
+        utility = float(utility)
     return SlotMetrics(step.collected, step.uplinked, e_comm, e_uav, e_leo, delay,
                        step.next_free, step.overflow, utility)

@@ -425,9 +425,10 @@ def run_horizons(cfgs: list, states: list, slot_solver) -> list:
     """Thread storage through the slots of B cells that share num_uavs,
     num_slots, solver_mode and tol, solving slot t of all of them with one
     ``slot_solver`` call (callable (ctx, cfg) -> (SlotDecision, trace)) on
-    their stacked context; a single cell gets its 1-D context. Each cell is
-    metered on its own 1-D context. Returns one HorizonResult per cell; the
-    group's wall time is shared equally."""
+    their stacked context; a single cell gets its 1-D context. Slot t is
+    metered with one ``model.meter_slot`` call on the same context, then
+    split per cell. Returns one HorizonResult per cell; the group's wall
+    time is shared equally."""
     from .scenario import build_slot_context
 
     cfg = cfgs[0]
@@ -437,13 +438,15 @@ def run_horizons(cfgs: list, states: list, slot_solver) -> list:
     for t in range(cfg.num_slots):
         ctxs = [build_slot_context(c, state, t, free)
                 for c, state, free in zip(cfgs, states, frees)]
+        ctx = ctxs[0] if len(ctxs) == 1 else SlotContext.stack(ctxs)
+        decision, trace = slot_solver(ctx, cfg)
+        metrics = model.meter_slot(ctx, decision)
         if len(ctxs) == 1:
-            solved = [slot_solver(ctxs[0], cfg)]
+            solved = [(decision, trace, metrics)]
         else:
-            decision, trace = slot_solver(SlotContext.stack(ctxs), cfg)
-            solved = [(decision.row(b), row) for b, row in enumerate(trace.rows())]
-        for b, (ctx, (decision, trace), result) in enumerate(zip(ctxs, solved, results)):
-            metrics = model.meter_slot(ctx, decision)
+            solved = [(decision.row(b), row, metrics.row(b))
+                      for b, row in enumerate(trace.rows())]
+        for b, ((decision, trace, metrics), result) in enumerate(zip(solved, results)):
             frees[b] = metrics.next_free
             result.utility_bits += metrics.utility_bits
             result.slot_metrics.append(metrics)

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from jcorm import harness, model
 from jcorm.baselines import solve_slot_atsm, solve_slot_no_offload
 from jcorm.cli import main
-from jcorm.config import ConfigError, ScenarioConfig
+from jcorm.config import ConfigError, GaConfig, ScenarioConfig
 from jcorm.model import SlotContext, SlotDecision
 from jcorm.scenario import build_slot_context, generate_scenario
 from jcorm.solver import run_horizon, run_horizons, solve_slot_jcorm
+
+from conftest import make_ctx
 
 SOLVERS = {"jcorm": solve_slot_jcorm, "atsm": solve_slot_atsm,
            "no-offload": solve_slot_no_offload}
@@ -155,17 +157,72 @@ class TestStackedFeasibility:
             assert np.array_equal(terms[b], model.objective_terms(ctx, d))
 
     def test_context_stack_round_trips(self):
+        # four slots of one scenario, at two energy prices
         cfg = ScenarioConfig(num_uavs=3)
         state = generate_scenario(cfg, 0)
-        ctxs = [build_slot_context(cfg, state, t, np.full(3, 1e8 * (t + 1))) for t in range(4)]
+        ctxs = [build_slot_context(cfg.copy(omega=1.0 + t % 2), state, t,
+                                   np.full(3, 1e8 * (t + 1))) for t in range(4)]
         stacked = SlotContext.stack(ctxs)
         assert stacked.num_uavs == 3
         for f in dataclasses.fields(SlotContext):
             value = getattr(stacked, f.name)
-            assert value.shape[0] == 4 and value.shape[1] in (1, 3), f.name
+            if isinstance(getattr(ctxs[0], f.name), np.ndarray):
+                assert value.shape == (4, 3), f.name
+            elif f.name == "omega":
+                assert value.shape == (4, 1)    # differs between rows: a column
+            else:
+                assert type(value) is float, f.name   # equal in every row: a scalar
             for b, ctx in enumerate(ctxs):
-                row = value[b] if value.shape[1] == 3 else value[b, 0]
-                assert np.array_equal(row, getattr(ctx, f.name)), f.name
+                row = np.broadcast_to(value, (4, 3))[b]
+                assert np.array_equal(row, np.broadcast_to(getattr(ctx, f.name), 3)), f.name
+
+    def test_signed_zeros_stack_as_a_column(self):
+        stacked = SlotContext.stack([make_ctx(omega=0.0), make_ctx(omega=-0.0)])
+        assert stacked.omega.shape == (2, 1)
+        assert np.signbit(stacked.omega[:, 0]).tolist() == [False, True]
+
+    def test_stacked_meter_equals_row_meters(self):
+        # rows that differ in energy price, buffer capacity and on-board clock
+        variants = [dict(omega=1e3), TIGHT_BUFFER, dict(uav_cpu_hz=CPU_HZ_POW_DIFFERS), {}]
+        ctxs, decisions = [], []
+        for seed, overrides in enumerate(variants):
+            cfg = ScenarioConfig(seed=seed, **overrides)
+            ctx = build_slot_context(cfg, generate_scenario(cfg, seed), 1,
+                                     np.full(cfg.num_uavs, cfg.storage_initial_free_bits))
+            ctxs.append(ctx)
+            decisions.append(solve_slot_jcorm(ctx, cfg)[0])
+        stacked = SlotContext.stack(ctxs)
+        assert all(np.shape(getattr(stacked, name)) == (4, 1)
+                   for name in ("omega", "storage_capacity", "uav_cpu_hz"))
+        stacked_decision = SlotDecision(*(np.stack([getattr(d, f.name) for d in decisions])
+                                          for f in dataclasses.fields(SlotDecision)))
+        metered = model.meter_slot(stacked, stacked_decision)
+        assert metered.utility_bits.shape == (4,)
+        for b, (ctx, d) in enumerate(zip(ctxs, decisions)):
+            got, want = metered.row(b), model.meter_slot(ctx, d)
+            assert type(got.utility_bits) is float and type(want.utility_bits) is float
+            for f in dataclasses.fields(model.SlotMetrics):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+            assert np.float64(got.utility_bits).tobytes() == np.float64(want.utility_bits).tobytes()
+
+        # the buffer step checks its ranges element by element against a
+        # (B, 1) capacity column
+        capacity = stacked.storage_capacity
+        free = np.minimum(stacked.storage_free, capacity)
+        dt = stacked_decision.delta_tol
+        step = model.dt_collection_step(stacked.dt_dev_rate_sum, dt, stacked.slot_seconds,
+                                        stacked.r_tol_leo, free, capacity)
+        assert step.next_free.shape == free.shape
+        assert np.all(step.next_free <= capacity)
+        tight = int(np.argmin(capacity[:, 0]))
+        over = capacity[tight, 0] * 1.5
+        assert over < np.delete(capacity, tight).min()   # in range for the other rows
+        for bad in (np.nan, over):
+            broken = free.copy()
+            broken[tight, 0] = bad
+            with pytest.raises(ValueError, match="storage_free must lie"):
+                model.dt_collection_step(stacked.dt_dev_rate_sum, dt, stacked.slot_seconds,
+                                         stacked.r_tol_leo, broken, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +307,81 @@ class TestGroupedSweep:
         serial = [row for s in range(7) for row in harness.result_rows(
             harness.run_experiment(base.copy(algo="no-offload", seed=s)))]
         assert [r for r in result.rows if r["kind"] != "mean" and r["kind"] != "std"] == serial
+
+
+class TestSharedScenarios:
+    """A sweep or compare generates each distinct scenario once, and every
+    algorithm's cells run on it."""
+
+    @staticmethod
+    def count_scenarios(monkeypatch):
+        seeds = []
+        real = harness.generate_scenario
+        monkeypatch.setattr(harness, "generate_scenario",
+                            lambda cfg, seed: seeds.append(seed) or real(cfg, seed))
+        return seeds
+
+    @staticmethod
+    def per_cell_rows(cells):
+        rows = [row for cfg, axis, value in cells
+                for row in harness.result_rows(harness.run_experiment(cfg), axis, value)]
+        return rows + harness.aggregate_rows(rows)
+
+    def test_compare_generates_one_scenario_per_seed(self, monkeypatch):
+        base = ScenarioConfig(num_slots=2, ga=GaConfig(population=8, generations=3))
+        algos = ["jcorm", "atsm", "ga", "no-offload"]
+        seeds = self.count_scenarios(monkeypatch)
+        result = harness.run_compare(base, algos, range(5))
+        assert seeds == [0, 1, 2, 3, 4]
+        # keys compare floats by their bits
+        assert harness._scenario_key(base.copy(beta=0.0)) != harness._scenario_key(
+            base.copy(beta=-0.0))
+        monkeypatch.undo()
+        assert result.rows == self.per_cell_rows(
+            [(base.copy(algo=a, seed=s), "", None) for a in algos for s in range(5)])
+
+    def test_sweep_generates_one_scenario_per_value_and_seed(self, monkeypatch):
+        base = ScenarioConfig(num_slots=2)
+        values, algos = [2e7, 3e7, 4e7], ["jcorm", "no-offload", "atsm"]
+        seeds = self.count_scenarios(monkeypatch)
+        result = harness.run_sweep(base, "leo_bandwidth_hz", values, [0, 1],
+                                   algorithms=algos)
+        assert len(seeds) == len(values) * 2
+        monkeypatch.undo()
+        assert result.rows == self.per_cell_rows(
+            [(base.copy(algo=a, seed=s, leo_bandwidth_hz=v), "leo_bandwidth_hz", v)
+             for a in algos for v in values for s in (0, 1)])
+
+    def test_parts_hold_at_most_the_stack_limit(self, monkeypatch):
+        seeds = self.count_scenarios(monkeypatch)
+        held = []
+        real = harness._run_part
+
+        def part(cells):
+            before = len(seeds)
+            rows = real(cells)
+            held.append(len(seeds) - before)
+            return rows
+
+        monkeypatch.setattr(harness, "_run_part", part)
+        monkeypatch.setattr(harness, "STACK_UAVS", 20)
+        base = ScenarioConfig(num_slots=2)
+        result = harness.run_compare(base, ["no-offload", "atsm"], range(7))
+        assert held == [3, 2, 2]    # at most 20 // 6 = 3 scenarios, in near-equal parts
+        assert sorted(seeds) == list(range(7))
+        monkeypatch.undo()
+        assert result.rows == self.per_cell_rows(
+            [(base.copy(algo=a, seed=s), "", None) for a in ("no-offload", "atsm")
+             for s in range(7)])
+
+    def test_stacks_share_one_buffer_capacity(self, monkeypatch):
+        # a stacked meter's next_free can then be checked against one
+        # scalar capacity, as the benchmark's traced storage check does
+        capacities = []
+        real = model.meter_slot
+        monkeypatch.setattr(model, "meter_slot", lambda ctx, d: capacities.append(
+            ctx.storage_capacity) or real(ctx, d))
+        harness.run_sweep(ScenarioConfig(num_slots=2), "storage_capacity_bits",
+                          [2e9, 1.2e10], [0, 1], algorithms=["jcorm", "no-offload"])
+        assert len(capacities) == 2 * 2 * 2     # algorithms x values x slots
+        assert all(type(c) is float for c in capacities)
