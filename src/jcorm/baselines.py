@@ -17,8 +17,8 @@ import numpy as np
 from . import model
 from .config import ScenarioConfig
 from .model import SlotContext, SlotDecision
-from .solver import (HorizonResult, SlotSolveTrace, run_horizon, solve_slot_rotation,
-                     solve_sp3_start_time)
+from .solver import (FIGURES, HorizonResult, SlotRecords, SlotSolveTrace, run_horizon,
+                     solve_slot_rotation, solve_sp3_start_time)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,8 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
     rng = np.random.default_rng(ga.seed if ga.seed is not None else cfg.seed)
     t_start = _time.perf_counter()
     if t_slots == 0:
-        return HorizonResult([], [], [], [], 0.0, _time.perf_counter() - t_start)
+        return HorizonResult(np.empty((0, len(FIGURES))), [], 0.0,
+                             _time.perf_counter() - t_start, SlotRecords(), None)
 
     base_free = np.full(n, cfg.storage_initial_free_bits, dtype=float)
     ctxs = [build_slot_context(cfg, state, t, base_free) for t in range(t_slots)]
@@ -215,9 +216,10 @@ def solve_slot_no_offload(ctx: SlotContext, cfg: ScenarioConfig):
     dt, empty = solve_sp3_start_time(ctx, zeros, zeros, zeros)
     decision = SlotDecision(zeros, zeros.copy(), dt, zeros.copy())
     rows = ctx.sum_d.shape[:-1]
-    fallback = np.any(empty, axis=-1) | np.logical_not(model.check_feasible(ctx, decision).ok)
-    trace = SlotSolveTrace.of([model.slot_objective_mbit(ctx, decision)],
+    report = model.check_feasible(ctx, decision)
+    fallback = np.any(empty, axis=-1) | np.logical_not(report.ok)
+    trace = SlotSolveTrace.of([model.slot_objective_mbit(ctx, decision)], report, fallback,
                               iterations=np.ones(rows, dtype=int),
-                              converged=np.ones(rows, dtype=bool), fallback=fallback,
+                              converged=np.ones(rows, dtype=bool),
                               sp3_empty=np.sum(empty, axis=-1))
     return decision, trace

@@ -117,7 +117,7 @@ def _cmd_run(args) -> int:
     path = os.path.join(args.out, f"run_{cfg.algo}_seed{cfg.seed}.csv")
     if "csv" in formats:
         harness.write_csv(rows, path)
-    print(f"algorithm {cfg.algo}  seed {cfg.seed}  slots {len(result.slot_metrics)}")
+    print(f"algorithm {cfg.algo}  seed {cfg.seed}  slots {len(result.figures)}")
     print(f"utility {result.utility_bits:.6g} bits  "
           f"uplinked {result.total_uplinked_bits:.6g} bits  "
           f"energy {result.total_energy_j:.6g} J  "

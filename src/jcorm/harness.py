@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
 from .config import ConfigError, ScenarioConfig
 from .scenario import generate_scenario
-from .solver import HorizonResult, run_horizon, run_horizons, solve_slot_jcorm
+from .solver import FIGURES, HorizonResult, run_horizon, run_horizons, solve_slot_jcorm
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +127,11 @@ def result_rows(result: ExperimentResult, axis: str = "", value=None) -> list:
     """Flatten one experiment into slot rows plus one run row."""
     rows = []
     bad = set(result.infeasible_slots)
-    for t, metrics in enumerate(result.slot_metrics):
+    for t, figures in enumerate(result.figures.tolist()):
         rows.append({
             "algorithm": result.algorithm, "axis": axis, "value": value,
             "seed": result.seed, "slot": t, "kind": "slot",
-            "utility_bits": metrics.utility_bits,
-            "uplinked_bits": metrics.total_uplinked_bits,
-            "energy_j": metrics.total_energy_j,
-            "ds_delay_s": metrics.mean_ds_delay_s,
+            **dict(zip(FIGURES, figures)),
             "infeasible_slots": int(t in bad),
         })
     rows.append({
@@ -149,7 +146,7 @@ def result_rows(result: ExperimentResult, axis: str = "", value=None) -> list:
     return rows
 
 
-_AGG_METRICS = ("utility_bits", "uplinked_bits", "energy_j", "ds_delay_s")
+_AGG_METRICS = FIGURES
 
 
 def _finite_stat(stat, values: list) -> float:

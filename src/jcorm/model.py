@@ -391,6 +391,20 @@ class FeasibilityReport:
         return (self.box_ok & self.budget_ok & self.deadline_ok
                 & self.storage_ok & self.backlog_ok)
 
+    def row_violations(self, rows):
+        """The violations of each row that ``rows`` (one bool per row)
+        selects, as a dict of its own: constraint name -> worst excess, or
+        True for a flag. Rows not selected get {}. A 1-D report gives one
+        dict."""
+        if np.ndim(rows) == 0:
+            return dict(self.violations) if rows else {}
+        out = [{} for _ in rows]
+        for name, values in self.violations.items():
+            flag = values.dtype == bool
+            for b in np.flatnonzero(rows & (values if flag else ~np.isnan(values))):
+                out[b][name] = True if flag else float(values[b])
+        return out
+
 
 def check_feasible(ctx: SlotContext, decision: SlotDecision,
                    time_slack: float = 1e-9) -> FeasibilityReport:
@@ -444,8 +458,8 @@ def check_feasible(ctx: SlotContext, decision: SlotDecision,
 @dataclass
 class SlotMetrics:
     """Physical outcome of one slot under a decision. Metered on a stacked
-    context, its arrays are (B, U) and ``utility_bits`` is (B,); ``row``
-    splits it per cell."""
+    context, its arrays are (B, U) and ``utility_bits`` and the totals
+    below are (B,); ``row`` splits it per cell."""
 
     collected_bits: np.ndarray   # device->UAV DT bits per UAV
     uplinked_bits: np.ndarray    # UAV->LEO DT bits per UAV (storage-capped)
@@ -463,18 +477,26 @@ class SlotMetrics:
                   if f.name != "utility_bits"}
         return SlotMetrics(**arrays, utility_bits=float(self.utility_bits[b]))
 
-    @property
-    def total_energy_j(self) -> float:
-        return float(np.sum(self.energy_comm_j + self.energy_uav_comp_j
-                            + self.energy_leo_comp_j))
+    # the slot figures, reduced over the UAV axis: a float for one cell,
+    # one per row of stacked metrics
 
     @property
-    def total_uplinked_bits(self) -> float:
-        return float(np.sum(self.uplinked_bits))
+    def total_energy_j(self):
+        return _per_row(np.sum(self.energy_comm_j + self.energy_uav_comp_j
+                               + self.energy_leo_comp_j, axis=-1))
 
     @property
-    def mean_ds_delay_s(self) -> float:
-        return float(np.mean(self.ds_delay_s))
+    def total_uplinked_bits(self):
+        return _per_row(np.sum(self.uplinked_bits, axis=-1))
+
+    @property
+    def mean_ds_delay_s(self):
+        return _per_row(np.mean(self.ds_delay_s, axis=-1))
+
+
+def _per_row(value):
+    """A per-row reduction: a float for a 1-D context, else the (B,) array."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def meter_slot(ctx: SlotContext, decision: SlotDecision) -> SlotMetrics:
@@ -489,7 +511,5 @@ def meter_slot(ctx: SlotContext, decision: SlotDecision) -> SlotMetrics:
     # keepdims: a (B, 1) omega column multiplies (B, 1) sums, never (B,) ones
     utility = (np.sum(step.uplinked, axis=-1, keepdims=True)
                - ctx.omega * np.sum(e_comm + e_uav + e_leo, axis=-1, keepdims=True))[..., 0]
-    if utility.ndim == 0:
-        utility = float(utility)
     return SlotMetrics(step.collected, step.uplinked, e_comm, e_uav, e_leo, delay,
-                       step.next_free, step.overflow, utility)
+                       step.next_free, step.overflow, _per_row(utility))

@@ -11,13 +11,16 @@ untouched so paired comparisons stay paired.
 
 The device-to-UAV links are evaluated once per scenario, into (T, U)
 tables; assembling a slot's context takes a row of each and adds the
-buffer state.
+buffer state. The tables are read-only, since every algorithm of a sweep
+or comparison runs on the same scenario. A stack of B cells joins its
+scenarios' tables into (T, B, U) ones once (``ContextStack``), and a slot's
+stacked context is made of row views of those.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +31,8 @@ from .config import LIGHT_SPEED, ScenarioConfig
 @dataclass
 class NetworkState:
     """Immutable random inputs of one run, and the device-link tables
-    derived from them. None of the tables depends on the buffer state."""
+    derived from them. None of the tables depends on the buffer state;
+    every array is read-only."""
 
     n_sens: np.ndarray            # (U,) DS device counts
     n_tol: np.ndarray             # (U,) DT device counts
@@ -116,7 +120,13 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> NetworkState:
     g_sat = model.uav_leo_gain(d_sat, cfg.ref_gain, cfg.antenna_gain,
                                cfg.sat_ref_distance_m)
 
-    return NetworkState(n_sens, n_tol, sum_d, l_off, dt_rate_sum, d_sat, g_sat)
+    return NetworkState(*map(_read_only, (n_sens, n_tol, sum_d, l_off, dt_rate_sum)),
+                        d_sat, g_sat)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_slot_context(cfg: ScenarioConfig, state: NetworkState, slot: int,
@@ -147,3 +157,35 @@ def build_slot_context(cfg: ScenarioConfig, state: NetworkState, slot: int,
         storage_free=np.asarray(storage_free, dtype=float).copy(),
         storage_capacity=cfg.storage_capacity_bits,
     )
+
+
+class ContextStack:
+    """The slot contexts of B cells that share ``num_uavs`` and
+    ``num_slots``, solved as one stack. The scenarios' device-link tables
+    are joined into read-only (T, B, U) tables, and the config scalars,
+    ``sat_gain`` and ``r_tol_leo`` are stacked, once per stack: from the
+    cells' slot-0 contexts through ``SlotContext.stack``, so a scalar that
+    every row shares stays a scalar. Slot t's context is row t of each
+    table, as read-only views, plus the carried (B, U) buffer state."""
+
+    def __init__(self, cfgs: list, states: list):
+        u = cfgs[0].num_uavs
+        base = model.SlotContext.stack(
+            [build_slot_context(c, s, 0, np.full(u, c.storage_initial_free_bits))
+             for c, s in zip(cfgs, states)])
+        for array in (base.sat_gain, base.r_tol_leo, base.storage_free):
+            _read_only(array)
+        self.base = base
+        self.tables = {name: _read_only(np.stack([getattr(s, name) for s in states], axis=1))
+                       for name in ("sum_d", "l_off", "dt_dev_rate_sum")}
+
+    @property
+    def initial_free(self) -> np.ndarray:
+        """(B, U) free buffer space at the first slot start."""
+        return self.base.storage_free
+
+    def slot(self, t: int, storage_free: np.ndarray) -> model.SlotContext:
+        """Slot ``t``'s stacked context at the given (B, U) buffer state,
+        which it takes as a read-only view."""
+        return replace(self.base, storage_free=_read_only(storage_free.view()),
+                       **{name: table[t] for name, table in self.tables.items()})

@@ -223,7 +223,9 @@ def solve_sp4_ratio(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
 class SlotSolveTrace:
     """What one slot solve did. On a stacked context every field but
     ``sp_seconds`` holds one entry per row (``objective_mbit`` one list per
-    pass), and ``rows`` splits it into per-row traces."""
+    pass), and ``row`` splits it into per-row traces. ``violations`` is the
+    ``check_feasible`` dict of a decision that fell back (constraint name
+    -> worst excess, or True for a flag), and {} otherwise."""
 
     objective_mbit: list = field(default_factory=list)   # per pass, normalized
     iterations: int = 0
@@ -235,30 +237,36 @@ class SlotSolveTrace:
     sp3_empty: int = 0
     sp4_empty: int = 0
     budget_scaled: int = 0
+    violations: dict = field(default_factory=dict)
     sp_seconds: dict = field(default_factory=lambda: {"sp1": 0.0, "sp2": 0.0,
                                                       "sp3": 0.0, "sp4": 0.0})
 
     @classmethod
-    def of(cls, objective_mbit: list, sp_seconds=None, **counts) -> "SlotSolveTrace":
+    def of(cls, objective_mbit: list, report: model.FeasibilityReport, fallback,
+           sp_seconds=None, **counts) -> "SlotSolveTrace":
         """A trace from per-row numpy values: plain scalars for a 1-D
-        context, lists for a stacked one."""
+        context, lists for a stacked one. ``report`` is the decision's
+        ``check_feasible`` report, whose violations are kept on the rows
+        that ``fallback`` marks."""
         trace = cls(objective_mbit=[np.asarray(o).tolist() for o in objective_mbit],
+                    fallback=np.asarray(fallback).tolist(),
+                    violations=report.row_violations(fallback),
                     **{k: np.asarray(v).tolist() for k, v in counts.items()})
         if sp_seconds is not None:
             trace.sp_seconds = sp_seconds
         return trace
 
-    def rows(self) -> list:
-        """The per-row traces of a stacked solve. A row's passes end where it
+    def row(self, b: int) -> "SlotSolveTrace":
+        """Row ``b`` of a stacked solve's trace. Its passes end where it
         converged; the block seconds of the stack are shared equally."""
         n = len(self.iterations)
         # fields a solver left at their defaults hold one value for all rows
         per_row = {f.name: getattr(self, f.name) for f in fields(self)
                    if f.name not in ("objective_mbit", "sp_seconds")}
-        return [SlotSolveTrace(objective_mbit=[o[b] for o in self.objective_mbit[:self.iterations[b]]],
-                               sp_seconds={k: v / n for k, v in self.sp_seconds.items()},
-                               **{k: v[b] if isinstance(v, list) else v for k, v in per_row.items()})
-                for b in range(n)]
+        passes = self.objective_mbit[:self.iterations[b]]
+        return SlotSolveTrace(objective_mbit=[o[b] for o in passes],
+                              sp_seconds={k: v / n for k, v in self.sp_seconds.items()},
+                              **{k: v[b] if isinstance(v, list) else v for k, v in per_row.items()})
 
 
 def _guarded(terms, incumbent_feasible, cand_terms, incumbent, candidate):
@@ -365,7 +373,8 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
         prev_obj = obj
 
     decision = SlotDecision(p, f, dt, gm)
-    fallback = np.logical_not(model.check_feasible(ctx, decision).ok)
+    report = model.check_feasible(ctx, decision)
+    fallback = np.logical_not(report.ok)
     if np.any(fallback):
         safe = fallback_decision(ctx)
         if pinned_start is not None:
@@ -373,9 +382,8 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
         bad = fallback[..., None]
         decision = SlotDecision(*(np.where(bad, a, b) for a, b in
                                   zip(vars(safe).values(), vars(decision).values())))
-    trace = SlotSolveTrace.of(objective, seconds, iterations=iterations,
-                              converged=converged, monotone_ok=monotone_ok,
-                              fallback=fallback, **counts)
+    trace = SlotSolveTrace.of(objective, report, fallback, seconds, iterations=iterations,
+                              converged=converged, monotone_ok=monotone_ok, **counts)
     return decision, trace
 
 
@@ -397,67 +405,118 @@ def fallback_decision(ctx: SlotContext) -> SlotDecision:
 # horizon runner
 # ---------------------------------------------------------------------------
 
+# the CSV figures of a slot, in the column order of HorizonResult.figures
+FIGURES = ("utility_bits", "uplinked_bits", "energy_j", "ds_delay_s")
+
+
+@dataclass
+class SlotRecords:
+    """Per slot, the decision, solver trace and SlotMetrics of a horizon
+    run as the solver and ``model.meter_slot`` returned them: 1-D for a
+    single cell, stacked (B, U) and shared by the B cells of a stack."""
+
+    decisions: list = field(default_factory=list)
+    traces: list = field(default_factory=list)
+    metrics: list = field(default_factory=list)
+
+
 @dataclass
 class HorizonResult:
-    slot_metrics: list                # model.SlotMetrics per slot
-    decisions: list                   # SlotDecision per slot
-    traces: list                      # solver traces per slot
+    """One cell's run over the horizon.
+
+    ``figures`` holds the cell's per-slot CSV figures, which a stacked run
+    reduces for all its cells at once. The per-slot decisions, metrics and
+    traces stay in ``records`` as the run produced them. For a cell of a
+    stack (``row`` is its row), ``decisions``, ``slot_metrics`` and
+    ``traces`` split them out each time they are read, and only then."""
+
+    figures: np.ndarray               # (T, 4): the FIGURES of each slot
     infeasible_slots: list            # slot indices that needed the fallback
-    utility_bits: float               # accumulated over the horizon
+    mean_ds_delay_s: float            # over every UAV and slot
     wall_seconds: float
+    records: SlotRecords
+    row: int | None                   # the cell's row of stacked records
+
+    @property
+    def utility_bits(self) -> float:
+        """Accumulated over the horizon."""
+        return self._total("utility_bits")
 
     @property
     def total_uplinked_bits(self) -> float:
-        return sum(m.total_uplinked_bits for m in self.slot_metrics)
+        return self._total("uplinked_bits")
 
     @property
     def total_energy_j(self) -> float:
-        return sum(m.total_energy_j for m in self.slot_metrics)
+        return self._total("energy_j")
+
+    def _total(self, figure: str) -> float:
+        # slot by slot from zero, as the slots accumulate
+        return sum(self.figures[:, FIGURES.index(figure)].tolist(), 0.0)
 
     @property
-    def mean_ds_delay_s(self) -> float:
-        if not self.slot_metrics:
-            return 0.0
-        return float(np.mean([m.ds_delay_s for m in self.slot_metrics]))
+    def decisions(self) -> list:
+        return self._split(self.records.decisions)
+
+    @property
+    def slot_metrics(self) -> list:
+        return self._split(self.records.metrics)
+
+    @property
+    def traces(self) -> list:
+        return self._split(self.records.traces)
+
+    def _split(self, records: list) -> list:
+        if self.row is None:
+            return list(records)
+        return [record.row(self.row) for record in records]
 
 
 def run_horizons(cfgs: list, states: list, slot_solver) -> list:
     """Thread storage through the slots of B cells that share num_uavs,
     num_slots, solver_mode and tol, solving slot t of all of them with one
     ``slot_solver`` call (callable (ctx, cfg) -> (SlotDecision, trace)) on
-    their stacked context; a single cell gets its 1-D context. Slot t is
-    metered with one ``model.meter_slot`` call on the same context, then
-    split per cell. Returns one HorizonResult per cell; the group's wall
-    time is shared equally."""
-    from .scenario import build_slot_context
+    their stacked context (``scenario.ContextStack``); a single cell gets
+    its 1-D context from ``scenario.build_slot_context``. Slot t is metered
+    with one ``model.meter_slot`` call on the same context, and its CSV
+    figures and fallback flags are reduced for all cells at once. Returns
+    one HorizonResult per cell, all sharing the stacked slot records; the
+    group's wall time is shared equally."""
+    from . import scenario
 
-    cfg = cfgs[0]
-    frees = [np.full(cfg.num_uavs, c.storage_initial_free_bits, dtype=float) for c in cfgs]
-    results = [HorizonResult([], [], [], [], 0.0, 0.0) for _ in cfgs]
     t_start = time.perf_counter()
-    for t in range(cfg.num_slots):
-        ctxs = [build_slot_context(c, state, t, free)
-                for c, state, free in zip(cfgs, states, frees)]
-        ctx = ctxs[0] if len(ctxs) == 1 else SlotContext.stack(ctxs)
+    cfg = cfgs[0]
+    cells, slots = len(cfgs), cfg.num_slots
+    stack = scenario.ContextStack(cfgs, states) if cells > 1 and slots else None
+    free = (np.full(cfg.num_uavs, cfg.storage_initial_free_bits, dtype=float)
+            if stack is None else stack.initial_free)
+    records = SlotRecords()
+    figures = np.empty((cells, slots, len(FIGURES)))
+    fallback = np.zeros((cells, slots), dtype=bool)
+    for t in range(slots):
+        if stack is None:
+            ctx = scenario.build_slot_context(cfg, states[0], t, free)
+        else:
+            ctx = stack.slot(t, free)
         decision, trace = slot_solver(ctx, cfg)
         metrics = model.meter_slot(ctx, decision)
-        if len(ctxs) == 1:
-            solved = [(decision, trace, metrics)]
-        else:
-            solved = [(decision.row(b), row, metrics.row(b))
-                      for b, row in enumerate(trace.rows())]
-        for b, ((decision, trace, metrics), result) in enumerate(zip(solved, results)):
-            frees[b] = metrics.next_free
-            result.utility_bits += metrics.utility_bits
-            result.slot_metrics.append(metrics)
-            result.decisions.append(decision)
-            result.traces.append(trace)
-            if getattr(trace, "fallback", False):
-                result.infeasible_slots.append(t)
-    wall = (time.perf_counter() - t_start) / len(cfgs)
-    for result in results:
-        result.wall_seconds = wall
-    return results
+        free = metrics.next_free
+        figures[:, t] = np.stack([metrics.utility_bits, metrics.total_uplinked_bits,
+                                  metrics.total_energy_j, metrics.mean_ds_delay_s], axis=-1)
+        fallback[:, t] = getattr(trace, "fallback", False)
+        records.decisions.append(decision)
+        records.traces.append(trace)
+        records.metrics.append(metrics)
+    if slots:
+        # (B, T, U) or (T, U), reduced in one call as each cell's (T, U) would be
+        delays = np.stack([m.ds_delay_s for m in records.metrics], axis=-2)
+        mean_delay = np.mean(delays, axis=(-2, -1)).reshape(cells)
+    else:
+        mean_delay = np.zeros(cells)
+    wall = (time.perf_counter() - t_start) / cells
+    return [HorizonResult(figures[b], np.flatnonzero(fallback[b]).tolist(),
+                          float(mean_delay[b]), wall, records, None if stack is None else b)
+            for b in range(cells)]
 
 
 def run_horizon(cfg: ScenarioConfig, state, slot_solver) -> HorizonResult:

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from jcorm import harness, model
+from jcorm import harness, model, scenario
 from jcorm.baselines import solve_slot_atsm, solve_slot_no_offload
 from jcorm.cli import main
 from jcorm.config import ConfigError, GaConfig, ScenarioConfig
 from jcorm.model import SlotContext, SlotDecision
 from jcorm.scenario import build_slot_context, generate_scenario
-from jcorm.solver import run_horizon, run_horizons, solve_slot_jcorm
+from jcorm.solver import SlotSolveTrace, run_horizon, run_horizons, solve_slot_jcorm
 
 from conftest import make_ctx
 
@@ -23,7 +23,7 @@ SOLVERS = {"jcorm": solve_slot_jcorm, "atsm": solve_slot_atsm,
            "no-offload": solve_slot_no_offload}
 TRACE_FIELDS = ("objective_mbit", "iterations", "converged", "monotone_ok", "fallback",
                 "sp1_infeasible", "sp2_infeasible", "sp3_empty", "sp4_empty",
-                "budget_scaled")
+                "budget_scaled", "violations")
 
 # a clock whose square, x ** 2 (libm pow), differs from x * x in the last bit
 CPU_HZ_POW_DIFFERS = 1700000000.0006988
@@ -33,11 +33,18 @@ TIGHT_BUFFER = dict(storage_capacity_bits=2e9, storage_initial_free_bits=1e8)
 
 
 def assert_same_horizon(got, want):
-    """Bit-for-bit equality of two horizons: decisions, every SlotMetrics
-    field, and the solver trace (its timings aside)."""
-    assert got.utility_bits == want.utility_bits
+    """Bit-for-bit equality of two horizons: the CSV figures and run
+    totals, decisions, every SlotMetrics field, and the solver trace (its
+    timings aside)."""
+    assert got.figures.tobytes() == want.figures.tobytes()
+    for name in ("utility_bits", "total_uplinked_bits", "total_energy_j", "mean_ds_delay_s"):
+        assert type(getattr(got, name)) is float, name
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes()
     assert got.infeasible_slots == want.infeasible_slots
     assert len(got.slot_metrics) == len(want.slot_metrics)
+    if got.slot_metrics:
+        # the run's mean delay is over every UAV and slot of the cell
+        assert got.mean_ds_delay_s == float(np.mean([m.ds_delay_s for m in got.slot_metrics]))
     for g, w in zip(got.decisions, want.decisions):
         for f in dataclasses.fields(SlotDecision):
             assert np.array_equal(getattr(g, f.name), getattr(w, f.name)), f.name
@@ -97,6 +104,80 @@ class TestStackedEqualsSerial:
             [ScenarioConfig(algo="atsm", seed=seed, **overrides) for seed in range(20)])
         if overrides.get("pmax_w"):
             assert any(r.infeasible_slots for r in stacked)
+
+
+class TestStackedPath:
+    """What a stack keeps stacked: read-only scenario tables and contexts,
+    slot records that are split per cell only when read, and the
+    constraints that made a slot fall back."""
+
+    def test_fallback_rows_name_their_constraints(self):
+        # tight-buffer cells fall back in their first slot, the others do not
+        cfgs = [ScenarioConfig(seed=seed, **(TIGHT_BUFFER if seed % 2 else {}))
+                for seed in range(6)]
+        stacked = assert_stacked_equals_serial(cfgs)
+        trace = stacked[0].records.traces[0]
+        assert 0 < sum(trace.fallback) < len(cfgs)
+        constraints = {"gamma_box", "delta_box", "f_box", "p_box", "budget", "deadline",
+                       "storage", "backlog"}
+        for fell_back, violations in zip(trace.fallback, trace.violations):
+            if fell_back:
+                assert violations and set(violations) <= constraints
+                assert all(v is True or v > 0 for v in violations.values())
+            else:
+                assert violations == {}
+
+    def test_csv_path_splits_no_rows(self, monkeypatch):
+        calls = {"split": 0, "context": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls in (model.SlotMetrics, SlotDecision, SlotSolveTrace):
+            monkeypatch.setattr(cls, "row", counted("split", cls.row))
+        monkeypatch.setattr(scenario, "build_slot_context",
+                            counted("context", scenario.build_slot_context))
+        base = ScenarioConfig(num_uavs=96)
+        result = harness.run_compare(base, ["atsm", "no-offload"], range(10))
+        assert calls["split"] == 0
+        assert 0 < calls["context"] <= 20      # at most one per cell
+        monkeypatch.undo()
+        assert result.rows == TestSharedScenarios.per_cell_rows(
+            [(base.copy(algo=a, seed=s), "", None) for a in ("atsm", "no-offload")
+             for s in range(10)])
+
+    def test_scenarios_and_stacked_contexts_are_read_only(self, monkeypatch):
+        # the three algorithms of the sweep run on the same four scenarios
+        arrays = ("n_sens", "n_tol", "sum_d", "l_off", "dt_dev_rate_sum")
+        drawn = []
+        real = harness.generate_scenario
+
+        def generate(cfg, seed):
+            state = real(cfg, seed)
+            drawn.append((state, [getattr(state, name).copy() for name in arrays]))
+            return state
+
+        monkeypatch.setattr(harness, "generate_scenario", generate)
+        harness.run_sweep(ScenarioConfig(num_slots=3), "omega", [1.0, 10.0], [0, 1],
+                          algorithms=["jcorm", "atsm", "no-offload"])
+        assert len(drawn) == 4
+        for state, copies in drawn:
+            for name, before in zip(arrays, copies):
+                array = getattr(state, name)
+                assert not array.flags.writeable, name
+                assert array.tobytes() == before.tobytes(), name
+
+        cfgs = [ScenarioConfig(seed=seed) for seed in range(3)]
+        stack = scenario.ContextStack(cfgs, [generate_scenario(c, c.seed) for c in cfgs])
+        ctx = stack.slot(1, np.array(stack.initial_free))
+        for f in dataclasses.fields(SlotContext):
+            value = getattr(ctx, f.name)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[0, 0] = 1.0
 
 
 class TestStackedFeasibility:
