@@ -243,17 +243,22 @@ class SweepResult:
 # stack runs on them, and a stack holds all its cells' results
 STACK_UAVS = 1024
 
-# config fields that only the solvers read; every other field keys the scenario
-_SOLVER_FIELDS = {"algo", "solver_mode", "tol", "ga"}
+# config fields that generate_scenario does not read; every other field
+# keys the scenario
+_UNREAD_FIELDS = {"slot_seconds", "sat_speed_mps", "leo_bandwidth_hz", "pmax_w",
+                  "dt_uplink_power_w", "cycles_per_bit", "uav_cpu_hz", "leo_cpu_hz",
+                  "switch_cap", "storage_capacity_bits", "storage_initial_free_bits",
+                  "omega", "algo", "solver_mode", "tol", "ga"}
+_KEY_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name not in _UNREAD_FIELDS)
 
 
 def _scenario_key(cfg: ScenarioConfig) -> tuple:
     """Cells with equal keys draw the same scenario. Any field not known to
-    be solver-only enters the key, so a new field can only lose sharing.
-    Floats enter by their bits: 0.0 and -0.0 are equal but may draw apart."""
+    be unread by the scenario enters the key, so a new field can only lose
+    sharing. Floats enter by their bits: 0.0 and -0.0 are equal but may
+    draw apart."""
     return tuple(value.hex() if isinstance(value, float) else value
-                 for value in (getattr(cfg, f.name) for f in fields(cfg)
-                               if f.name not in _SOLVER_FIELDS))
+                 for value in (getattr(cfg, name) for name in _KEY_FIELDS))
 
 
 def _group_key(cfg: ScenarioConfig) -> tuple:
@@ -279,21 +284,21 @@ def _run_group(cells: list, states: list) -> list:
             for h, (cfg, axis, value) in zip(horizons, cells)]
 
 
-def _run_part(cells: list) -> list:
-    """Rows of each (config, axis, value) cell of one part, in order. Each
-    distinct scenario is generated once and shared by every algorithm's
-    cells; the cells then run as one stack per ``_group_key``."""
-    keys = [_scenario_key(cfg) for cfg, _, _ in cells]
+def _run_part(keyed: list) -> list:
+    """Rows of each (config, axis, value) cell of one part, in order, from
+    its (scenario key, cell) pairs. Each distinct scenario is generated
+    once and shared by every algorithm's cells; the cells then run as one
+    stack per ``_group_key``."""
     states = {}
-    for key, (cfg, _, _) in zip(keys, cells):
+    for key, (cfg, _, _) in keyed:
         if key not in states:
             states[key] = generate_scenario(cfg, cfg.seed)
     groups: dict = {}
-    for i, (cfg, _, _) in enumerate(cells):
+    for i, (_, (cfg, _, _)) in enumerate(keyed):
         groups.setdefault(_group_key(cfg), []).append(i)
-    per_cell = [None] * len(cells)
+    per_cell = [None] * len(keyed)
     for members in groups.values():
-        rows = _run_group([cells[i] for i in members], [states[keys[i]] for i in members])
+        rows = _run_group([keyed[i][1] for i in members], [states[keyed[i][0]] for i in members])
         for i, cell_rows in zip(members, rows):
             per_cell[i] = cell_rows
     return per_cell
@@ -313,9 +318,10 @@ def _run_cells(cells: list, workers: int = 1) -> list:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     for cfg, _, _ in cells:
         cfg.validate()
+    keys = [_scenario_key(cfg) for cfg, _, _ in cells]
     by_fleet: dict = {}
     for i, (cfg, _, _) in enumerate(cells):
-        by_fleet.setdefault(cfg.num_uavs, {}).setdefault(_scenario_key(cfg), []).append(i)
+        by_fleet.setdefault(cfg.num_uavs, {}).setdefault(keys[i], []).append(i)
     parts = []
     for num_uavs, scenarios in by_fleet.items():
         keyed = list(scenarios.values())
@@ -323,7 +329,7 @@ def _run_cells(cells: list, workers: int = 1) -> list:
         count = max(-(-len(keyed) // per_part), min(workers, len(keyed)))
         for chunk in np.array_split(np.arange(len(keyed)), count):
             parts.append(sorted(i for k in chunk for i in keyed[k]))
-    jobs = [[cells[i] for i in part] for part in parts]
+    jobs = [[(keys[i], cells[i]) for i in part] for part in parts]
     # the pool forks all its processes up front, so size it to the work
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:

@@ -188,19 +188,11 @@ class SlotDecision:
 
 
 # ---------------------------------------------------------------------------
-# delays
+# one evaluation of a decision
 # ---------------------------------------------------------------------------
 
 def local_compute_time(sum_d, gamma, cycles_per_bit: float, uav_cpu_hz: float):
     return cycles_per_bit * (1.0 - np.asarray(gamma)) * np.asarray(sum_d) / uav_cpu_hz
-
-
-def transmit_time(ctx: SlotContext, power, gamma):
-    """Seconds the DS uplink takes to carry the offloaded bits gamma*sum_d at
-    the given power; +inf where the rate is zero."""
-    rate = ctx.ds_rate(power)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(rate > 0.0, gamma * ctx.sum_d / np.maximum(rate, 1e-300), np.inf)
 
 
 def remote_compute_time(ctx: SlotContext, f_leo, gamma):
@@ -211,29 +203,221 @@ def remote_compute_time(ctx: SlotContext, f_leo, gamma):
                         / np.maximum(f_leo, 1e-300), np.inf)
 
 
-def satellite_branch_time(ctx: SlotContext, power, f_leo, gamma):
-    """Transmit + remote compute + round-trip propagation for the offloaded
-    share. Zero where nothing is offloaded; +inf where gamma > 0 but the
-    link or the compute allocation cannot carry it."""
-    gamma = np.asarray(gamma, dtype=float)
-    active = (gamma > 0.0) & (ctx.sum_d > 0.0)
-    return np.where(active, transmit_time(ctx, power, gamma)
-                    + remote_compute_time(ctx, f_leo, gamma)
-                    + 2.0 * ctx.l_prop, 0.0)
+def cpu_squared(ctx: SlotContext):
+    """The on-board clock squared, rounded like the scalar ``x ** 2`` (libm
+    pow) for a float and for a stacked column alike; numpy squares an
+    array as x * x, which differs from pow in the last bit now and then."""
+    return np.float_power(ctx.uav_cpu_hz, 2)
+
+
+class _Part:
+    """A part of an Evaluation that depends on the named decision
+    variables: computed on its first read, then kept on the instance."""
+
+    def __init__(self, *depends):
+        self.depends = frozenset(depends)
+
+    def __call__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+        return self
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ev, owner=None):
+        if ev is None:
+            return self
+        value = ev.__dict__[self.name] = self.compute(ev)
+        return value
+
+
+class Evaluation:
+    """The model terms of one decision on one context, per UAV (and per row
+    of a stacked context). Each part is computed on its first read and
+    then kept; the slot's energy, completion time, deadline bounds and
+    objective terms are reads of it. A decision variable that no part read
+    may be None, such as the start time for the deadline bounds.
+
+    ``replace`` evaluates a decision that differs in some variables and
+    shares every computed part that depends on none of them; ``merged``
+    joins two evaluations UAV by UAV. Both are exact, since every part is
+    elementwise, so the slot solver carries its incumbent's evaluation
+    through the blocks and recomputes only what a block changes."""
+
+    VARIABLES = ("power", "f_leo", "delta_tol", "gamma")
+
+    def __init__(self, ctx: SlotContext, power, f_leo, delta_tol, gamma):
+        self.ctx = ctx
+        self.power = _float_array(power)
+        self.f_leo = _float_array(f_leo)
+        self.delta_tol = _float_array(delta_tol)
+        self.gamma = _float_array(gamma)
+
+    @classmethod
+    def of(cls, ctx: SlotContext, decision: "SlotDecision") -> "Evaluation":
+        return cls(ctx, decision.power, decision.f_leo, decision.delta_tol, decision.gamma)
+
+    def replace(self, **changed) -> "Evaluation":
+        """This decision with the given variables changed. The computed
+        parts that depend on none of them are shared, not recomputed."""
+        new = Evaluation.__new__(Evaluation)
+        state = new.__dict__
+        state.update(self.__dict__)
+        for name, value in changed.items():
+            state[name] = _float_array(value)
+            for part in _REACHES[name]:
+                state.pop(part, None)
+        return new
+
+    def merged(self, keep, other: "Evaluation") -> "Evaluation":
+        """This evaluation where ``keep`` holds and ``other``, of the same
+        context, elsewhere: the decision and each part both have computed,
+        taken as it is where the two share it. A part only one of them has
+        is left to be computed from the merged decision when read."""
+        if keep.all():
+            return self
+        if not keep.any():
+            return other
+        new = Evaluation.__new__(Evaluation)
+        theirs = other.__dict__
+        for name, mine in self.__dict__.items():
+            if name in theirs:
+                new.__dict__[name] = (mine if mine is theirs[name]
+                                      else np.where(keep, mine, theirs[name]))
+        return new
+
+    # the DS uplink
+
+    @_Part("gamma")
+    def active(self):
+        """Offloading: a positive ratio of a positive DS load."""
+        return (self.gamma > 0.0) & (self.ctx.sum_d > 0.0)
+
+    @_Part("power")
+    def rate(self):
+        """The DS uplink rate, bit/s."""
+        return self.ctx.ds_rate(self.power)
+
+    @_Part("power", "gamma")
+    def quotient(self):
+        """The offloaded bits over the rate floored at 1e-300 bit/s."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.gamma * self.ctx.sum_d / np.maximum(self.rate, 1e-300)
+
+    @_Part("power", "gamma")
+    def transmit(self):
+        """Seconds the DS uplink takes to carry the offloaded bits; +inf
+        where the rate is zero."""
+        return np.where(self.rate > 0.0, self.quotient, np.inf)
+
+    @_Part("power", "gamma")
+    def l_comm(self):
+        """The DS uplink time the radio pays for: 0 where not offloading.
+        Not ``transmit``, which is +inf at zero rate: the rate floor keeps
+        it finite, so the GA still ranks genomes that offload over a dead
+        link by how much they offload."""
+        return np.where(self.active, self.quotient, 0.0)
+
+    # the deadline bounds: the smallest start times meeting each branch
+
+    @_Part("f_leo", "gamma")
+    def remote(self):
+        """Satellite compute time of the offloaded bits."""
+        return remote_compute_time(self.ctx, self.f_leo, self.gamma)
+
+    @_Part("gamma")
+    def local(self):
+        """On-board branch: upload, then on-board compute."""
+        ctx = self.ctx
+        return ctx.l_off + local_compute_time(ctx.sum_d, self.gamma,
+                                              ctx.cycles_per_bit, ctx.uav_cpu_hz)
+
+    @_Part("power", "f_leo", "gamma")
+    def sat(self):
+        """Satellite branch: upload, then transmit, remote compute and the
+        round trip. l_off where nothing is offloaded, +inf where the link
+        or the compute share cannot carry the offload."""
+        ctx = self.ctx
+        return ctx.l_off + np.where(self.active, self.transmit + self.remote
+                                    + 2.0 * ctx.l_prop, 0.0)
+
+    @_Part("power", "f_leo", "gamma")
+    def need(self):
+        """DS completion time: the later bound."""
+        return np.maximum(self.local, self.sat)
+
+    # energy and the objective
+
+    @_Part("delta_tol")
+    def window(self):
+        """The DT forwarding window."""
+        return np.maximum(self.ctx.slot_seconds - self.delta_tol, 0.0)
+
+    @_Part("power", "gamma")
+    def e_ds(self):
+        """DS uplink energy. A stream at zero power never transmits, so the
+        radio spends nothing (the deadline bound rules the stream out)."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(self.power > 0.0, self.power * self.l_comm, 0.0)
+
+    @_Part("power", "delta_tol", "gamma")
+    def e_comm(self):
+        """Radio energy: the DS uplink, and the DT uplink at its fixed power
+        for the whole forwarding window."""
+        return self.e_ds + self.ctx.dt_uplink_power_w * self.window
+
+    @_Part()
+    def cycle_energy(self):
+        """Switching energy of the whole DS load per squared clock."""
+        ctx = self.ctx
+        return ctx.cycles_per_bit * ctx.switch_cap * ctx.sum_d
+
+    @_Part("gamma")
+    def e_uav(self):
+        """On-board compute energy."""
+        return self.cycle_energy * (1.0 - self.gamma) * cpu_squared(self.ctx)
+
+    @_Part("f_leo", "gamma")
+    def e_leo(self):
+        """Satellite compute energy."""
+        return self.cycle_energy * self.gamma * self.f_leo ** 2
+
+    @_Part("power", "f_leo", "delta_tol", "gamma")
+    def terms(self):
+        """Per-UAV slot-utility contributions: the nominal DT bits the
+        window ships minus omega times the slot energy."""
+        ctx = self.ctx
+        return ctx.r_tol_leo * self.window - ctx.omega * (self.e_comm + self.e_uav + self.e_leo)
+
+
+# decision variable -> the parts of an Evaluation that depend on it
+_REACHES = {variable: [name for name, part in vars(Evaluation).items()
+                       if isinstance(part, _Part) and variable in part.depends]
+            for variable in Evaluation.VARIABLES}
+
+
+def _float_array(value):
+    return None if value is None else np.asarray(value, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# delays
+# ---------------------------------------------------------------------------
+
+def _checked_need(ev: Evaluation) -> np.ndarray:
+    """The evaluation's completion time, for a decision that can execute."""
+    if np.any(ev.active & (ev.rate <= 0.0)):
+        raise ValueError("offloading with zero DS uplink rate")
+    if np.any(ev.active & (ev.f_leo <= 0.0)):
+        raise ValueError("offloading with zero satellite compute share")
+    return ev.need
 
 
 def ds_completion_time(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
     """End-to-end DS task completion time per UAV: slowest device upload, then
     the longer of the local branch and the satellite branch."""
-    gamma = decision.gamma
-    active = (gamma > 0.0) & (ctx.sum_d > 0.0)
-    if np.any(active):
-        rate = ctx.ds_rate(decision.power)
-        if np.any(active & (rate <= 0.0)):
-            raise ValueError("offloading with zero DS uplink rate")
-        if np.any(active & (decision.f_leo <= 0.0)):
-            raise ValueError("offloading with zero satellite compute share")
-    return completion_time(ctx, decision.power, decision.f_leo, gamma)
+    return _checked_need(Evaluation.of(ctx, decision))
 
 
 def deadline_lower_bounds(ctx: SlotContext, power, f_leo, gamma):
@@ -241,17 +425,15 @@ def deadline_lower_bounds(ctx: SlotContext, power, f_leo, gamma):
     (local) upload + on-board compute, (satellite) upload + transmit +
     remote compute + round trip. The satellite bound is l_off where nothing
     is offloaded, +inf where offloading is impossible."""
-    local = ctx.l_off + local_compute_time(ctx.sum_d, gamma,
-                                           ctx.cycles_per_bit, ctx.uav_cpu_hz)
-    sat = ctx.l_off + satellite_branch_time(ctx, power, f_leo, gamma)
-    return local, sat
+    ev = Evaluation(ctx, power, f_leo, None, gamma)
+    return ev.local, ev.sat
 
 
 def completion_time(ctx: SlotContext, power, f_leo, gamma):
     """DS completion time per UAV, the later of the two deadline_lower_bounds:
     the smallest delta_tol meeting the deadline. +inf where gamma > 0 but
     the link or the compute share cannot carry the offload."""
-    return np.maximum(*deadline_lower_bounds(ctx, power, f_leo, gamma))
+    return Evaluation(ctx, power, f_leo, None, gamma).need
 
 
 # ---------------------------------------------------------------------------
@@ -319,30 +501,8 @@ def slot_energy(ctx: SlotContext, decision: SlotDecision):
     Radio energy covers the DS uplink for its transmit duration and the DT
     uplink for the whole forwarding window at the fixed DT power.
     """
-    gamma = decision.gamma
-    rate = ctx.ds_rate(decision.power)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # not transmit_time, which is +inf at zero rate: the rate floor of
-        # 1e-300 bit/s keeps the energy finite, so the GA still ranks genomes
-        # that offload over a dead link by how much they offload
-        l_comm = np.where((gamma > 0.0) & (ctx.sum_d > 0.0),
-                          gamma * ctx.sum_d / np.maximum(rate, 1e-300), 0.0)
-        # an offload stream at zero power never transmits: the radio spends
-        # nothing (the deadline bound is what rules the stream out)
-        e_ds = np.where(decision.power > 0.0, decision.power * l_comm, 0.0)
-    window = np.maximum(ctx.slot_seconds - decision.delta_tol, 0.0)
-    e_comm = e_ds + ctx.dt_uplink_power_w * window
-    base = ctx.cycles_per_bit * ctx.switch_cap * ctx.sum_d
-    e_uav = base * (1.0 - gamma) * cpu_squared(ctx)
-    e_leo = base * gamma * decision.f_leo ** 2
-    return e_comm, e_uav, e_leo
-
-
-def cpu_squared(ctx: SlotContext):
-    """The on-board clock squared, rounded like the scalar ``x ** 2`` (libm
-    pow) for a float and for a stacked column alike; numpy squares an
-    array as x * x, which differs from pow in the last bit now and then."""
-    return np.float_power(ctx.uav_cpu_hz, 2)
+    ev = Evaluation.of(ctx, decision)
+    return ev.e_comm, ev.e_uav, ev.e_leo
 
 
 def objective_terms(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
@@ -350,10 +510,7 @@ def objective_terms(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
     minus omega times the UAV's slot energy. The DT term here is the nominal
     rate-times-window volume; the storage caps are handled as constraints
     (and by the metering in dt_collection_step)."""
-    e_comm, e_uav, e_leo = slot_energy(ctx, decision)
-    window = np.maximum(ctx.slot_seconds - decision.delta_tol, 0.0)
-    dt_bits = ctx.r_tol_leo * window
-    return dt_bits - ctx.omega * (e_comm + e_uav + e_leo)
+    return Evaluation.of(ctx, decision).terms
 
 
 def slot_objective_bits(ctx: SlotContext, decision: SlotDecision):
@@ -506,8 +663,9 @@ def meter_slot(ctx: SlotContext, decision: SlotDecision) -> SlotMetrics:
     a float."""
     step = dt_collection_step(ctx.dt_dev_rate_sum, decision.delta_tol, ctx.slot_seconds,
                               ctx.r_tol_leo, ctx.storage_free, ctx.storage_capacity)
-    e_comm, e_uav, e_leo = slot_energy(ctx, decision)
-    delay = ds_completion_time(ctx, decision)
+    ev = Evaluation.of(ctx, decision)
+    e_comm, e_uav, e_leo = ev.e_comm, ev.e_uav, ev.e_leo
+    delay = _checked_need(ev)
     # keepdims: a (B, 1) omega column multiplies (B, 1) sums, never (B,) ones
     utility = (np.sum(step.uplinked, axis=-1, keepdims=True)
                - ctx.omega * np.sum(e_comm + e_uav + e_leo, axis=-1, keepdims=True))[..., 0]

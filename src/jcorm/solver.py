@@ -39,7 +39,7 @@ _NOISE = 1e-9          # accepted objective decrease attributable to float noise
 # ---------------------------------------------------------------------------
 
 def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
-                    gamma: np.ndarray):
+                    gamma: np.ndarray, ev: model.Evaluation | None = None):
     """Lowest transmit power that meets the satellite-branch deadline, within
     the power box.
 
@@ -50,14 +50,17 @@ def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
 
     Returns (power array, per-UAV infeasible mask). UAVs with nothing to
     offload get zero power. UAVs with no compute share, no slack left, or
-    p_req above pmax are flagged and get zero power.
+    p_req above pmax are flagged and get zero power. ``ev``, an evaluation
+    of a decision with this compute share and ratio, lends its remote
+    compute time.
     """
     gamma = np.asarray(gamma, dtype=float)
+    if ev is None:
+        ev = model.Evaluation(ctx, None, f_leo, None, gamma)
     d_mbit = ctx.sum_d / 1e6
     live = (gamma > 0.0) & (d_mbit > 0.0)
     # no compute share makes the remote compute time, and so -slack, infinite
-    slack = (delta_tol - ctx.l_off - model.remote_compute_time(ctx, f_leo, gamma)
-             - 2.0 * ctx.l_prop)
+    slack = delta_tol - ctx.l_off - ev.remote - 2.0 * ctx.l_prop
     has_slack = slack > 0.0
     b_n = ctx.leo_bandwidth_hz / 1e6 / ctx.num_uavs   # per-UAV band share, MHz
     exponent = gamma * d_mbit / (np.where(has_slack, slack, 1.0) * b_n)
@@ -76,18 +79,21 @@ def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def solve_sp2_compute(ctx: SlotContext, power: np.ndarray, delta_tol: np.ndarray,
-                      gamma: np.ndarray):
+                      gamma: np.ndarray, ev: model.Evaluation | None = None):
     """Smallest compute share finishing the offloaded bits inside the deadline
     (remote compute energy grows with the share, so the minimum is optimal).
 
     Returns (f array, per-UAV infeasible mask, budget_scaled flag per row).
     Shares are clamped to the pool size; if a row's shares jointly exceed
     the pool they are scaled down proportionally and flagged (the next
-    ratio pass shrinks the offload loads to match).
+    ratio pass shrinks the offload loads to match). ``ev``, an evaluation
+    of a decision with this power and ratio, lends its transmit time.
     """
     gamma = np.asarray(gamma, dtype=float)
-    active = (gamma > 0.0) & (ctx.sum_d > 0.0)
-    slack = delta_tol - ctx.l_off - model.transmit_time(ctx, power, gamma) - 2.0 * ctx.l_prop
+    if ev is None:
+        ev = model.Evaluation(ctx, power, None, None, gamma)
+    active = ev.active
+    slack = delta_tol - ctx.l_off - ev.transmit - 2.0 * ctx.l_prop
     bad = active & ((slack <= 0.0) | ~np.isfinite(slack))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f_min = np.where(active & ~bad, ctx.cycles_per_bit * gamma * ctx.sum_d / slack, 0.0)
@@ -109,7 +115,8 @@ def solve_sp2_compute(ctx: SlotContext, power: np.ndarray, delta_tol: np.ndarray
 # ---------------------------------------------------------------------------
 
 def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
-               gamma: np.ndarray, mode: str = "paper-relaxed"):
+               gamma: np.ndarray, mode: str = "paper-relaxed",
+               ev: model.Evaluation | None = None):
     """Feasible interval [lo, hi] for the DT forwarding start time.
 
     mode='strict' takes the true two-branch completion bound as the lower
@@ -119,17 +126,19 @@ def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     meaningful while both branches are live: UAVs currently offloading
     nothing keep the exact on-board bound, since their satellite constraint
     is vacuous and averaging against it would undercut the real deadline.
-    At gamma = 0 both modes therefore give the on-board bound.
+    At gamma = 0 both modes therefore give the on-board bound. ``ev``, an
+    evaluation of a decision with this power, compute share and ratio,
+    lends its deadline bounds.
     """
+    if ev is None:
+        ev = model.Evaluation(ctx, power, f_leo, None, gamma)
     if mode == "strict":
-        lo_deadline = model.completion_time(ctx, power, f_leo, gamma)
+        lo_deadline = ev.need
     else:
-        local, sat = model.deadline_lower_bounds(ctx, power, f_leo, gamma)
-        gamma = np.asarray(gamma, dtype=float)
-        offloading = (gamma > 0.0) & (ctx.sum_d > 0.0)
-        sat_ct = np.where(offloading, sat - ctx.l_off - 2.0 * ctx.l_prop, 0.0)
+        local = ev.local
+        sat_ct = np.where(ev.active, ev.sat - ctx.l_off - 2.0 * ctx.l_prop, 0.0)
         relaxed = ctx.l_off + ctx.l_prop + 0.5 * ((local - ctx.l_off) + sat_ct)
-        lo_deadline = np.where(offloading, relaxed, local)
+        lo_deadline = np.where(ev.active, relaxed, local)
 
     used = ctx.storage_capacity - ctx.storage_free
     denom = ctx.r_tol_leo + ctx.dt_dev_rate_sum
@@ -176,15 +185,16 @@ def _start_in(ctx: SlotContext, lo: np.ndarray, hi: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def solve_sp4_ratio(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
-                    delta_tol: np.ndarray):
+                    delta_tol: np.ndarray, ev: model.Evaluation | None = None):
     """Choose the offloaded fraction. Linear objective over the interval the
     two deadline branches leave open; the sign of the per-bit saving
     (on-board compute energy versus remote compute + transmit energy)
-    selects the end. Returns (gamma array, empty-interval mask)."""
+    selects the end. Returns (gamma array, empty-interval mask). ``ev``,
+    an evaluation of a decision with this power, lends its rate."""
     power = np.asarray(power, dtype=float)
     f_leo = np.asarray(f_leo, dtype=float)
     active = ctx.sum_d > 0.0
-    rate = ctx.ds_rate(power)
+    rate = ctx.ds_rate(power) if ev is None else ev.rate
     usable = active & (rate > 0.0) & (f_leo > 0.0)
     load_cycles_time = ctx.cycles_per_bit * ctx.sum_d / ctx.uav_cpu_hz
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -269,12 +279,10 @@ class SlotSolveTrace:
                               **{k: v[b] if isinstance(v, list) else v for k, v in per_row.items()})
 
 
-def _guarded(terms, incumbent_feasible, cand_terms, incumbent, candidate):
-    """Per-UAV accept rule: keep the incumbent only where it is feasible and
-    strictly better than the candidate. Returns the merged values and their
-    objective terms."""
-    keep = incumbent_feasible & (terms > cand_terms)
-    return np.where(keep, incumbent, candidate), np.where(keep, terms, cand_terms)
+def _held(keep, held):
+    """A guard's keep mask, also keeping the incumbent on the ``held`` rows
+    (None: no row is held)."""
+    return keep if held is None else keep | held
 
 
 def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None):
@@ -282,22 +290,24 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
     until the slot objective settles. With ``pinned_start`` every UAV starts
     forwarding at that time and the start-time block is skipped.
 
-    ``terms`` holds the per-UAV objective terms of the incumbent decision.
-    Each block evaluates only its candidate and merges the two with the
-    guard's mask; that is exact because the terms are elementwise per UAV.
-    On a stacked context every row rotates on its own: a row that has
-    settled keeps its values while the others go on, so each row ends as
-    its 1-D solve would. A decision that fails check_feasible is replaced by
+    ``ev`` is the ``model.Evaluation`` of the incumbent decision. Each block
+    reads what it needs of it, evaluates its candidate by recomputing only
+    the parts its variable reaches, and merges the two with the guard's
+    mask: a UAV keeps its incumbent only where that is feasible and
+    strictly better than the candidate. The merge is exact because every
+    part is elementwise per UAV. On a stacked context every row rotates on
+    its own: a row that has settled keeps its incumbent through every guard
+    while the others go on, so each row ends as its 1-D solve would. A
+    decision that fails check_feasible, evaluated afresh, is replaced by
     fallback_decision, keeping the pinned start if there is one. Returns
     (SlotDecision, SlotSolveTrace)."""
     tol = cfg.tol
     mode = cfg.solver_mode
     shape = ctx.sum_d.shape
-    p = np.full(shape, ctx.pmax_w / 2.0)
-    f = np.full(shape, ctx.leo_cpu_hz / ctx.num_uavs)
-    dt = np.full(shape, ctx.slot_seconds / 2.0 if pinned_start is None else pinned_start)
-    gm = np.where(ctx.sum_d <= 0.0, 0.0, 0.5)
-    terms = model.objective_terms(ctx, SlotDecision(p, f, dt, gm))
+    ev = model.Evaluation(
+        ctx, np.full(shape, ctx.pmax_w / 2.0), np.full(shape, ctx.leo_cpu_hz / ctx.num_uavs),
+        np.full(shape, ctx.slot_seconds / 2.0 if pinned_start is None else pinned_start),
+        np.where(ctx.sum_d <= 0.0, 0.0, 0.5))
 
     # per-row state: numpy scalars for a 1-D context, (B,) arrays stacked
     rows = shape[:-1]
@@ -311,56 +321,54 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
     objective = []
     prev_obj = None
     for i in range(1, tol.i_max + 1):
-        kept = (p, f, dt, gm, terms)
-        # counts of rows that have settled are dropped
+        # counts of rows that have settled are dropped, and their guards
+        # keep every incumbent, so they end the pass as they settled
         live = True if active.all() else active
+        held = None if live is True else ~active[..., None]
 
         t0 = time.perf_counter()
-        p_cand, p_bad = solve_sp1_power(ctx, f, dt, gm)
+        p_cand, p_bad = solve_sp1_power(ctx, ev.f_leo, ev.delta_tol, ev.gamma, ev)
         counts["sp1_infeasible"] += p_bad.sum(axis=-1) * live
-        inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9) & (p <= ctx.pmax_w + 1e-12)
-        cand = model.objective_terms(ctx, SlotDecision(p_cand, f, dt, gm))
+        cand = ev.replace(power=p_cand)
+        inc_ok = (ev.need <= ev.delta_tol + 1e-9) & (ev.power <= ctx.pmax_w + 1e-12)
         # keep the incumbent where it wins the guard or where SP1 gave up
-        keep = (inc_ok & (terms > cand)) | p_bad
-        p = np.where(keep, p, p_cand)
-        terms = np.where(keep, terms, cand)
+        ev = ev.merged(_held((inc_ok & (ev.terms > cand.terms)) | p_bad, held), cand)
         seconds["sp1"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        f_cand, f_bad, scaled = solve_sp2_compute(ctx, p, dt, gm)
+        f_cand, f_bad, scaled = solve_sp2_compute(ctx, ev.power, ev.delta_tol, ev.gamma, ev)
         counts["sp2_infeasible"] += f_bad.sum(axis=-1) * live
         counts["budget_scaled"] += scaled & live
-        inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9) & (f <= ctx.leo_cpu_hz + 1e-6)
-        cand = model.objective_terms(ctx, SlotDecision(p, f_cand, dt, gm))
-        f, terms = _guarded(terms, inc_ok, cand, f, f_cand)
+        cand = ev.replace(f_leo=f_cand)
+        inc_ok = (ev.need <= ev.delta_tol + 1e-9) & (ev.f_leo <= ctx.leo_cpu_hz + 1e-6)
+        ev = ev.merged(_held(inc_ok & (ev.terms > cand.terms), held), cand)
         # where mixing broke a row's pool budget, the candidate honors it
-        broke = f.sum(axis=-1, keepdims=True) > ctx.leo_cpu_hz * (1.0 + 1e-9)
+        broke = ev.f_leo.sum(axis=-1, keepdims=True) > ctx.leo_cpu_hz * (1.0 + 1e-9)
+        if held is not None:
+            broke &= ~held
         if broke.any():
-            f, terms = np.where(broke, f_cand, f), np.where(broke, cand, terms)
+            ev = cand.merged(broke, ev)
         seconds["sp2"] += time.perf_counter() - t0
 
         if pinned_start is None:
             t0 = time.perf_counter()
-            lo3, hi3 = sp3_bounds(ctx, p, f, gm, mode=mode)
+            lo3, hi3 = sp3_bounds(ctx, ev.power, ev.f_leo, ev.gamma, mode, ev)
             dt_cand, dt_empty = _start_in(ctx, lo3, hi3)
             counts["sp3_empty"] += dt_empty.sum(axis=-1) * live
-            cand = model.objective_terms(ctx, SlotDecision(p, f, dt_cand, gm))
-            inc_ok = (dt >= lo3 - 1e-9) & (dt <= hi3 + 1e-9)
-            dt, terms = _guarded(terms, inc_ok, cand, dt, dt_cand)
+            cand = ev.replace(delta_tol=dt_cand)
+            inc_ok = (ev.delta_tol >= lo3 - 1e-9) & (ev.delta_tol <= hi3 + 1e-9)
+            ev = ev.merged(_held(inc_ok & (ev.terms > cand.terms), held), cand)
             seconds["sp3"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        gm_cand, gm_empty = solve_sp4_ratio(ctx, p, f, dt)
+        gm_cand, gm_empty = solve_sp4_ratio(ctx, ev.power, ev.f_leo, ev.delta_tol, ev)
         counts["sp4_empty"] += gm_empty.sum(axis=-1) * live
-        inc_ok = (model.completion_time(ctx, p, f, gm) <= dt + 1e-9)
-        cand = model.objective_terms(ctx, SlotDecision(p, f, dt, gm_cand))
-        gm, terms = _guarded(terms, inc_ok, cand, gm, gm_cand)
+        cand = ev.replace(gamma=gm_cand)
+        inc_ok = ev.need <= ev.delta_tol + 1e-9
+        ev = ev.merged(_held(inc_ok & (ev.terms > cand.terms), held), cand)
         seconds["sp4"] += time.perf_counter() - t0
 
-        if live is not True:
-            p, f, dt, gm, terms = (np.where(active[..., None], new, old) for new, old
-                                   in zip((p, f, dt, gm, terms), kept))
-        obj = terms.sum(axis=-1) / 1e6
+        obj = ev.terms.sum(axis=-1) / 1e6
         objective.append(obj)
         iterations = iterations + active
         if prev_obj is not None:
@@ -372,7 +380,8 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
                 break
         prev_obj = obj
 
-    decision = SlotDecision(p, f, dt, gm)
+    dt = ev.delta_tol
+    decision = SlotDecision(ev.power, ev.f_leo, dt, ev.gamma)
     report = model.check_feasible(ctx, decision)
     fallback = np.logical_not(report.ok)
     if np.any(fallback):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jcorm import harness, model, scenario
 from jcorm.baselines import solve_slot_atsm, solve_slot_no_offload
 from jcorm.cli import main
-from jcorm.config import ConfigError, GaConfig, ScenarioConfig
+from jcorm.config import ConfigError, GaConfig, ScenarioConfig, ToleranceConfig
 from jcorm.model import SlotContext, SlotDecision
 from jcorm.scenario import build_slot_context, generate_scenario
 from jcorm.solver import SlotSolveTrace, run_horizon, run_horizons, solve_slot_jcorm
@@ -161,7 +161,7 @@ class TestStackedPath:
             return state
 
         monkeypatch.setattr(harness, "generate_scenario", generate)
-        harness.run_sweep(ScenarioConfig(num_slots=3), "omega", [1.0, 10.0], [0, 1],
+        harness.run_sweep(ScenarioConfig(num_slots=3), "rician_k0", [5.0, 10.0], [0, 1],
                           algorithms=["jcorm", "atsm", "no-offload"])
         assert len(drawn) == 4
         for state, copies in drawn:
@@ -422,16 +422,62 @@ class TestSharedScenarios:
             [(base.copy(algo=a, seed=s), "", None) for a in algos for s in range(5)])
 
     def test_sweep_generates_one_scenario_per_value_and_seed(self, monkeypatch):
+        # the scenario reads the UAV band, so each value draws its own
+        base = ScenarioConfig(num_slots=2)
+        values, algos = [5e6, 1e7, 2e7], ["jcorm", "no-offload", "atsm"]
+        seeds = self.count_scenarios(monkeypatch)
+        result = harness.run_sweep(base, "uav_bandwidth_hz", values, [0, 1],
+                                   algorithms=algos)
+        assert len(seeds) == len(values) * 2
+        monkeypatch.undo()
+        assert result.rows == self.per_cell_rows(
+            [(base.copy(algo=a, seed=s, uav_bandwidth_hz=v), "uav_bandwidth_hz", v)
+             for a in algos for v in values for s in (0, 1)])
+
+    def test_sweep_over_an_unread_field_generates_one_scenario_per_seed(self, monkeypatch):
+        # the scenario does not read the satellite band: every value shares it
         base = ScenarioConfig(num_slots=2)
         values, algos = [2e7, 3e7, 4e7], ["jcorm", "no-offload", "atsm"]
         seeds = self.count_scenarios(monkeypatch)
         result = harness.run_sweep(base, "leo_bandwidth_hz", values, [0, 1],
                                    algorithms=algos)
-        assert len(seeds) == len(values) * 2
+        assert seeds == [0, 1]
         monkeypatch.undo()
         assert result.rows == self.per_cell_rows(
             [(base.copy(algo=a, seed=s, leo_bandwidth_hz=v), "leo_bandwidth_hz", v)
              for a in algos for v in values for s in (0, 1)])
+
+    # a valid change of each field the scenario key leaves out
+    UNREAD_CHANGES = {
+        "slot_seconds": 5.0, "sat_speed_mps": 7000.0, "leo_bandwidth_hz": 2e7,
+        "pmax_w": 2.0, "dt_uplink_power_w": 0.5, "cycles_per_bit": 800.0,
+        "uav_cpu_hz": 1e9, "leo_cpu_hz": 2e10, "switch_cap": 2e-28,
+        "storage_capacity_bits": 2e10, "storage_initial_free_bits": 5e8, "omega": 3.0,
+        "algo": "ga", "solver_mode": "strict",
+        "tol": ToleranceConfig(i_max=5, tau_outer=0.5),
+        "ga": GaConfig(population=4, generations=1, seed=9),
+    }
+
+    @staticmethod
+    def scenario_bits(cfg):
+        state = generate_scenario(cfg, cfg.seed)
+        return [(v.shape, v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray) else v.hex()
+                for v in vars(state).values()]
+
+    def test_fields_left_out_of_the_key_leave_the_scenario_unchanged(self):
+        # a field the scenario reads cannot join the left-out set unnoticed:
+        # every left-out field needs a change here, and must not move a bit
+        assert set(self.UNREAD_CHANGES) == harness._UNREAD_FIELDS
+        base = ScenarioConfig(seed=3, num_slots=4)
+        want = self.scenario_bits(base)
+        for name, value in self.UNREAD_CHANGES.items():
+            cfg = dataclasses.replace(base, **{name: value})
+            cfg.validate()
+            assert getattr(cfg, name) != getattr(base, name), name
+            assert harness._scenario_key(cfg) == harness._scenario_key(base), name
+            assert self.scenario_bits(cfg) == want, name
+        # the comparison sees a field that the scenario reads
+        assert self.scenario_bits(dataclasses.replace(base, beta=0.5)) != want
 
     def test_parts_hold_at_most_the_stack_limit(self, monkeypatch):
         seeds = self.count_scenarios(monkeypatch)

@@ -280,7 +280,7 @@ class TestResults:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides", [
-        dict(device_power_sens_w=0.0),                  # DS delays near 1e306 s
+        dict(device_power_sens_w=1e-300),               # DS rate 0: delays near 1e306 s
         dict(switch_cap=1e150, omega=0.0),              # energies near 1e178 J
         dict(ds_size_max_bits=1e300, omega=0.0),
     ])
@@ -337,19 +337,20 @@ class TestResults:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = small_cfg(num_slots=1)
-        serial = harness.run_sweep(cfg, "omega", [1.0, 10.0], [0], ["no-offload"]).rows
+        serial = harness.run_sweep(cfg, "rician_k0", [5.0, 10.0], [0], ["no-offload"]).rows
         assert pools == []
-        # two cells make two parts, so 5000 workers start two processes
-        rows = harness.run_sweep(cfg, "omega", [1.0, 10.0], [0], ["no-offload"],
+        # two cells on two scenarios make two parts, so 5000 workers start
+        # two processes
+        rows = harness.run_sweep(cfg, "rician_k0", [5.0, 10.0], [0], ["no-offload"],
                                  workers=5000).rows
         assert pools == [2] and rows == serial
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        harness.run_sweep(cfg, "omega", [1.0, 10.0], [0, 1, 2, 3], ["no-offload"],
+        harness.run_sweep(cfg, "rician_k0", [5.0, 10.0], [0, 1, 2, 3], ["no-offload"],
                           workers=8)
         assert pools == [2, 3]
         for workers in (0, -1):
             with pytest.raises(ConfigError, match="workers must be >= 1"):
-                harness.run_sweep(cfg, "omega", [1.0], [0], ["no-offload"], workers=workers)
+                harness.run_sweep(cfg, "rician_k0", [5.0], [0], ["no-offload"], workers=workers)
         assert pools == [2, 3]
 
     def test_compare_pairs_seeds(self):
@@ -568,6 +569,22 @@ class TestCli:
         code = main(["sweep", "--config", str(cfg), "--axis", "warp_factor",
                      "--values", "1,2", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    def test_silent_ds_devices_are_config_error(self, tmp_path, capsys):
+        # ran, exited 3 and wrote ds_delay_s = inf on every run row
+        cfg = tmp_path / "silent.cfg"
+        cfg.write_text(TINY + "device_power_sens_w = 0\nds_size_max_bits = 7.6e7\n"
+                       "pathloss_coeff = 5.57\nrician_k0 = 59.7\n")
+        out = tmp_path / "out"
+        code = main(["compare", "--config", str(cfg), "--seeds", "0,1",
+                     "--algos", "jcorm,atsm,ga,no-offload", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "device_power_sens_w" in capsys.readouterr().err
+        # without a DS load, silent DS devices have nothing to upload
+        cfg.write_text(TINY + "device_power_sens_w = 0\nds_size_min_bits = 0\n"
+                       "ds_size_max_bits = 0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
     def test_oversized_tasks_exit_infeasible(self, tmp_path):
         cfg = tmp_path / "huge.cfg"

@@ -13,8 +13,8 @@ from jcorm.config import ScenarioConfig
 from jcorm.harness import run_experiment
 from jcorm.model import SlotDecision
 from jcorm.oracle import grid_sp1
-from jcorm.scenario import build_slot_context, generate_scenario
-from jcorm.solver import (fallback_decision, run_horizon, solve_slot_jcorm,
+from jcorm.scenario import ContextStack, build_slot_context, generate_scenario
+from jcorm.solver import (fallback_decision, run_horizon, run_horizons, solve_slot_jcorm,
                           solve_sp1_power, solve_sp2_compute, solve_sp3_start_time,
                           solve_sp4_ratio, sp3_bounds)
 
@@ -496,6 +496,80 @@ class TestSlotSolve:
                                      (decision.gamma, ref.gamma)):
                             assert np.array_equal(a, b)
                 free = model.meter_slot(ctx, decision).next_free   # jcorm's
+
+    @staticmethod
+    def record_carried(monkeypatch):
+        """Every evaluation the rotation carries: each block ends by merging
+        its candidate into the incumbent's evaluation."""
+        carried = []
+        real = model.Evaluation.merged
+
+        def merged(self, keep, other):
+            out = real(self, keep, other)
+            carried.append(out)
+            return out
+
+        monkeypatch.setattr(model.Evaluation, "merged", merged)
+        return carried
+
+    @staticmethod
+    def assert_fresh(ev):
+        """Every part the carried evaluation holds equals, bit for bit, the
+        same part of a fresh evaluation of its decision. Returns their
+        names."""
+        fresh = model.Evaluation(ev.ctx, ev.power, ev.f_leo, ev.delta_tol, ev.gamma)
+        held = [name for name in vars(ev) if name != "ctx"]
+        for name in held:
+            value, want = getattr(ev, name), getattr(fresh, name)
+            assert (value.shape, value.dtype, value.tobytes()) == \
+                (want.shape, want.dtype, want.tobytes()), name
+        return held
+
+    def test_carried_evaluation_never_drifts(self, monkeypatch):
+        cases = [(0, {}), (1, {"solver_mode": "strict"})] + GUARD_CASES
+        carried = self.record_carried(monkeypatch)
+        blocks = 0
+        # 1-D contexts, the start block run (jcorm) and pinned (atsm)
+        for seed, overrides in cases:
+            cfg = ScenarioConfig(seed=seed, **overrides)
+            state = generate_scenario(cfg, seed)
+            for solver in (solve_slot_jcorm, solve_slot_atsm):
+                result = run_horizon(cfg, state, solver)
+                blocks += sum(t.iterations * (3 if solver is solve_slot_atsm else 4)
+                              for t in result.traces)
+        # (B, U) contexts: the cells of each mode as one stack, with rows
+        # that settle at different passes
+        for mode in ("paper-relaxed", "strict"):
+            cfgs = [ScenarioConfig(seed=seed, solver_mode=mode, **{
+                k: v for k, v in overrides.items() if k != "solver_mode"})
+                for seed, overrides in cases]
+            states = [generate_scenario(c, c.seed) for c in cfgs]
+            for solver in (solve_slot_jcorm, solve_slot_atsm):
+                run_horizons(cfgs, states, solver)
+        assert len(carried) >= blocks > 1000
+        checked = set()
+        for ev in carried:
+            checked.update(self.assert_fresh(ev))
+        # every part was carried through some merge
+        assert checked >= set(model._REACHES["power"] + model._REACHES["f_leo"]
+                               + model._REACHES["delta_tol"] + model._REACHES["gamma"])
+
+    def test_rate_computed_at_most_twice_per_pass(self, monkeypatch):
+        calls = []
+        real = model.uav_leo_rate
+        ctxs = [scenario_ctx(seed=seed)[0] for seed in range(4)]
+        cfgs = [ScenarioConfig(seed=seed) for seed in range(4)]
+        states = [generate_scenario(c, c.seed) for c in cfgs]
+        stack = ContextStack(cfgs, states)
+        ctxs.append(stack.slot(0, stack.initial_free))
+        monkeypatch.setattr(model, "uav_leo_rate", lambda *a: calls.append(1) or real(*a))
+        for ctx in ctxs:
+            for solver in (solve_slot_jcorm, solve_slot_atsm):
+                calls.clear()
+                _, trace = solver(ctx, cfgs[0])
+                passes = np.max(trace.iterations)
+                assert passes >= 2
+                assert len(calls) <= 2 * passes
 
     def test_zero_energy_price_completes(self):
         for algo in ("jcorm", "atsm"):
