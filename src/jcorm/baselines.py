@@ -163,6 +163,7 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
     base_free = np.full(n, cfg.storage_initial_free_bits, dtype=float)
     ctxs = [build_slot_context(cfg, state, t, base_free) for t in range(t_slots)]
     stacked = SlotContext.stack(ctxs)
+    cap = cfg.storage_capacity_bits
     hi_slot = np.concatenate([np.full(n, cfg.pmax_w), np.full(n, cfg.leo_cpu_hz),
                               np.full(n, cfg.slot_seconds), np.ones(n)])
     hi = np.tile(hi_slot, t_slots)
@@ -172,19 +173,25 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
         pop = len(genomes)
         p, f, dt, gm = _split_genes(genomes.reshape(pop, t_slots, 4 * n), n)
         obj_bits = np.empty((pop, t_slots))
-        free = np.empty((pop, t_slots, n))
-        free[:, 0] = base_free
         for t, ctx in enumerate(ctxs):
             # one objective_terms call per slot: the benchmark's trace
             # (bench/tracing.py) counts the genomes the GA scores as these
             # calls over the slot count
             dec = SlotDecision(p[:, t], f[:, t], dt[:, t], gm[:, t])
             obj_bits[:, t] = np.sum(model.objective_terms(ctx, dec), axis=-1)
-            if t + 1 < t_slots:
-                # physical storage threading: each slot starts from the last one's end
-                free[:, t + 1] = model.dt_collection_step(
-                    ctx.dt_dev_rate_sum, dt[:, t], ctx.slot_seconds, ctx.r_tol_leo,
-                    free[:, t], ctx.storage_capacity).next_free
+        # physical storage threading, as dt_collection_step meters it: each
+        # slot starts from the last one's end
+        if not (dt.min() >= 0.0 and dt.max() <= cfg.slot_seconds + 1e-12):
+            raise ValueError("delta_tol must lie in [0, slot length]")
+        requested = stacked.dt_dev_rate_sum * dt
+        nominal_up = stacked.r_tol_leo * (cfg.slot_seconds - dt)
+        free = np.empty((pop, t_slots, n))
+        free[:, 0] = base_free
+        for t in range(t_slots - 1):
+            free[:, t + 1] = model.buffer_transition(requested[:, t], nominal_up[:, t],
+                                                     free[:, t], cap)[2]
+        if not (free.min() >= 0.0 and free.max() <= cap + 1e-9):
+            raise ValueError("storage_free must lie in [0, capacity]")
         terms = _ga_fitness(stacked, p, f, dt, gm, ga.penalty_weight, free, obj_bits)
         # slot by slot from zero: np.sum over T >= 8 would sum pairwise
         fit = np.zeros(pop)

@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--algos", default=None,
                          help="comma-separated algorithms (default: --algo)")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="most processes (>= 1); each group of cells that is "
-                              "solved as one stack is split into at least this many parts")
+                         help="most processes (>= 1); each fleet's cells are cut into "
+                              "at least this many parts, up to the CPU count")
 
     p_cmp = sub.add_parser("compare", help="paired-seed algorithm comparison")
     _add_common(p_cmp)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
 from .config import ConfigError, ScenarioConfig
-from .scenario import generate_scenario
+from .scenario import generate_scenario, generate_scenarios
 from .solver import FIGURES, HorizonResult, run_horizon, run_horizons, solve_slot_jcorm
 
 
@@ -238,10 +238,13 @@ class SweepResult:
         return np.array([table[v] for v in self.values], dtype=float)
 
 
-# most UAVs (scenarios x fleet size) that one part of a sweep or compare
-# holds at once: a part keeps its scenarios alive while every algorithm's
-# stack runs on them, and a stack holds all its cells' results
-STACK_UAVS = 1024
+# most UAV-slots (scenarios x fleet size x horizon) that one part of a
+# sweep or compare holds at once. A part keeps its scenarios alive while
+# every algorithm's stack runs on them, and its scenario tables, a
+# stack's joined tables and the rotation's per-slot temporaries grow with
+# U x T per scenario. Calibrated from the cells/s and peak RSS of
+# compares at U in {6, 96, 1024} (README, "Parts and batches")
+PART_UAV_SLOTS = 1 << 16
 
 # config fields that generate_scenario does not read; every other field
 # keys the scenario
@@ -249,16 +252,20 @@ _UNREAD_FIELDS = {"slot_seconds", "sat_speed_mps", "leo_bandwidth_hz", "pmax_w",
                   "dt_uplink_power_w", "cycles_per_bit", "uav_cpu_hz", "leo_cpu_hz",
                   "switch_cap", "storage_capacity_bits", "storage_initial_free_bits",
                   "omega", "algo", "solver_mode", "tol", "ga"}
-_KEY_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name not in _UNREAD_FIELDS)
+_BATCH_FIELDS = tuple(f.name for f in fields(ScenarioConfig)
+                      if f.name not in _UNREAD_FIELDS and f.name != "seed")
 
 
 def _scenario_key(cfg: ScenarioConfig) -> tuple:
-    """Cells with equal keys draw the same scenario. Any field not known to
-    be unread by the scenario enters the key, so a new field can only lose
-    sharing. Floats enter by their bits: 0.0 and -0.0 are equal but may
-    draw apart."""
-    return tuple(value.hex() if isinstance(value, float) else value
-                 for value in (getattr(cfg, name) for name in _KEY_FIELDS))
+    """Cells with equal keys draw the same scenario. The key is (batch key,
+    seed): scenarios whose batch keys are equal differ only in the seed,
+    so they are generated as one batch. Any field not known to be unread
+    by the scenario enters the key, so a new field can only lose sharing.
+    Floats enter by their bits: 0.0 and -0.0 are equal but may draw
+    apart."""
+    batch = tuple(value.hex() if isinstance(value, float) else value
+                  for value in (getattr(cfg, name) for name in _BATCH_FIELDS))
+    return batch, cfg.seed
 
 
 def _group_key(cfg: ScenarioConfig) -> tuple:
@@ -273,12 +280,15 @@ def _group_key(cfg: ScenarioConfig) -> tuple:
 
 def _run_group(cells: list, states: list) -> list:
     """Rows of each (config, axis, value) cell of one group, in order, on
-    the cells' scenarios. The GA searches each cell's horizon on its own."""
+    the cells' scenarios. The GA searches each cell's horizon on its own.
+    A stack keeps no per-slot records, since the rows read only its
+    figures."""
     cfgs = [cfg for cfg, _, _ in cells]
     if cfgs[0].algo == "ga":
         horizons = [run_horizon_ga(cfg, state) for cfg, state in zip(cfgs, states)]
     else:
-        horizons = run_horizons(cfgs, states, _SLOT_SOLVERS[cfgs[0].algo])
+        horizons = run_horizons(cfgs, states, _SLOT_SOLVERS[cfgs[0].algo],
+                                keep_records=False)
     return [result_rows(ExperimentResult(**vars(h), algorithm=cfg.algo, seed=cfg.seed),
                         axis=axis, value=value)
             for h, (cfg, axis, value) in zip(horizons, cells)]
@@ -286,13 +296,17 @@ def _run_group(cells: list, states: list) -> list:
 
 def _run_part(keyed: list) -> list:
     """Rows of each (config, axis, value) cell of one part, in order, from
-    its (scenario key, cell) pairs. Each distinct scenario is generated
-    once and shared by every algorithm's cells; the cells then run as one
-    stack per ``_group_key``."""
+    its (scenario key, cell) pairs. The part's distinct scenarios that
+    differ only in the seed are generated as one batch, and each scenario
+    is shared by every algorithm's cells; the cells then run as one stack
+    per ``_group_key``."""
+    batches: dict = {}
+    for (batch, seed), (cfg, _, _) in keyed:
+        batches.setdefault(batch, {}).setdefault(seed, cfg)
     states = {}
-    for key, (cfg, _, _) in keyed:
-        if key not in states:
-            states[key] = generate_scenario(cfg, cfg.seed)
+    for batch, seeds in batches.items():
+        drawn = generate_scenarios(next(iter(seeds.values())), seeds)
+        states.update(((batch, seed), state) for seed, state in zip(seeds, drawn))
     groups: dict = {}
     for i, (_, (cfg, _, _)) in enumerate(keyed):
         groups.setdefault(_group_key(cfg), []).append(i)
@@ -304,34 +318,52 @@ def _run_part(keyed: list) -> list:
     return per_cell
 
 
+def _cut_parts(cells: list, keys: list, workers: int) -> list:
+    """Cell indices of each part. A fleet (the cells that share ``num_uavs``
+    and ``num_slots``) is cut by scenario: its distinct scenarios are split
+    into near-equal contiguous chunks of at most ``PART_UAV_SLOTS``
+    UAV-slots in all, and at least ``workers`` chunks, and a part runs every
+    cell of its chunk's scenarios. A fleet with fewer scenarios than
+    workers is cut by cell instead: each scenario's cells are split into
+    enough parts for every worker, and each part generates its one
+    scenario."""
+    by_fleet: dict = {}
+    for i, (cfg, _, _) in enumerate(cells):
+        fleet = by_fleet.setdefault((cfg.num_uavs, cfg.num_slots), {})
+        fleet.setdefault(keys[i], []).append(i)
+    parts = []
+    for (num_uavs, num_slots), scenarios in by_fleet.items():
+        keyed = list(scenarios.values())
+        if len(keyed) < workers:
+            per_scenario = -(-workers // len(keyed))
+            for members in keyed:
+                parts.extend(chunk.tolist() for chunk in
+                             np.array_split(members, min(per_scenario, len(members))))
+            continue
+        per_part = max(1, PART_UAV_SLOTS // max(1, num_uavs * num_slots))
+        count = max(-(-len(keyed) // per_part), workers)
+        for chunk in np.array_split(np.arange(len(keyed)), count):
+            parts.append(sorted(i for k in chunk for i in keyed[k]))
+    return parts
+
+
 def _run_cells(cells: list, workers: int = 1) -> list:
     """Slot and run rows of every (config, axis, value) cell, in cell order.
-    Every cell is validated before any runs. Parts are cut by scenario: the
-    distinct scenarios of each fleet size are split into near-equal
-    contiguous chunks of at most ``STACK_UAVS`` UAVs in all, which bounds
-    the memory a part holds, and a part runs every cell of its chunk's
-    scenarios (see ``_run_part``). With ``workers > 1`` each fleet size is
-    also cut into at least that many parts, which run over at most
-    ``workers`` processes, one per part and CPU. Rows do not depend on the
-    cut."""
+    Every cell is validated before any runs. The cells are cut into parts
+    (see ``_cut_parts``), which bounds the memory a part holds; with
+    ``workers > 1`` the parts run over at most that many processes, one per
+    part and CPU. Rows do not depend on the cut."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     for cfg, _, _ in cells:
         cfg.validate()
     keys = [_scenario_key(cfg) for cfg, _, _ in cells]
-    by_fleet: dict = {}
-    for i, (cfg, _, _) in enumerate(cells):
-        by_fleet.setdefault(cfg.num_uavs, {}).setdefault(keys[i], []).append(i)
-    parts = []
-    for num_uavs, scenarios in by_fleet.items():
-        keyed = list(scenarios.values())
-        per_part = max(1, STACK_UAVS // num_uavs)
-        count = max(-(-len(keyed) // per_part), min(workers, len(keyed)))
-        for chunk in np.array_split(np.arange(len(keyed)), count):
-            parts.append(sorted(i for k in chunk for i in keyed[k]))
+    cpus = os.cpu_count() or 1
+    # a cut for more workers than CPUs would only split work no process runs
+    parts = _cut_parts(cells, keys, min(workers, cpus))
     jobs = [[(keys[i], cells[i]) for i in part] for part in parts]
     # the pool forks all its processes up front, so size it to the work
-    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    processes = min(workers, len(jobs), cpus)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             done = list(pool.map(_run_part, jobs))

@@ -59,16 +59,15 @@ def uav_sat_distance(sat_altitude_m: float, earth_radius_m: float,
 # channels and rates
 # ---------------------------------------------------------------------------
 
-def rician_fading_gain(k0: float, scatter):
+def rician_fading_gain(k0: float, real, imag):
     """Squared magnitude |G|^2 of a Rician small-scale coefficient built from
-    a deterministic line-of-sight part and CN(0,1) scatter samples
-    (elementwise over a complex array)."""
+    a deterministic line-of-sight part and a CN(0,1) scatter sample given by
+    its real and imaginary parts (elementwise over arrays)."""
     if k0 < 0:
         raise ValueError("Rician factor must be >= 0")
-    scatter = np.asarray(scatter, dtype=complex)
     los = math.sqrt(k0 / (1.0 + k0))
     amp = math.sqrt(1.0 / (1.0 + k0))
-    return (los + amp * scatter.real) ** 2 + (amp * scatter.imag) ** 2
+    return (los + amp * real) ** 2 + (amp * imag) ** 2
 
 
 def device_uav_gain(distance_m, pathloss_coeff: float, pathloss_exp: float,
@@ -483,12 +482,20 @@ def dt_collection_step(dev_rate_sum, delta_tol, slot_seconds: float,
         raise ValueError("storage_free must lie in [0, capacity]")
     requested = dev_rate_sum * delta_tol
     overflow = requested > storage_free + 1e-9
+    collected, uplinked, next_free = buffer_transition(
+        requested, r_tol_leo * (slot_seconds - delta_tol), storage_free, storage_capacity)
+    return CollectionStep(collected, uplinked, next_free, overflow)
+
+
+def buffer_transition(requested, nominal_up, storage_free, storage_capacity):
+    """The buffer transition of ``dt_collection_step``, without its range
+    checks: (collected, uplinked, next_free) from the bits the devices
+    request and the bits the uplink would ship over its window."""
     collected = np.minimum(requested, storage_free)
     backlog_cap = collected + (storage_capacity - storage_free)
-    uplinked = np.minimum(r_tol_leo * (slot_seconds - delta_tol), backlog_cap)
+    uplinked = np.minimum(nominal_up, backlog_cap)
     next_free = np.minimum(storage_free - collected + uplinked, storage_capacity)
-    next_free = np.maximum(next_free, 0.0)
-    return CollectionStep(collected, uplinked, next_free, overflow)
+    return collected, uplinked, np.maximum(next_free, 0.0)
 
 
 # ---------------------------------------------------------------------------

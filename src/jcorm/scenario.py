@@ -9,12 +9,15 @@ bit-identical draws; sweep axes that only rescale parameters (bandwidths,
 the Rician factor, task-size ranges, powers) leave the underlying draws
 untouched so paired comparisons stay paired.
 
-The device-to-UAV links are evaluated once per scenario, into (T, U)
-tables; assembling a slot's context takes a row of each and adds the
-buffer state. The tables are read-only, since every algorithm of a sweep
-or comparison runs on the same scenario. A stack of B cells joins its
-scenarios' tables into (T, B, U) ones once (``ContextStack``), and a slot's
-stacked context is made of row views of those.
+Scenarios that differ only in the seed are drawn as one batch
+(``generate_scenarios``), each seed from its own generator. The
+device-to-UAV links are evaluated once per batch, one block per device
+count, into (T, U) tables per scenario; assembling a slot's context takes
+a row of each and adds the buffer state. The tables are read-only, since
+every algorithm of a sweep or comparison runs on the same scenario. A
+stack of B cells joins its scenarios' tables into (T, B, U) ones once
+(``ContextStack``), and a slot's stacked context is made of row views of
+those.
 """
 
 from __future__ import annotations
@@ -43,85 +46,140 @@ class NetworkState:
     sat_gain: float
 
 
+# most device-slots (devices x slots) whose draws a batch holds at once.
+# Generation and the stacks that run on its scenarios come one after the
+# other, so peak memory is the larger of the two. A device-slot's draws
+# and link temporaries take about 34 B, a UAV-slot of a part about 100 B
+# (README, "Parts and batches"), so bounding the device-slots by the same
+# count as the harness bounds a part's UAV-slots keeps the draws below
+# what a full part holds.
+BATCH_DEVICE_SLOTS = 1 << 16
+
+
 def _blocks(flat: np.ndarray, starts: np.ndarray, shape: tuple) -> np.ndarray:
     """Stack equal-shape segments of a flat draw: row i is the C-order
-    ``shape`` block that begins at ``flat[starts[i]]``."""
+    ``shape`` block that begins at ``flat[starts[i]]``. The rows are
+    gathered from a view of every window of ``flat``, so ``starts`` is the
+    only index array."""
     size = math.prod(shape)
-    return flat[starts[:, None] + np.arange(size)].reshape(len(starts), *shape)
+    windows = np.ndarray((flat.size - size + 1, size), dtype=flat.dtype, buffer=flat,
+                         strides=(flat.itemsize, flat.itemsize))
+    return windows[starts].reshape(len(starts), *shape)
 
 
 def generate_scenario(cfg: ScenarioConfig, seed: int) -> NetworkState:
-    """Draw one scenario. RNG order (fixed): device counts, device offsets,
-    fading per slot, task sizes per slot. Within each draw kind the devices
-    go UAV by UAV, the DS devices of every UAV before the DT devices; each
-    kind is one RNG call, which PCG64 makes equal to one call per UAV in
-    that order."""
-    rng = np.random.default_rng(seed)
-    u = cfg.num_uavs
-    t = cfg.num_slots
-    n_sens = rng.integers(cfg.k_sens_min, cfg.k_sens_max + 1, size=u)
-    n_tol = rng.integers(cfg.k_tol_min, cfg.k_tol_max + 1, size=u)
-    counts = np.concatenate([n_sens, n_tol])   # DS links of each UAV, then DT
-    first = np.cumsum(counts) - counts         # index of each one's first device
-    n_dev = int(counts.sum())
+    """Draw one scenario: a batch of one (see ``generate_scenarios``)."""
+    return generate_scenarios(cfg, [seed])[0]
 
-    # uniform in the disc around the UAV ground projection; 3-D range to
-    # the UAV includes the altitude
-    r = cfg.device_disc_radius_m * np.sqrt(rng.uniform(size=n_dev))
-    dist = np.sqrt(r ** 2 + cfg.uav_altitude_m ** 2)
 
-    # CN(0,1) scatter, per UAV a (T, K) real block then a (T, K) imaginary
-    # one; the Rician mixing happens here so the underlying draws are shared
-    # across rician_k0 sweep values
-    normals = rng.normal(0.0, math.sqrt(0.5), size=2 * t * n_dev)
-    imag = np.repeat(np.tile([False, True], counts.size), np.repeat(t * counts, 2))
-    scatter = np.empty(t * n_dev, dtype=complex)
-    scatter.real = normals[~imag]
-    scatter.imag = normals[imag]
-    # flat; a (T, K) block per UAV and link kind, at t * first
-    fade = model.rician_fading_gain(cfg.rician_k0, scatter)
+def generate_scenarios(cfg: ScenarioConfig, seeds) -> list:
+    """Draw the scenario of ``cfg`` under each seed, as one batch; each
+    comes out bit for bit as if drawn alone.
 
-    lo, hi = cfg.ds_size_min_bits, cfg.ds_size_max_bits
-    # flat; a (T, K) block per UAV at t * first
-    bits = lo + rng.uniform(size=t * int(n_sens.sum())) * (hi - lo)
-
-    def rates(links, k, power_w, band_hz):
-        # (U_k, T, K) device-to-UAV rates of the K-device links whose first
-        # devices are ``links``
-        gain = model.device_uav_gain(_blocks(dist, links, (1, k)), cfg.pathloss_coeff,
-                                     cfg.pathloss_exp, _blocks(fade, t * links, (t, k)))
-        return model.device_uav_rate(power_w, gain, cfg.noise_w, band_hz, k)
-
-    # one block per device count K: a row reduces over its K devices
-    # exactly as that UAV's 1-D array would, which zero padding to the
-    # largest K would not (numpy's pairwise sum unrolls from 8 terms on)
-    sum_d = np.empty((t, u))
-    l_off = np.empty((t, u))
-    dt_rate_sum = np.empty((t, u))
-    for k in range(cfg.k_sens_min, cfg.k_sens_max + 1):
-        idx = np.flatnonzero(n_sens == k)
-        if idx.size:
-            rate = rates(first[idx], k, cfg.device_power_sens_w,
-                         cfg.beta * cfg.uav_bandwidth_hz)
-            block = _blocks(bits, t * first[idx], (t, k))
-            sum_d[:, idx] = block.sum(axis=-1).T
-            with np.errstate(divide="ignore"):
-                upload = np.where(block > 0, block / np.maximum(rate, 1e-300), 0.0)
-            l_off[:, idx] = upload.max(axis=-1).T
-    for k in range(cfg.k_tol_min, cfg.k_tol_max + 1):
-        idx = np.flatnonzero(n_tol == k)
-        if idx.size:
-            rate = rates(first[u + idx], k, cfg.device_power_tol_w,
-                         (1.0 - cfg.beta) * cfg.uav_bandwidth_hz)
-            dt_rate_sum[:, idx] = rate.sum(axis=-1).T
+    Each seed has its own generator, called in a fixed order: device
+    counts, device offsets, fading per slot, task sizes per slot. Within
+    each draw kind the devices go UAV by UAV, the DS devices of every UAV
+    before the DT devices; each kind is one RNG call, which PCG64 makes
+    equal to one call per UAV in that order. The device counts of every
+    seed are drawn first. The seeds are then drawn and evaluated in
+    near-equal chunks of at most ``BATCH_DEVICE_SLOTS`` device-slots
+    (devices x slots), which bounds the draws held at once (see
+    ``_draw_links``); the chunks write into the batch's (T, B U) tables,
+    of which each seed's (T, U) tables are read-only views."""
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    u, t, b = cfg.num_uavs, cfg.num_slots, len(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # (B, 2U): the DS links of each UAV of a seed, then its DT links
+    counts = _read_only(np.array([
+        np.concatenate([rng.integers(cfg.k_sens_min, cfg.k_sens_max + 1, size=u),
+                        rng.integers(cfg.k_tol_min, cfg.k_tol_max + 1, size=u)])
+        for rng in rngs]))
+    tables = np.empty((3, t, b * u))   # sum_d, l_off, dt_dev_rate_sum
+    chunks = -(-t * int(counts.sum()) // BATCH_DEVICE_SLOTS)
+    for chunk in np.array_split(np.arange(b), min(max(chunks, 1), b)):
+        _draw_links(cfg, [rngs[i] for i in chunk], counts[chunk],
+                    tables[:, :, chunk[0] * u:(chunk[-1] + 1) * u])
+    _read_only(tables)
 
     d_sat = model.uav_sat_distance(cfg.sat_altitude_m, cfg.earth_radius_m,
                                    cfg.elevation_rad)
     g_sat = model.uav_leo_gain(d_sat, cfg.ref_gain, cfg.antenna_gain,
                                cfg.sat_ref_distance_m)
+    return [NetworkState(counts[i, :u], counts[i, u:], *tables[:, :, i * u:(i + 1) * u],
+                         d_sat, g_sat)
+            for i in range(b)]
 
-    return NetworkState(*map(_read_only, (n_sens, n_tol, sum_d, l_off, dt_rate_sum)),
-                        d_sat, g_sat)
+
+def _draw_links(cfg: ScenarioConfig, rngs: list, counts: np.ndarray,
+                out: np.ndarray) -> None:
+    """Draw the device offsets, fading and DS task sizes of a chunk of
+    seeds from their generators, and write the chunk's (T, n U) link
+    tables into ``out`` (sum_d, l_off, dt_dev_rate_sum). The draws of the
+    seeds lie end to end in one flat array per kind, and the links of every
+    UAV of the chunk with K devices are evaluated as one block."""
+    u, t = cfg.num_uavs, cfg.num_slots
+    links = counts.ravel()
+    first = (np.cumsum(links) - links).reshape(counts.shape)   # each link's first device
+    # the ends of each seed's devices and DS devices in the chunk
+    dev_end = np.cumsum(counts.sum(axis=1))
+    ds_end = np.cumsum(counts[:, :u].sum(axis=1))
+    unit = np.empty(dev_end[-1])
+    normals = np.empty(2 * t * dev_end[-1])
+    bits = np.empty(t * ds_end[-1])
+    for rng, d0, d1, s0, s1 in zip(rngs, np.r_[0, dev_end[:-1]], dev_end,
+                                   np.r_[0, ds_end[:-1]], ds_end):
+        rng.random(out=unit[d0:d1])
+        # CN(0,1) scatter: per UAV and link kind, a (T, K) real block then a
+        # (T, K) imaginary one, so a link's real block starts at 2 T first
+        rng.standard_normal(out=normals[2 * t * d0:2 * t * d1])
+        rng.random(out=bits[t * s0:t * s1])
+    # uniform in the disc around the UAV ground projection; 3-D range to
+    # the UAV includes the altitude
+    r = cfg.device_disc_radius_m * np.sqrt(unit)
+    dist = np.sqrt(r ** 2 + cfg.uav_altitude_m ** 2)
+    # random() and standard_normal() x sqrt(0.5) are the bits of uniform()
+    # and normal(0, sqrt(0.5)), up to the sign of an exact zero
+    normals *= math.sqrt(0.5)
+    lo, hi = cfg.ds_size_min_bits, cfg.ds_size_max_bits
+    bits *= hi - lo
+    bits += lo       # lo + uniform * (hi - lo); a (T, K) block per DS link
+
+    def rates(link_first, k, power_w, band_hz):
+        # (n, T, K) device-to-UAV rates of the K-device links whose first
+        # devices are ``link_first``; the Rician mixing happens here, so
+        # the draws are shared across rician_k0 sweep values
+        real = 2 * t * link_first
+        fade = model.rician_fading_gain(cfg.rician_k0, _blocks(normals, real, (t, k)),
+                                        _blocks(normals, real + t * k, (t, k)))
+        gain = model.device_uav_gain(_blocks(dist, link_first, (1, k)), cfg.pathloss_coeff,
+                                     cfg.pathloss_exp, fade)
+        return model.device_uav_rate(power_w, gain, cfg.noise_w, band_hz, k)
+
+    # one block per device count K: a row reduces over its K devices
+    # exactly as that UAV's 1-D array would, which zero padding to the
+    # largest K would not (numpy's pairwise sum unrolls from 8 terms on)
+    sum_d, l_off, dt_rate_sum = out
+    n_sens = counts[:, :u].ravel()
+    ds_first = first[:, :u].ravel()
+    ds_bits_first = np.cumsum(n_sens) - n_sens
+    for k in np.flatnonzero(np.bincount(n_sens)).tolist():
+        idx = np.flatnonzero(n_sens == k)
+        rate = rates(ds_first[idx], k, cfg.device_power_sens_w,
+                     cfg.beta * cfg.uav_bandwidth_hz)
+        block = _blocks(bits, t * ds_bits_first[idx], (t, k))
+        sum_d[:, idx] = block.sum(axis=-1).T
+        with np.errstate(divide="ignore"):
+            upload = np.where(block > 0, block / np.maximum(rate, 1e-300), 0.0)
+        l_off[:, idx] = upload.max(axis=-1).T
+    n_tol = counts[:, u:].ravel()
+    dt_first = first[:, u:].ravel()
+    for k in np.flatnonzero(np.bincount(n_tol)).tolist():
+        idx = np.flatnonzero(n_tol == k)
+        rate = rates(dt_first[idx], k, cfg.device_power_tol_w,
+                     (1.0 - cfg.beta) * cfg.uav_bandwidth_hz)
+        dt_rate_sum[:, idx] = rate.sum(axis=-1).T
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -443,7 +443,7 @@ class HorizonResult:
     infeasible_slots: list            # slot indices that needed the fallback
     mean_ds_delay_s: float            # over every UAV and slot
     wall_seconds: float
-    records: SlotRecords
+    records: SlotRecords | None       # None for a run that kept none
     row: int | None                   # the cell's row of stacked records
 
     @property
@@ -481,7 +481,7 @@ class HorizonResult:
         return [record.row(self.row) for record in records]
 
 
-def run_horizons(cfgs: list, states: list, slot_solver) -> list:
+def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = True) -> list:
     """Thread storage through the slots of B cells that share num_uavs,
     num_slots, solver_mode and tol, solving slot t of all of them with one
     ``slot_solver`` call (callable (ctx, cfg) -> (SlotDecision, trace)) on
@@ -490,7 +490,9 @@ def run_horizons(cfgs: list, states: list, slot_solver) -> list:
     with one ``model.meter_slot`` call on the same context, and its CSV
     figures and fallback flags are reduced for all cells at once. Returns
     one HorizonResult per cell, all sharing the stacked slot records; the
-    group's wall time is shared equally."""
+    group's wall time is shared equally. Without ``keep_records`` the
+    results hold only their figures (``records`` is None), and the run
+    holds no per-slot record that grows with B x U x T."""
     from . import scenario
 
     t_start = time.perf_counter()
@@ -499,7 +501,8 @@ def run_horizons(cfgs: list, states: list, slot_solver) -> list:
     stack = scenario.ContextStack(cfgs, states) if cells > 1 and slots else None
     free = (np.full(cfg.num_uavs, cfg.storage_initial_free_bits, dtype=float)
             if stack is None else stack.initial_free)
-    records = SlotRecords()
+    records = SlotRecords() if keep_records else None
+    delays = []
     figures = np.empty((cells, slots, len(FIGURES)))
     fallback = np.zeros((cells, slots), dtype=bool)
     for t in range(slots):
@@ -513,13 +516,14 @@ def run_horizons(cfgs: list, states: list, slot_solver) -> list:
         figures[:, t] = np.stack([metrics.utility_bits, metrics.total_uplinked_bits,
                                   metrics.total_energy_j, metrics.mean_ds_delay_s], axis=-1)
         fallback[:, t] = getattr(trace, "fallback", False)
-        records.decisions.append(decision)
-        records.traces.append(trace)
-        records.metrics.append(metrics)
+        delays.append(metrics.ds_delay_s)
+        if keep_records:
+            records.decisions.append(decision)
+            records.traces.append(trace)
+            records.metrics.append(metrics)
     if slots:
         # (B, T, U) or (T, U), reduced in one call as each cell's (T, U) would be
-        delays = np.stack([m.ds_delay_s for m in records.metrics], axis=-2)
-        mean_delay = np.mean(delays, axis=(-2, -1)).reshape(cells)
+        mean_delay = np.mean(np.stack(delays, axis=-2), axis=(-2, -1)).reshape(cells)
     else:
         mean_delay = np.zeros(cells)
     wall = (time.perf_counter() - t_start) / cells

@@ -127,6 +127,20 @@ class TestStackedPath:
             else:
                 assert violations == {}
 
+    def test_stack_without_records_keeps_its_figures(self):
+        # the harness's stacks keep no per-slot records: its rows read
+        # only the figures, the fallback slots and the mean delay
+        cfgs = [ScenarioConfig(seed=seed, num_slots=3, **(TIGHT_BUFFER if seed % 2 else {}))
+                for seed in range(4)]
+        states = [generate_scenario(cfg, cfg.seed) for cfg in cfgs]
+        kept = run_horizons(cfgs, states, solve_slot_jcorm)
+        bare = run_horizons(cfgs, states, solve_slot_jcorm, keep_records=False)
+        for got, want in zip(bare, kept):
+            assert got.records is None
+            assert got.figures.tobytes() == want.figures.tobytes()
+            assert got.infeasible_slots == want.infeasible_slots
+            assert got.mean_ds_delay_s == want.mean_ds_delay_s
+
     def test_csv_path_splits_no_rows(self, monkeypatch):
         calls = {"split": 0, "context": 0}
 
@@ -153,14 +167,15 @@ class TestStackedPath:
         # the three algorithms of the sweep run on the same four scenarios
         arrays = ("n_sens", "n_tol", "sum_d", "l_off", "dt_dev_rate_sum")
         drawn = []
-        real = harness.generate_scenario
+        real = harness.generate_scenarios
 
-        def generate(cfg, seed):
-            state = real(cfg, seed)
-            drawn.append((state, [getattr(state, name).copy() for name in arrays]))
-            return state
+        def generate(cfg, seeds):
+            states = real(cfg, seeds)
+            drawn.extend((state, [getattr(state, name).copy() for name in arrays])
+                         for state in states)
+            return states
 
-        monkeypatch.setattr(harness, "generate_scenario", generate)
+        monkeypatch.setattr(harness, "generate_scenarios", generate)
         harness.run_sweep(ScenarioConfig(num_slots=3), "rician_k0", [5.0, 10.0], [0, 1],
                           algorithms=["jcorm", "atsm", "no-offload"])
         assert len(drawn) == 4
@@ -376,15 +391,15 @@ class TestGroupedSweep:
         sizes = []
         real = harness.run_horizons
 
-        def counting(cfgs, states, solver):
+        def counting(cfgs, states, solver, **kwargs):
             sizes.append(len(cfgs))
-            return real(cfgs, states, solver)
+            return real(cfgs, states, solver, **kwargs)
 
         monkeypatch.setattr(harness, "run_horizons", counting)
-        monkeypatch.setattr(harness, "STACK_UAVS", 20)
+        monkeypatch.setattr(harness, "PART_UAV_SLOTS", 36)
         base = ScenarioConfig(num_slots=2)
         result = harness.run_compare(base, ["no-offload"], range(7))
-        assert sizes == [3, 2, 2]   # at most 20 // 6 = 3 cells, in near-equal parts
+        assert sizes == [3, 2, 2]   # at most 36 // (6 x 2) = 3 cells, in near-equal parts
         serial = [row for s in range(7) for row in harness.result_rows(
             harness.run_experiment(base.copy(algo="no-offload", seed=s)))]
         assert [r for r in result.rows if r["kind"] != "mean" and r["kind"] != "std"] == serial
@@ -396,10 +411,11 @@ class TestSharedScenarios:
 
     @staticmethod
     def count_scenarios(monkeypatch):
+        # the seeds of every generated scenario, batch by batch
         seeds = []
-        real = harness.generate_scenario
-        monkeypatch.setattr(harness, "generate_scenario",
-                            lambda cfg, seed: seeds.append(seed) or real(cfg, seed))
+        real = harness.generate_scenarios
+        monkeypatch.setattr(harness, "generate_scenarios",
+                            lambda cfg, batch: seeds.extend(batch) or real(cfg, batch))
         return seeds
 
     @staticmethod
@@ -491,10 +507,10 @@ class TestSharedScenarios:
             return rows
 
         monkeypatch.setattr(harness, "_run_part", part)
-        monkeypatch.setattr(harness, "STACK_UAVS", 20)
+        monkeypatch.setattr(harness, "PART_UAV_SLOTS", 36)
         base = ScenarioConfig(num_slots=2)
         result = harness.run_compare(base, ["no-offload", "atsm"], range(7))
-        assert held == [3, 2, 2]    # at most 20 // 6 = 3 scenarios, in near-equal parts
+        assert held == [3, 2, 2]    # at most 36 // (6 x 2) = 3 scenarios, in near-equal parts
         assert sorted(seeds) == list(range(7))
         monkeypatch.undo()
         assert result.rows == self.per_cell_rows(
@@ -512,3 +528,66 @@ class TestSharedScenarios:
                           [2e9, 1.2e10], [0, 1], algorithms=["jcorm", "no-offload"])
         assert len(capacities) == 2 * 2 * 2     # algorithms x values x slots
         assert all(type(c) is float for c in capacities)
+
+
+class TestCuts:
+    """Rows and CSV bytes do not depend on how the cells are cut into parts,
+    how a part's scenarios are batched, or on the number of processes."""
+
+    BASE = ScenarioConfig(num_slots=2)
+    SEEDS = (0, 1, 2)
+    ALGOS = ("jcorm", "no-offload")
+    # num_uavs makes a fleet per value; the scenario reads rician_k0, so a
+    # part's scenarios split into one batch per value
+    SWEEPS = {"num_uavs": (1, 7, 96), "rician_k0": (0.0, 5.0, 60.0)}
+    per_cell = {}
+
+    @classmethod
+    def per_cell_rows(cls, axis):
+        if axis not in cls.per_cell:
+            cls.per_cell[axis] = TestSharedScenarios.per_cell_rows(
+                [(harness.apply_axis(cls.BASE, axis, v).copy(algo=a, seed=s), axis, v)
+                 for a in cls.ALGOS for v in cls.SWEEPS[axis] for s in cls.SEEDS])
+        return cls.per_cell[axis]
+
+    @pytest.mark.parametrize("axis", sorted(SWEEPS))
+    @pytest.mark.parametrize("part_uav_slots", [1, 40, 1 << 30],
+                             ids=["one-scenario-parts", "few-scenario-parts", "unbounded-parts"])
+    @pytest.mark.parametrize("batch_device_slots", [1, 1 << 30],
+                             ids=["seed-by-seed", "one-batch"])
+    def test_rows_do_not_depend_on_the_cut(self, tmp_path, monkeypatch, axis,
+                                           part_uav_slots, batch_device_slots):
+        want = self.per_cell_rows(axis)
+        monkeypatch.setattr(harness, "PART_UAV_SLOTS", part_uav_slots)
+        monkeypatch.setattr(scenario, "BATCH_DEVICE_SLOTS", batch_device_slots)
+        blobs = []
+        for workers in (1, 2):
+            result = harness.run_sweep(self.BASE, axis, self.SWEEPS[axis], self.SEEDS,
+                                       algorithms=self.ALGOS, workers=workers)
+            assert result.rows == want
+            path = tmp_path / f"{workers}.csv"
+            harness.write_csv(result.rows, str(path))
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_sweep_over_an_unread_field_uses_every_worker(self, tmp_path, monkeypatch):
+        # omega leaves one scenario for the one seed, so its cells are cut
+        # into parts by cell
+        pools = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        blobs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["sweep", "--axis", "omega", "--values", "0.1,1,10", "--seeds", "0",
+                         "--algos", "jcorm,no-offload", "--workers", workers,
+                         "--out", str(out), "--format", "csv"]) == 0
+            blobs.append((out / "omega.csv").read_bytes())
+        assert pools == [2]
+        assert blobs[0] == blobs[1]

@@ -530,9 +530,9 @@ class TestCli:
     ], ids=["compare-negative-seed", "sweep-oversized-fleet"])
     def test_no_cell_runs_when_one_is_invalid(self, tmp_path, capsys, monkeypatch, args):
         runs = []
-        real = harness.generate_scenario
-        monkeypatch.setattr(harness, "generate_scenario",
-                            lambda cfg, seed: runs.append(seed) or real(cfg, seed))
+        real = harness.generate_scenarios
+        monkeypatch.setattr(harness, "generate_scenarios",
+                            lambda cfg, seeds: runs.extend(seeds) or real(cfg, seeds))
         assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
         assert runs == []
         capsys.readouterr()

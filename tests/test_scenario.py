@@ -8,10 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jcorm import model
+from jcorm import model, scenario
 from jcorm.config import LIGHT_SPEED, ScenarioConfig
-from jcorm.scenario import build_slot_context, generate_scenario
+from jcorm.scenario import build_slot_context, generate_scenario, generate_scenarios
 
 
 def reference_draws(cfg, seed):
@@ -29,10 +31,9 @@ def reference_draws(cfg, seed):
     tol_dist = [disc_distances(int(n)) for n in n_tol]
 
     def fading(count):
-        scatter = np.empty((t, count), dtype=complex)
-        scatter.real = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
-        scatter.imag = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
-        return model.rician_fading_gain(cfg.rician_k0, scatter)
+        real = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
+        imag = rng.normal(0.0, math.sqrt(0.5), size=(t, count))
+        return model.rician_fading_gain(cfg.rician_k0, real, imag)
 
     sens_fade = [fading(int(n)) for n in n_sens]
     tol_fade = [fading(int(n)) for n in n_tol]
@@ -118,6 +119,43 @@ class TestMatchesPerUavReference:
                 assert_identical(getattr(state, name), ref[name], name)
             free = np.linspace(0.0, cfg.storage_capacity_bits, cfg.num_uavs)
             for slot in range(cfg.num_slots):
+                ctx = build_slot_context(cfg, state, slot, free)
+                expected = reference_context(cfg, ref, slot, free)
+                for f in dataclasses.fields(model.SlotContext):
+                    assert_identical(getattr(ctx, f.name), getattr(expected, f.name),
+                                     f"seed {seed} slot {slot} {f.name}")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(u=st.integers(1, 20), t=st.sampled_from([0, 1, 3]),
+           k_sens=st.sampled_from([(1, 5), (3, 3)]), k_tol=st.sampled_from([(5, 10), (9, 9)]),
+           rician_k0=st.sampled_from([0.0, 1e6]), beta=st.sampled_from([0.0, 0.5, 1.0]),
+           ds_bits=st.sampled_from([(0.0, 0.0), (1e6, 5e6)]),
+           seeds=st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=4, unique=True),
+           batch_device_slots=st.sampled_from([1, 40, 1 << 30]))
+    def test_every_seed_of_a_batch(self, u, t, k_sens, k_tol, rician_k0, beta, ds_bits,
+                                   seeds, batch_device_slots):
+        # the batch is drawn in chunks of at most batch_device_slots
+        cfg = ScenarioConfig(num_uavs=u, num_slots=t, k_sens_min=k_sens[0],
+                             k_sens_max=k_sens[1], k_tol_min=k_tol[0], k_tol_max=k_tol[1],
+                             rician_k0=rician_k0, beta=beta, ds_size_min_bits=ds_bits[0],
+                             ds_size_max_bits=ds_bits[1])
+        real = scenario.BATCH_DEVICE_SLOTS
+        scenario.BATCH_DEVICE_SLOTS = batch_device_slots
+        try:
+            states = generate_scenarios(cfg, seeds)
+        finally:
+            scenario.BATCH_DEVICE_SLOTS = real
+        assert len(states) == len(seeds)
+        free = np.linspace(0.0, cfg.storage_capacity_bits, u)
+        for seed, state in zip(seeds, states):
+            ref = reference_draws(cfg, seed)
+            for name, value in vars(state).items():
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable, name
+            for name in ("n_sens", "n_tol", "sat_distance_m", "sat_gain"):
+                assert_identical(getattr(state, name), ref[name], name)
+            assert state.sum_d.shape == state.l_off.shape == state.dt_dev_rate_sum.shape == (t, u)
+            for slot in range(t):
                 ctx = build_slot_context(cfg, state, slot, free)
                 expected = reference_context(cfg, ref, slot, free)
                 for f in dataclasses.fields(model.SlotContext):
