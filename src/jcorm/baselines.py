@@ -17,8 +17,8 @@ import numpy as np
 from . import model
 from .config import ScenarioConfig
 from .model import SlotContext, SlotDecision
-from .solver import (FIGURES, HorizonResult, SlotRecords, SlotSolveTrace, run_horizon,
-                     solve_slot_rotation, solve_sp3_start_time)
+from .solver import (FIGURES, HorizonResult, SlotRecords, SlotSolveTrace, SlotSteps, Solved,
+                     rotate, run_horizon, settle_rotation, solve_sp3_start_time)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,18 @@ def solve_slot_atsm(ctx: SlotContext, cfg: ScenarioConfig):
     finish by slot/2 is flagged, and the decision degrades to no-offload
     with the start kept at slot/2 (the delay violation stays visible in the
     metrics)."""
-    return solve_slot_rotation(ctx, cfg, pinned_start=ctx.slot_seconds / 2.0)
+    return _settle_atsm(ctx, cfg, _rotate_atsm(ctx, cfg))
+
+
+def _rotate_atsm(ctx: SlotContext, cfg: ScenarioConfig):
+    return rotate(ctx, cfg, pinned_start=ctx.slot_seconds / 2.0)
+
+
+def _settle_atsm(ctx: SlotContext, cfg: ScenarioConfig, solved):
+    return settle_rotation(ctx, cfg, solved, keep_start=True)
+
+
+solve_slot_atsm.steps = SlotSteps(_rotate_atsm, _settle_atsm)
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +229,27 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
 def solve_slot_no_offload(ctx: SlotContext, cfg: ScenarioConfig):
     """Everything computed on board: zero power, zero compute share, zero
     ratio; the forwarding start solves the start-time block against the
-    on-board completion bound. Returns (SlotDecision, SlotSolveTrace)."""
+    on-board completion bound. A slot whose start interval is empty, or
+    whose decision fails check_feasible, is flagged. Returns
+    (SlotDecision, SlotSolveTrace)."""
+    return _settle_no_offload(ctx, cfg, _solve_no_offload(ctx, cfg))
+
+
+def _solve_no_offload(ctx: SlotContext, cfg: ScenarioConfig) -> Solved:
     zeros = np.zeros(ctx.sum_d.shape)
     dt, empty = solve_sp3_start_time(ctx, zeros, zeros, zeros)
     decision = SlotDecision(zeros, zeros.copy(), dt, zeros.copy())
     rows = ctx.sum_d.shape[:-1]
-    report = model.check_feasible(ctx, decision)
-    fallback = np.any(empty, axis=-1) | np.logical_not(report.ok)
-    trace = SlotSolveTrace.of([model.slot_objective_mbit(ctx, decision)], report, fallback,
-                              iterations=np.ones(rows, dtype=int),
-                              converged=np.ones(rows, dtype=bool),
-                              sp3_empty=np.sum(empty, axis=-1))
-    return decision, trace
+    return Solved(decision, np.array([model.slot_objective_mbit(ctx, decision)]),
+                  dict(iterations=np.ones(rows, dtype=int), converged=np.ones(rows, dtype=bool),
+                       sp3_empty=np.sum(empty, axis=-1)))
+
+
+def _settle_no_offload(ctx: SlotContext, cfg: ScenarioConfig, solved: Solved):
+    report = model.check_feasible(ctx, solved.decision)
+    fallback = (solved.counts["sp3_empty"] > 0) | np.logical_not(report.ok)
+    trace = SlotSolveTrace.of(list(solved.objective), report, fallback, **solved.counts)
+    return solved.decision, trace
+
+
+solve_slot_no_offload.steps = SlotSteps(_solve_no_offload, _settle_no_offload)

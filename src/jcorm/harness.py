@@ -187,12 +187,46 @@ def aggregate_rows(rows: list) -> list:
     return out
 
 
+# the ``_fmt`` of a value of each exact type, as the replacement field of
+# the value at a given position of a line
+_CELL_FORMATS = {type(None): "", str: "{{{0}}}", int: "{{{0}}}", float: "{{{0}:.9g}}"}
+
+
+def _line_format(types: tuple):
+    """The format string of a CSV line whose values have these exact
+    types, or None where one has another type."""
+    if not set(types) <= _CELL_FORMATS.keys():
+        return None
+    return ",".join(_CELL_FORMATS[t].format(i) for i, t in enumerate(types)) + "\n"
+
+
 def write_csv(rows: list, path: str) -> None:
+    """Write the rows in CSV_COLUMNS order, each value as ``_fmt`` gives it.
+    A row is one format call, by a format string chosen by its values'
+    types. A row with a value of another type, or with a string that CSV
+    must quote (a delimiter, quote or line break makes its line hold more
+    commas or line breaks than the columns, or a quote), goes through
+    ``csv.writer`` value by value instead."""
+    formats: dict = {}
+    commas = len(CSV_COLUMNS) - 1
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
+            # not tuple(map(...)): such a tuple is resized as it fills, and
+            # CPython's free lists kept one per row written
+            values = [row.get(col) for col in CSV_COLUMNS]
+            types = tuple([type(value) for value in values])
+            if types not in formats:
+                formats[types] = _line_format(types)
+            line = formats[types]
+            if line is not None:
+                line = line.format(*values)
+                if (line.count(",") == commas and line.count("\n") == 1
+                        and '"' not in line and "\r" not in line):
+                    fh.write(line)
+                    continue
+            writer.writerow([_fmt(value) for value in values])
 
 
 def read_csv(path: str) -> list:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -170,6 +171,80 @@ class SlotContext:
         return uav_leo_rate(power_w, self.sat_gain, self.noise_w,
                             self.leo_bandwidth_hz, self.num_uavs)
 
+    @cached_property
+    def storage_bounds(self):
+        """(floor, ceiling) per UAV: the range the buffer leaves the DT
+        forwarding start. The floor is the earliest start whose uplink the
+        stored backlog plus this slot's collection can fill (0 where that
+        never binds); the ceiling is the latest start whose collection
+        still fits the free space (the slot end where that never binds).
+        These are the only reads of ``storage_free`` a slot solve makes.
+        Computed on first read; ``solver.run_horizons`` sets them on a
+        context whose rows it solves ahead of their buffer state."""
+        used = self.storage_capacity - self.storage_free
+        denom = self.r_tol_leo + self.dt_dev_rate_sum
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            backlog_lo = np.where(denom > 0.0,
+                                  (self.r_tol_leo * self.slot_seconds - used)
+                                  / np.maximum(denom, 1e-300),
+                                  -np.inf)
+            storage_hi = np.where(self.dt_dev_rate_sum > 0.0,
+                                  self.storage_free / np.maximum(self.dt_dev_rate_sum, 1e-300),
+                                  np.inf)
+        return np.maximum(0.0, backlog_lo), np.minimum(self.slot_seconds, storage_hi)
+
+    # constants of the slot that the block solves read on every pass,
+    # computed on first read
+
+    @cached_property
+    def loaded(self):
+        """UAVs with a positive DS load."""
+        return self.sum_d > 0.0
+
+    @cached_property
+    def sum_d_mbit(self):
+        """The DS load in Mbit."""
+        return self.sum_d / 1e6
+
+    @cached_property
+    def loaded_mbit(self):
+        """UAVs whose DS load is positive in Mbit (not only in bits)."""
+        return self.sum_d_mbit > 0.0
+
+    @cached_property
+    def sat_gain_per_noise(self):
+        """The UAV->LEO power gain over the noise power, 1/W."""
+        return self.sat_gain / self.noise_w
+
+    @cached_property
+    def load_seconds_floor(self):
+        """On-board seconds of the whole DS load, floored at 1e-300 s."""
+        return np.maximum(self.cycles_per_bit * self.sum_d / self.uav_cpu_hz, 1e-300)
+
+    @cached_property
+    def cycle_cap(self):
+        """Switched capacitance per bit: cycles_per_bit * switch_cap."""
+        return self.cycles_per_bit * self.switch_cap
+
+    @cached_property
+    def cpu_squared(self):
+        """The on-board clock squared, rounded like the scalar ``x ** 2``
+        (libm pow) for a float and for a stacked column alike; numpy
+        squares an array as x * x, which differs from pow in the last bit
+        now and then."""
+        return np.float_power(self.uav_cpu_hz, 2)
+
+    @cached_property
+    def waiting_pays(self):
+        """Where a later DT forwarding start raises the objective: the
+        energy price of forwarding is at least the forwarding rate."""
+        return self.omega * self.dt_uplink_power_w - self.r_tol_leo >= 0.0
+
+    @cached_property
+    def l_off_prop(self):
+        """The slowest upload plus the one-way propagation delay, s."""
+        return self.l_off + self.l_prop
+
 
 @dataclass
 class SlotDecision:
@@ -200,13 +275,6 @@ def remote_compute_time(ctx: SlotContext, f_leo, gamma):
     with np.errstate(divide="ignore", over="ignore"):
         return np.where(f_leo > 0.0, ctx.cycles_per_bit * gamma * ctx.sum_d
                         / np.maximum(f_leo, 1e-300), np.inf)
-
-
-def cpu_squared(ctx: SlotContext):
-    """The on-board clock squared, rounded like the scalar ``x ** 2`` (libm
-    pow) for a float and for a stacked column alike; numpy squares an
-    array as x * x, which differs from pow in the last bit now and then."""
-    return np.float_power(ctx.uav_cpu_hz, 2)
 
 
 class _Part:
@@ -291,7 +359,7 @@ class Evaluation:
     @_Part("gamma")
     def active(self):
         """Offloading: a positive ratio of a positive DS load."""
-        return (self.gamma > 0.0) & (self.ctx.sum_d > 0.0)
+        return (self.gamma > 0.0) & self.ctx.loaded
 
     @_Part("power")
     def rate(self):
@@ -369,13 +437,12 @@ class Evaluation:
     @_Part()
     def cycle_energy(self):
         """Switching energy of the whole DS load per squared clock."""
-        ctx = self.ctx
-        return ctx.cycles_per_bit * ctx.switch_cap * ctx.sum_d
+        return self.ctx.cycle_cap * self.ctx.sum_d
 
     @_Part("gamma")
     def e_uav(self):
         """On-board compute energy."""
-        return self.cycle_energy * (1.0 - self.gamma) * cpu_squared(self.ctx)
+        return self.cycle_energy * (1.0 - self.gamma) * self.ctx.cpu_squared
 
     @_Part("f_leo", "gamma")
     def e_leo(self):

@@ -23,12 +23,12 @@ those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import model
-from .config import LIGHT_SPEED, ScenarioConfig
+from .config import LIGHT_SPEED, ConfigError, ScenarioConfig
 
 
 @dataclass
@@ -164,11 +164,17 @@ def _draw_links(cfg: ScenarioConfig, rngs: list, counts: np.ndarray,
     n_sens = counts[:, :u].ravel()
     ds_first = first[:, :u].ravel()
     ds_bits_first = np.cumsum(n_sens) - n_sens
+    ds_band = cfg.beta * cfg.uav_bandwidth_hz
     for k in np.flatnonzero(np.bincount(n_sens)).tolist():
         idx = np.flatnonzero(n_sens == k)
-        rate = rates(ds_first[idx], k, cfg.device_power_sens_w,
-                     cfg.beta * cfg.uav_bandwidth_hz)
+        rate = rates(ds_first[idx], k, cfg.device_power_sens_w, ds_band)
         block = _blocks(bits, t * ds_bits_first[idx], (t, k))
+        if ds_band > 0.0 and np.any((block > 0) & (rate <= 0.0)):
+            # a device with spectrum whose rate underflows would never
+            # finish its upload, and the delays would overflow
+            raise ConfigError("a DS device's rate to its UAV underflows to 0 under a DS "
+                              "load; raise device_power_sens_w or pathloss_coeff, or "
+                              "lower pathloss_exp")
         sum_d[:, idx] = block.sum(axis=-1).T
         with np.errstate(divide="ignore"):
             upload = np.where(block > 0, block / np.maximum(rate, 1e-300), 0.0)
@@ -247,3 +253,13 @@ class ContextStack:
         which it takes as a read-only view."""
         return replace(self.base, storage_free=_read_only(storage_free.view()),
                        **{name: table[t] for name, table in self.tables.items()})
+
+    def rows(self, slots: np.ndarray, cells: np.ndarray) -> model.SlotContext:
+        """One stacked context of the rows (slots[i], cells[i]), without a
+        buffer state: its ``storage_free`` is NaN, so a solve on it must
+        be given its ``storage_bounds``."""
+        picked = {f.name: value[cells] for f in fields(self.base)
+                  if isinstance(value := getattr(self.base, f.name), np.ndarray)}
+        picked.update({name: table[slots, cells] for name, table in self.tables.items()})
+        picked["storage_free"] = np.full(picked["sum_d"].shape, np.nan)
+        return replace(self.base, **picked)

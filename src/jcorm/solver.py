@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,18 +58,17 @@ def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
     gamma = np.asarray(gamma, dtype=float)
     if ev is None:
         ev = model.Evaluation(ctx, None, f_leo, None, gamma)
-    d_mbit = ctx.sum_d / 1e6
-    live = (gamma > 0.0) & (d_mbit > 0.0)
+    live = (gamma > 0.0) & ctx.loaded_mbit
     # no compute share makes the remote compute time, and so -slack, infinite
     slack = delta_tol - ctx.l_off - ev.remote - 2.0 * ctx.l_prop
     has_slack = slack > 0.0
     b_n = ctx.leo_bandwidth_hz / 1e6 / ctx.num_uavs   # per-UAV band share, MHz
-    exponent = gamma * d_mbit / (np.where(has_slack, slack, 1.0) * b_n)
+    exponent = gamma * ctx.sum_d_mbit / (np.where(has_slack, slack, 1.0) * b_n)
     # float_power rounds like the scalar libm pow (np.power's SIMD kernel can
     # differ in the last bit). A tiny band share overflows to inf, which the
     # pmax test below flags.
     with np.errstate(over="ignore"):
-        p_req = (np.float_power(2.0, exponent) - 1.0) / (ctx.sat_gain / ctx.noise_w)
+        p_req = (np.float_power(2.0, exponent) - 1.0) / ctx.sat_gain_per_noise
     infeasible = live & (~has_slack | (p_req > ctx.pmax_w * (1.0 + 1e-9)))
     power = np.where(live & ~infeasible, np.minimum(p_req, ctx.pmax_w), 0.0)
     return power, infeasible
@@ -128,7 +128,8 @@ def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     is vacuous and averaging against it would undercut the real deadline.
     At gamma = 0 both modes therefore give the on-board bound. ``ev``, an
     evaluation of a decision with this power, compute share and ratio,
-    lends its deadline bounds.
+    lends its deadline bounds. The buffer's part of the interval is
+    ``ctx.storage_bounds``.
     """
     if ev is None:
         ev = model.Evaluation(ctx, power, f_leo, None, gamma)
@@ -137,21 +138,11 @@ def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     else:
         local = ev.local
         sat_ct = np.where(ev.active, ev.sat - ctx.l_off - 2.0 * ctx.l_prop, 0.0)
-        relaxed = ctx.l_off + ctx.l_prop + 0.5 * ((local - ctx.l_off) + sat_ct)
+        relaxed = ctx.l_off_prop + 0.5 * ((local - ctx.l_off) + sat_ct)
         lo_deadline = np.where(ev.active, relaxed, local)
 
-    used = ctx.storage_capacity - ctx.storage_free
-    denom = ctx.r_tol_leo + ctx.dt_dev_rate_sum
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        backlog_lo = np.where(denom > 0.0,
-                              (ctx.r_tol_leo * ctx.slot_seconds - used) / np.maximum(denom, 1e-300),
-                              -np.inf)
-        storage_hi = np.where(ctx.dt_dev_rate_sum > 0.0,
-                              ctx.storage_free / np.maximum(ctx.dt_dev_rate_sum, 1e-300),
-                              np.inf)
-    lo = np.maximum(np.maximum(0.0, backlog_lo), lo_deadline)
-    hi = np.minimum(ctx.slot_seconds, storage_hi)
-    return lo, hi
+    floor, ceiling = ctx.storage_bounds
+    return np.maximum(floor, lo_deadline), ceiling
 
 
 def solve_sp3_start_time(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
@@ -173,8 +164,7 @@ def _start_in(ctx: SlotContext, lo: np.ndarray, hi: np.ndarray):
     """The better end of the start-time interval [lo, hi] (see
     solve_sp3_start_time); an empty interval gets the slot end."""
     empty = lo > hi + 1e-12
-    gain_from_waiting = ctx.omega * ctx.dt_uplink_power_w - ctx.r_tol_leo
-    delta = np.where(gain_from_waiting >= 0.0, hi, lo)
+    delta = np.where(ctx.waiting_pays, hi, lo)
     delta = np.clip(delta, 0.0, ctx.slot_seconds)
     delta = np.where(empty, ctx.slot_seconds, delta)
     return delta, empty
@@ -193,12 +183,11 @@ def solve_sp4_ratio(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     an evaluation of a decision with this power, lends its rate."""
     power = np.asarray(power, dtype=float)
     f_leo = np.asarray(f_leo, dtype=float)
-    active = ctx.sum_d > 0.0
+    active = ctx.loaded
     rate = ctx.ds_rate(power) if ev is None else ev.rate
     usable = active & (rate > 0.0) & (f_leo > 0.0)
-    load_cycles_time = ctx.cycles_per_bit * ctx.sum_d / ctx.uav_cpu_hz
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_min = 1.0 + np.where(active, (ctx.l_off - delta_tol) / np.maximum(load_cycles_time, 1e-300), 0.0)
+        g_min = 1.0 + np.where(active, (ctx.l_off - delta_tol) / ctx.load_seconds_floor, 0.0)
         g_min = np.clip(g_min, 0.0, 1.0)
         # the slack over the time to offload the whole load
         g_max = np.where(usable, (delta_tol - 2.0 * ctx.l_prop - ctx.l_off)
@@ -217,7 +206,7 @@ def solve_sp4_ratio(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     # compute and transmit energy spent
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(usable & ~empty,
-                         ctx.cycles_per_bit * ctx.switch_cap * (model.cpu_squared(ctx) - f_leo ** 2)
+                         ctx.cycle_cap * (ctx.cpu_squared - f_leo ** 2)
                          - power / rate, 0.0)
     choice = np.where(slope > 0.0, g_max, g_min)
     gamma = np.where(active, np.where(empty, g_min, choice), 0.0)
@@ -279,16 +268,77 @@ class SlotSolveTrace:
                               **{k: v[b] if isinstance(v, list) else v for k, v in per_row.items()})
 
 
+@dataclass
+class Solved:
+    """What a slot solver's solve step decided on each row of the context
+    it ran on, before its settle step checks the decision on the slot's
+    own context: the decision, the objective after each pass ((passes,),
+    or (passes, rows) stacked), the per-row counts of its SlotSolveTrace,
+    and the seconds in each block of the call (None where the solver does
+    not time its blocks, and on rows taken from a call)."""
+
+    decision: SlotDecision
+    objective: np.ndarray
+    counts: dict
+    seconds: dict | None = None
+
+    def take(self, rows) -> "Solved":
+        """The given rows (indices, a slice or a mask) of a stacked solve,
+        without block seconds."""
+        return Solved(SlotDecision(*(a[rows] for a in vars(self.decision).values())),
+                      self.objective[:, rows],
+                      {name: value[rows] for name, value in self.counts.items()})
+
+    @classmethod
+    def join(cls, parts: list) -> "Solved":
+        """One stacked solve of the rows of each (row indices, Solved) part,
+        in row order, as one solve of those rows would leave it. A row
+        that has settled repeats its objective in every later pass of its
+        call, so each part's objective is cut, or padded with its last
+        pass, to the most passes a joined row took. Joined parts keep no
+        block seconds."""
+        solves = [solved for _, solved in parts]
+        if len(solves) == 1 and solves[0].counts["iterations"].max() == len(solves[0].objective):
+            return solves[0]      # one call's rows, in order, and its passes
+        order = np.argsort(np.concatenate([rows for rows, _ in parts]), kind="stable")
+
+        def joined(arrays):
+            return np.concatenate(arrays, axis=-1)[..., order]
+
+        counts = {name: joined([s.counts[name] for s in solves]) for name in solves[0].counts}
+        passes = int(counts["iterations"].max())
+        objective = joined([np.concatenate([s.objective[:passes]]
+                                           + [s.objective[-1:]] * (passes - len(s.objective)))
+                            for s in solves])
+        decision = SlotDecision(*(np.concatenate(arrays)[order] for arrays in
+                                  zip(*(vars(s.decision).values() for s in solves))))
+        return cls(decision, objective, counts)
+
+
+class SlotSteps(NamedTuple):
+    """A slot solver in two steps, which ``run_horizons`` runs apart on a
+    stack. ``solve(ctx, cfg) -> Solved`` decides every row of ``ctx`` and
+    reads the buffer state only through ``ctx.storage_bounds``;
+    ``settle(ctx, cfg, solved) -> (SlotDecision, SlotSolveTrace)`` checks
+    the decision on the slot's own context and falls back where it fails.
+    The solver itself settles what it solves on one context."""
+
+    solve: Callable
+    settle: Callable
+
+
 def _held(keep, held):
     """A guard's keep mask, also keeping the incumbent on the ``held`` rows
     (None: no row is held)."""
     return keep if held is None else keep | held
 
 
-def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None):
-    """Block rotation (power, compute share, forwarding start, offload ratio)
-    until the slot objective settles. With ``pinned_start`` every UAV starts
-    forwarding at that time and the start-time block is skipped.
+def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None) -> Solved:
+    """Block rotation (power, compute share, forwarding start, offload
+    ratio) until the slot objective settles: the solve step of the jcorm
+    and ATSM solvers. With ``pinned_start`` every UAV starts forwarding at
+    that time and the start-time block is skipped. The buffer state enters
+    only the start-time block, through ``ctx.storage_bounds``.
 
     ``ev`` is the ``model.Evaluation`` of the incumbent decision. Each block
     reads what it needs of it, evaluates its candidate by recomputing only
@@ -297,10 +347,7 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
     strictly better than the candidate. The merge is exact because every
     part is elementwise per UAV. On a stacked context every row rotates on
     its own: a row that has settled keeps its incumbent through every guard
-    while the others go on, so each row ends as its 1-D solve would. A
-    decision that fails check_feasible, evaluated afresh, is replaced by
-    fallback_decision, keeping the pinned start if there is one. Returns
-    (SlotDecision, SlotSolveTrace)."""
+    while the others go on, so each row ends as its 1-D solve would."""
     tol = cfg.tol
     mode = cfg.solver_mode
     shape = ctx.sum_d.shape
@@ -329,8 +376,9 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
         t0 = time.perf_counter()
         p_cand, p_bad = solve_sp1_power(ctx, ev.f_leo, ev.delta_tol, ev.gamma, ev)
         counts["sp1_infeasible"] += p_bad.sum(axis=-1) * live
-        cand = ev.replace(power=p_cand)
+        # the incumbent's need, read first, is inherited by the candidate
         inc_ok = (ev.need <= ev.delta_tol + 1e-9) & (ev.power <= ctx.pmax_w + 1e-12)
+        cand = ev.replace(power=p_cand)
         # keep the incumbent where it wins the guard or where SP1 gave up
         ev = ev.merged(_held((inc_ok & (ev.terms > cand.terms)) | p_bad, held), cand)
         seconds["sp1"] += time.perf_counter() - t0
@@ -339,8 +387,8 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
         f_cand, f_bad, scaled = solve_sp2_compute(ctx, ev.power, ev.delta_tol, ev.gamma, ev)
         counts["sp2_infeasible"] += f_bad.sum(axis=-1) * live
         counts["budget_scaled"] += scaled & live
-        cand = ev.replace(f_leo=f_cand)
         inc_ok = (ev.need <= ev.delta_tol + 1e-9) & (ev.f_leo <= ctx.leo_cpu_hz + 1e-6)
+        cand = ev.replace(f_leo=f_cand)
         ev = ev.merged(_held(inc_ok & (ev.terms > cand.terms), held), cand)
         # where mixing broke a row's pool budget, the candidate honors it
         broke = ev.f_leo.sum(axis=-1, keepdims=True) > ctx.leo_cpu_hz * (1.0 + 1e-9)
@@ -363,8 +411,8 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
         t0 = time.perf_counter()
         gm_cand, gm_empty = solve_sp4_ratio(ctx, ev.power, ev.f_leo, ev.delta_tol, ev)
         counts["sp4_empty"] += gm_empty.sum(axis=-1) * live
-        cand = ev.replace(gamma=gm_cand)
         inc_ok = ev.need <= ev.delta_tol + 1e-9
+        cand = ev.replace(gamma=gm_cand)
         ev = ev.merged(_held(inc_ok & (ev.terms > cand.terms), held), cand)
         seconds["sp4"] += time.perf_counter() - t0
 
@@ -380,26 +428,39 @@ def solve_slot_rotation(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None
                 break
         prev_obj = obj
 
-    dt = ev.delta_tol
-    decision = SlotDecision(ev.power, ev.f_leo, dt, ev.gamma)
+    counts.update(iterations=iterations, converged=converged, monotone_ok=monotone_ok)
+    return Solved(SlotDecision(ev.power, ev.f_leo, ev.delta_tol, ev.gamma),
+                  np.array(objective), counts, seconds)
+
+
+def settle_rotation(ctx: SlotContext, cfg: ScenarioConfig, solved: Solved,
+                    keep_start: bool = False):
+    """The rotation's decision where it passes check_feasible on ``ctx``,
+    evaluated afresh, and fallback_decision elsewhere, with the rotation's
+    start kept where ``keep_start`` (the delay violation stays visible in
+    the metrics). Returns (SlotDecision, SlotSolveTrace)."""
+    decision = solved.decision
     report = model.check_feasible(ctx, decision)
     fallback = np.logical_not(report.ok)
     if np.any(fallback):
         safe = fallback_decision(ctx)
-        if pinned_start is not None:
-            safe.delta_tol = dt  # the delay violation stays visible in the metrics
+        if keep_start:
+            safe.delta_tol = decision.delta_tol
         bad = fallback[..., None]
         decision = SlotDecision(*(np.where(bad, a, b) for a, b in
                                   zip(vars(safe).values(), vars(decision).values())))
-    trace = SlotSolveTrace.of(objective, report, fallback, seconds, iterations=iterations,
-                              converged=converged, monotone_ok=monotone_ok, **counts)
+    trace = SlotSolveTrace.of(list(solved.objective), report, fallback, solved.seconds,
+                              **solved.counts)
     return decision, trace
 
 
 def solve_slot_jcorm(ctx: SlotContext, cfg: ScenarioConfig):
     """Joint per-slot optimization: the block rotation over all four
-    decisions. Returns (SlotDecision, SlotSolveTrace)."""
-    return solve_slot_rotation(ctx, cfg)
+    decisions, settled on ``ctx``. Returns (SlotDecision, SlotSolveTrace)."""
+    return settle_rotation(ctx, cfg, rotate(ctx, cfg))
+
+
+solve_slot_jcorm.steps = SlotSteps(rotate, settle_rotation)
 
 
 def fallback_decision(ctx: SlotContext) -> SlotDecision:
@@ -481,38 +542,42 @@ class HorizonResult:
         return [record.row(self.row) for record in records]
 
 
+# most UAV-rows (rows x U) a stack's solve call holds when it takes later
+# slots' rows along: a pass costs about the same from 120 to 1,200
+# UAV-rows and grows with the rows beyond that (the README gives the curve)
+AHEAD_UAV_ROWS = 1 << 11
+
+
 def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = True) -> list:
     """Thread storage through the slots of B cells that share num_uavs,
-    num_slots, solver_mode and tol, solving slot t of all of them with one
-    ``slot_solver`` call (callable (ctx, cfg) -> (SlotDecision, trace)) on
-    their stacked context (``scenario.ContextStack``); a single cell gets
-    its 1-D context from ``scenario.build_slot_context``. Slot t is metered
-    with one ``model.meter_slot`` call on the same context, and its CSV
-    figures and fallback flags are reduced for all cells at once. Returns
-    one HorizonResult per cell, all sharing the stacked slot records; the
-    group's wall time is shared equally. Without ``keep_records`` the
-    results hold only their figures (``records`` is None), and the run
-    holds no per-slot record that grows with B x U x T."""
+    num_slots, solver_mode and tol, and meter slot t of all of them with
+    one ``model.meter_slot`` call on their stacked context
+    (``scenario.ContextStack``); a single cell runs on its 1-D contexts
+    from ``scenario.build_slot_context``, one ``slot_solver`` call
+    (callable (ctx, cfg) -> (SlotDecision, trace)) per slot. A stack whose
+    solver comes in ``SlotSteps`` (its ``steps``) and whose solve call can
+    hold two of its slots within ``AHEAD_UAV_ROWS`` is solved ahead of its
+    buffer chain (see ``_solve_ahead``); any other solves slot t of all
+    cells with one call. Each slot's CSV figures and fallback flags are
+    reduced for all cells at once. Returns one HorizonResult per cell, all
+    sharing the stacked slot records; the group's wall time is shared
+    equally. Without ``keep_records`` the results hold only their figures
+    (``records`` is None), and the run holds no per-slot record that grows
+    with B x U x T."""
     from . import scenario
 
     t_start = time.perf_counter()
     cfg = cfgs[0]
     cells, slots = len(cfgs), cfg.num_slots
     stack = scenario.ContextStack(cfgs, states) if cells > 1 and slots else None
-    free = (np.full(cfg.num_uavs, cfg.storage_initial_free_bits, dtype=float)
-            if stack is None else stack.initial_free)
     records = SlotRecords() if keep_records else None
     delays = []
     figures = np.empty((cells, slots, len(FIGURES)))
     fallback = np.zeros((cells, slots), dtype=bool)
-    for t in range(slots):
-        if stack is None:
-            ctx = scenario.build_slot_context(cfg, states[0], t, free)
-        else:
-            ctx = stack.slot(t, free)
-        decision, trace = slot_solver(ctx, cfg)
+
+    def meter(t, ctx, decision, trace):
+        # slot t's figures and records; returns the next buffer state
         metrics = model.meter_slot(ctx, decision)
-        free = metrics.next_free
         figures[:, t] = np.stack([metrics.utility_bits, metrics.total_uplinked_bits,
                                   metrics.total_energy_j, metrics.mean_ds_delay_s], axis=-1)
         fallback[:, t] = getattr(trace, "fallback", False)
@@ -521,6 +586,22 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
             records.decisions.append(decision)
             records.traces.append(trace)
             records.metrics.append(metrics)
+        return metrics.next_free
+
+    steps = getattr(slot_solver, "steps", None)
+    # a call that cannot hold two slots' rows would take a part of one
+    # slot along at most, which saves less than the driver's checks cost
+    if stack is not None and steps is not None and 2 * cells * cfg.num_uavs <= AHEAD_UAV_ROWS:
+        _solve_ahead(stack, cfg, steps, meter)
+    else:
+        free = (np.full(cfg.num_uavs, cfg.storage_initial_free_bits, dtype=float)
+                if stack is None else stack.initial_free)
+        for t in range(slots):
+            if stack is None:
+                ctx = scenario.build_slot_context(cfg, states[0], t, free)
+            else:
+                ctx = stack.slot(t, free)
+            free = meter(t, ctx, *slot_solver(ctx, cfg))
     if slots:
         # (B, T, U) or (T, U), reduced in one call as each cell's (T, U) would be
         mean_delay = np.mean(np.stack(delays, axis=-2), axis=(-2, -1)).reshape(cells)
@@ -530,6 +611,83 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
     return [HorizonResult(figures[b], np.flatnonzero(fallback[b]).tolist(),
                           float(mean_delay[b]), wall, records, None if stack is None else b)
             for b in range(cells)]
+
+
+def _unbound(ctx: SlotContext) -> np.ndarray:
+    """Per row of a stacked context: whether its storage bounds are, bit
+    for bit, the ones that never bind, a zero floor and the slot end."""
+    floor, ceiling = ctx.storage_bounds
+    end = np.asarray(ctx.slot_seconds, dtype=float).view(np.uint64)
+    return ((floor.view(np.uint64) == 0) & (ceiling.view(np.uint64) == end)).all(axis=-1)
+
+
+def _solve_ahead(stack, cfg: ScenarioConfig, steps: SlotSteps, meter) -> None:
+    """Solve and meter the slots of a stack in order, each solve call also
+    taking later slots' rows along, ahead of the buffer state they start
+    from.
+
+    A slot's solve reads the buffer only through its storage bounds, so a
+    row solved at the bounds that never bind, (0, slot end), is the row's
+    own solve wherever its true bounds are those, bit for bit. A call
+    holds the current slot's open rows at their true bounds and, while
+    the call stays within ``AHEAD_UAV_ROWS``, whole later slots' open rows
+    of the cells whose bounds do not bind in the current slot, at the
+    unbinding bounds, on one ``ContextStack.rows`` context.
+    Walking the chain, each slot whose rows are all solved is settled and
+    metered on its own context, which gives the next slot's buffer state;
+    a row solved ahead whose true bounds differ is opened again and solved
+    in the next call. ``meter(t, ctx, decision, trace)`` returns the next
+    buffer state."""
+    slots, cells = cfg.num_slots, len(stack.initial_free)
+    per_call = AHEAD_UAV_ROWS // cfg.num_uavs
+    open_rows = np.ones((slots, cells), dtype=bool)   # rows without a solve to keep
+    ahead = np.zeros((slots, cells), dtype=bool)      # solved ahead, bounds unchecked
+    parts = [[] for _ in range(slots)]                # per slot, (row indices, Solved)
+    t, ctx = 0, stack.slot(0, stack.initial_free)
+    while t < slots:
+        batch = [(t, np.flatnonzero(open_rows[t]))]
+        size = len(batch[0][1])
+        # a buffer that binds now mostly binds in the next slots too, so
+        # only the cells whose bounds do not bind now are taken along
+        along = open_rows[t + 1:] & _unbound(ctx)
+        for s in (t + 1 + np.flatnonzero(along.any(axis=1))).tolist():
+            rows = np.flatnonzero(along[s - t - 1])
+            if size + len(rows) > per_call:
+                break
+            batch.append((s, rows))
+            size += len(rows)
+        if len(batch) == 1 and size == cells:
+            solved = steps.solve(ctx, cfg)
+        else:
+            call = stack.rows(np.repeat([s for s, _ in batch], [len(r) for _, r in batch]),
+                              np.concatenate([rows for _, rows in batch]))
+            now = batch[0][1]
+            floor = np.zeros(call.sum_d.shape)
+            ceiling = np.broadcast_to(call.slot_seconds, floor.shape).copy()
+            floor[:len(now)], ceiling[:len(now)] = (b[now] for b in ctx.storage_bounds)
+            call.storage_bounds = floor, ceiling
+            solved = steps.solve(call, cfg)
+        start = 0
+        for s, rows in batch:
+            part = solved if len(batch) == 1 else solved.take(slice(start, start + len(rows)))
+            parts[s].append((rows, part))
+            start += len(rows)
+            open_rows[s, rows] = False
+            ahead[s, rows] = s > t
+
+        while t < slots and not open_rows[t].any():
+            free = meter(t, ctx, *steps.settle(ctx, cfg, Solved.join(parts[t])))
+            parts[t] = None
+            t += 1
+            if t == slots:
+                break
+            ctx = stack.slot(t, free)
+            if ahead[t].any():
+                missed = ahead[t] & ~_unbound(ctx)
+                if missed.any():
+                    parts[t] = [(rows[keep], part.take(keep)) for rows, part in parts[t]
+                                if (keep := ~missed[rows]).any()]
+                    open_rows[t] |= missed
 
 
 def run_horizon(cfg: ScenarioConfig, state, slot_solver) -> HorizonResult:

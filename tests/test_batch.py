@@ -9,13 +9,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from jcorm import harness, model, scenario
+from jcorm import harness, model, scenario, solver
 from jcorm.baselines import solve_slot_atsm, solve_slot_no_offload
 from jcorm.cli import main
 from jcorm.config import ConfigError, GaConfig, ScenarioConfig, ToleranceConfig
 from jcorm.model import SlotContext, SlotDecision
 from jcorm.scenario import build_slot_context, generate_scenario
-from jcorm.solver import SlotSolveTrace, run_horizon, run_horizons, solve_slot_jcorm
+from jcorm.solver import SlotSolveTrace, Solved, run_horizon, run_horizons, solve_slot_jcorm
 
 from conftest import make_ctx
 
@@ -104,6 +104,155 @@ class TestStackedEqualsSerial:
             [ScenarioConfig(algo="atsm", seed=seed, **overrides) for seed in range(20)])
         if overrides.get("pmax_w"):
             assert any(r.infeasible_slots for r in stacked)
+
+
+# buffers that bind in some slots of some cells only, and a slot length
+# that makes the unbinding ceiling a column of the stack
+PARTLY_BOUND = [dict(storage_initial_free_bits=free) for free in (0.0, 4e9, 8e9, 1.2e10)] \
+    + [dict(storage_initial_free_bits=1e8, slot_seconds=7.5)]
+
+
+def counted_steps(slot_solver):
+    """``slot_solver`` that records the context of each call, of its solve
+    step or of itself."""
+    calls = []
+
+    def solve(ctx, cfg):
+        calls.append(ctx)
+        return slot_solver.steps.solve(ctx, cfg)
+
+    def counted(ctx, cfg):
+        calls.append(ctx)
+        return slot_solver(ctx, cfg)
+
+    counted.steps = slot_solver.steps._replace(solve=solve)
+    return counted, calls
+
+
+def assert_same_solved(got: Solved, want: Solved):
+    for a, b in zip(vars(got.decision).values(), vars(want.decision).values()):
+        assert a.tobytes() == b.tobytes()
+    assert got.objective.tobytes() == want.objective.tobytes()
+    assert got.counts.keys() == want.counts.keys()
+    for name in want.counts:
+        assert np.array_equal(got.counts[name], want.counts[name]), name
+
+
+class TestSolveAhead:
+    """A stack solves later slots' rows ahead of its buffer chain, at the
+    storage bounds that never bind, and solves again the rows whose true
+    bounds differ: every record must come out as each cell's 1-D run and
+    as a slot-by-slot stack leave it."""
+
+    @staticmethod
+    def partly_bound(algo, seeds=range(4)):
+        cfgs = [ScenarioConfig(algo=algo, seed=seed, **v) for v in PARTLY_BOUND for seed in seeds]
+        return cfgs, [generate_scenario(c, c.seed) for c in cfgs]
+
+    @pytest.mark.parametrize("algo", sorted(SOLVERS))
+    def test_solved_ahead_equals_per_cell_runs(self, algo):
+        cfgs, states = self.partly_bound(algo)
+        counted, calls = counted_steps(SOLVERS[algo])
+        stacked = run_horizons(cfgs, states, counted)
+        for cfg, state, got in zip(cfgs, states, stacked):
+            assert_same_horizon(got, run_horizon(cfg, state, SOLVERS[algo]))
+        slots = cfgs[0].num_slots
+        stack = scenario.ContextStack(cfgs, states)
+        unbound = solver._unbound(stack.slot(0, stack.initial_free))
+        assert 0 < unbound.sum() < len(cfgs)
+        # the first call takes every later slot of the cells whose bounds
+        # do not bind in the first slot
+        assert len(calls[0].sum_d) == len(cfgs) + unbound.sum() * (slots - 1)
+        # some rows are solved again, and not all of them
+        resolved = sum(len(c.sum_d) for c in calls[1:])
+        assert 1 < len(calls) <= slots
+        assert 0 < resolved < len(cfgs) * (slots - 1)
+
+        # the stacked records of each slot, traces included, are those of
+        # one solve call per slot on the slot's own context
+        per_slot = run_horizons(cfgs, states, lambda ctx, cfg: SOLVERS[algo](ctx, cfg))
+        got, want = stacked[0].records, per_slot[0].records
+        for g, w in zip(got.traces, want.traces):
+            for name in TRACE_FIELDS:
+                assert getattr(g, name) == getattr(w, name), name
+        for g, w in zip(got.decisions + got.metrics, want.decisions + want.metrics):
+            for f in dataclasses.fields(g):
+                assert np.asarray(getattr(g, f.name)).tobytes() == \
+                    np.asarray(getattr(w, f.name)).tobytes(), f.name
+
+    @pytest.mark.parametrize("slots_per_call", [0.5, 1.5, 2, 3])
+    def test_the_cap_bounds_each_call(self, monkeypatch, slots_per_call):
+        cfgs, states = self.partly_bound("jcorm", seeds=range(2))
+        rows = len(cfgs)
+        cap = int(slots_per_call * rows * cfgs[0].num_uavs)
+        monkeypatch.setattr(solver, "AHEAD_UAV_ROWS", cap)
+        counted, calls = counted_steps(solve_slot_jcorm)
+        stacked = run_horizons(cfgs, states, counted, keep_records=False)
+        for cfg, state, got in zip(cfgs, states, stacked):
+            assert got.figures.tobytes() == run_horizon(cfg, state, solve_slot_jcorm) \
+                .figures.tobytes()
+        # a call holds the current slot's open rows, and whole later slots
+        # only while they fit
+        assert all(c.sum_d.size <= max(cap, rows * cfgs[0].num_uavs) for c in calls)
+        if slots_per_call < 2:
+            # a call that cannot hold two slots takes nothing along: each
+            # call is a slot on its own context
+            assert len(calls) == cfgs[0].num_slots
+            assert not any(np.isnan(c.storage_free).any() for c in calls)
+        else:
+            assert rows < len(calls[0].sum_d) <= slots_per_call * rows
+
+    @pytest.mark.parametrize("algo", sorted(SOLVERS))
+    def test_solve_step_reads_only_the_storage_bounds(self, algo):
+        cfgs = [ScenarioConfig(seed=seed, **v) for v in PARTLY_BOUND + [TIGHT_BUFFER]
+                for seed in range(3)]
+        stack = scenario.ContextStack(cfgs, [generate_scenario(c, c.seed) for c in cfgs])
+        steps = SOLVERS[algo].steps
+        free = stack.initial_free
+        bound = 0
+        for t in range(4):
+            ctx = stack.slot(t, free)
+            bound += int(np.sum(~solver._unbound(ctx)))
+            blind = dataclasses.replace(ctx, storage_free=np.full(free.shape, np.nan))
+            blind.storage_bounds = ctx.storage_bounds
+            want = steps.solve(ctx, cfgs[0])
+            assert_same_solved(steps.solve(blind, cfgs[0]), want)
+            decision, _ = steps.settle(ctx, cfgs[0], want)
+            free = model.meter_slot(ctx, decision).next_free
+        assert bound > 0
+
+    def test_joined_parts_are_a_solve_of_their_rows(self):
+        # seeds 4 and 5 settle their first slot within 15 passes, seed 0
+        # takes 16: the joined rows keep only the passes a solve of them
+        # alone makes
+        cfgs = [ScenarioConfig(seed=seed) for seed in (4, 0, 5)]
+        states = [generate_scenario(c, c.seed) for c in cfgs]
+
+        def first_slot(picked):
+            stack = scenario.ContextStack([cfgs[b] for b in picked], [states[b] for b in picked])
+            return solver.rotate(stack.slot(0, stack.initial_free), cfgs[0])
+
+        whole, alone = first_slot([0, 1, 2]), first_slot([0, 2])
+        assert len(whole.objective) > len(alone.objective)
+        # in two parts, given out of row order
+        joined = Solved.join([(np.array([2]), whole.take([2])),
+                              (np.array([0]), whole.take(np.array([True, False, False])))])
+        assert_same_solved(joined, alone)
+
+    def test_rows_gather_the_stack(self):
+        cfgs = [ScenarioConfig(seed=seed, **v) for v in PARTLY_BOUND for seed in range(2)]
+        stack = scenario.ContextStack(cfgs, [generate_scenario(c, c.seed) for c in cfgs])
+        picks = [(3, 1), (0, 8), (9, 1), (3, 9)]
+        rows = stack.rows(*map(np.array, zip(*picks)))
+        assert np.isnan(rows.storage_free).all()
+        for i, (t, b) in enumerate(picks):
+            ctx = stack.slot(t, stack.initial_free)
+            for f in dataclasses.fields(SlotContext):
+                if f.name == "storage_free":
+                    continue
+                want = np.broadcast_to(getattr(ctx, f.name), ctx.sum_d.shape)[b]
+                got = np.broadcast_to(getattr(rows, f.name), rows.sum_d.shape)[i]
+                assert got.tobytes() == want.tobytes(), f.name
 
 
 class TestStackedPath:

@@ -280,9 +280,12 @@ class TestResults:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides", [
-        dict(device_power_sens_w=1e-300),               # DS rate 0: delays near 1e306 s
+        dict(beta=0.0),                                 # DS rate 0: delays near 3e306 s
         dict(switch_cap=1e150, omega=0.0),              # energies near 1e178 J
         dict(ds_size_max_bits=1e300, omega=0.0),
+        # weak DS devices under a huge load: delays near 1e282 s (a DS rate
+        # that underflows to 0 with spectrum is a config error)
+        dict(device_power_sens_w=1e-14, ds_size_max_bits=1e280, omega=0.0),
     ])
     def test_aggregates_finite_for_huge_run_values(self, overrides):
         res = harness.run_compare(small_cfg(**overrides), ["jcorm", "no-offload"], [0, 1])
@@ -581,6 +584,17 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert "device_power_sens_w" in capsys.readouterr().err
+        # a power whose rate underflows to 0 passes validate(), and is
+        # rejected when the scenario is generated, naming what to change
+        cfg.write_text(TINY + "device_power_sens_w = 1e-300\nds_size_max_bits = 7.6e7\n"
+                       "pathloss_coeff = 5.57\nrician_k0 = 59.7\n")
+        code = main(["compare", "--config", str(cfg), "--seeds", "0,1",
+                     "--algos", "jcorm,atsm,ga,no-offload", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("device_power_sens_w", "pathloss_coeff",
+                                          "pathloss_exp"))
         # without a DS load, silent DS devices have nothing to upload
         cfg.write_text(TINY + "device_power_sens_w = 0\nds_size_min_bits = 0\n"
                        "ds_size_max_bits = 0\n")
