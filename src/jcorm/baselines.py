@@ -68,7 +68,7 @@ def _ga_fitness(ctx: SlotContext, p, f, dt, gm, penalty_weight: float,
     A term is the slot objective on the Mbit scale minus penalty_weight
     times the summed constraint violations, each measured on a unit scale
     (seconds for deadlines, Mbit for storage terms, GHz for the pool)."""
-    need = model.completion_time(ctx, p, f, gm)
+    need = model.Evaluation(ctx, p, f, None, gm).need
     v_deadline = np.sum(np.minimum(np.maximum(need - dt, 0.0), 1e6), axis=-1)
 
     collected, nominal_up, available = model.storage_terms(ctx, dt, free)
@@ -237,7 +237,7 @@ def solve_slot_no_offload(ctx: SlotContext, cfg: ScenarioConfig):
 
 def _solve_no_offload(ctx: SlotContext, cfg: ScenarioConfig) -> Solved:
     zeros = np.zeros(ctx.sum_d.shape)
-    dt, empty = solve_sp3_start_time(ctx, zeros, zeros, zeros)
+    dt, empty = solve_sp3_start_time(ctx, model.Evaluation(ctx, zeros, zeros, None, zeros))
     decision = SlotDecision(zeros, zeros.copy(), dt, zeros.copy())
     rows = ctx.sum_d.shape[:-1]
     return Solved(decision, np.array([model.slot_objective_mbit(ctx, decision)]),

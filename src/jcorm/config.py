@@ -92,6 +92,15 @@ class GaConfig:
             raise ConfigError("ga_seed must be >= 0")
 
 
+# Caps on the GA's work, all but the tournament draws at the default GA's
+# at the size caps, and on a scenario's device draws (README, "Configuration files")
+MAX_GA_GENES = GaConfig.population * MAX_UAV_SLOTS
+MAX_GA_RUN_GENES = MAX_GA_GENES * (GaConfig.generations + 1)
+MAX_GA_PASSES = MAX_SLOTS * (GaConfig.generations + 1)
+MAX_GA_DRAWS = 1 << 14
+MAX_DEVICE_SLOTS = 1 << 21
+
+
 @dataclass
 class ScenarioConfig:
     """Full description of one experiment scenario.
@@ -281,6 +290,17 @@ class ScenarioConfig:
             raise ConfigError(f"solver_mode must be one of {SOLVER_MODES}")
         self.tol.validate()
         self.ga.validate()
+        ga, runs, uav_slots = self.ga, self.ga.generations + 1, self.num_uavs * self.num_slots
+        for what, work, cap in (
+                ("ga_population * num_uavs * num_slots", ga.population * uav_slots, MAX_GA_GENES),
+                ("ga_population * (ga_generations + 1) * num_uavs * num_slots",
+                 ga.population * runs * uav_slots, MAX_GA_RUN_GENES),
+                ("(ga_generations + 1) * num_slots", runs * self.num_slots, MAX_GA_PASSES),
+                ("ga_population * ga_tournament", ga.population * ga.tournament, MAX_GA_DRAWS),
+                ("num_uavs * num_slots * (k_sens_max + k_tol_max)",
+                 uav_slots * (self.k_sens_max + self.k_tol_max), MAX_DEVICE_SLOTS)):
+            if work > cap:
+                raise ConfigError(f"{what} = {work} exceeds {cap}")
         # the whole horizon must fit inside one satellite visibility window
         from . import model
         t_v = model.visibility_window(self.sat_altitude_m, self.earth_radius_m,

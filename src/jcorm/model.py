@@ -265,18 +265,6 @@ class SlotDecision:
 # one evaluation of a decision
 # ---------------------------------------------------------------------------
 
-def local_compute_time(sum_d, gamma, cycles_per_bit: float, uav_cpu_hz: float):
-    return cycles_per_bit * (1.0 - np.asarray(gamma)) * np.asarray(sum_d) / uav_cpu_hz
-
-
-def remote_compute_time(ctx: SlotContext, f_leo, gamma):
-    """Seconds the satellite compute share f_leo takes to process the
-    offloaded bits; +inf where the share is zero."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(f_leo > 0.0, ctx.cycles_per_bit * gamma * ctx.sum_d
-                        / np.maximum(f_leo, 1e-300), np.inf)
-
-
 class _Part:
     """A part of an Evaluation that depends on the named decision
     variables: computed on its first read, then kept on the instance."""
@@ -303,8 +291,9 @@ class Evaluation:
     """The model terms of one decision on one context, per UAV (and per row
     of a stacked context). Each part is computed on its first read and
     then kept; the slot's energy, completion time, deadline bounds and
-    objective terms are reads of it. A decision variable that no part read
-    may be None, such as the start time for the deadline bounds.
+    objective terms, and every read of them in ``solver``, are reads of it.
+    A decision variable that no part read may be None, such as the start
+    time for the deadline bounds.
 
     ``replace`` evaluates a decision that differs in some variables and
     shares every computed part that depends on none of them; ``merged``
@@ -390,15 +379,17 @@ class Evaluation:
 
     @_Part("f_leo", "gamma")
     def remote(self):
-        """Satellite compute time of the offloaded bits."""
-        return remote_compute_time(self.ctx, self.f_leo, self.gamma)
+        """Seconds the satellite compute share takes to process the
+        offloaded bits; +inf where the share is zero."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(self.f_leo > 0.0, self.ctx.cycles_per_bit * self.gamma * self.ctx.sum_d
+                            / np.maximum(self.f_leo, 1e-300), np.inf)
 
     @_Part("gamma")
     def local(self):
         """On-board branch: upload, then on-board compute."""
         ctx = self.ctx
-        return ctx.l_off + local_compute_time(ctx.sum_d, self.gamma,
-                                              ctx.cycles_per_bit, ctx.uav_cpu_hz)
+        return ctx.l_off + ctx.cycles_per_bit * (1.0 - self.gamma) * ctx.sum_d / ctx.uav_cpu_hz
 
     @_Part("power", "f_leo", "gamma")
     def sat(self):
@@ -468,41 +459,6 @@ def _float_array(value):
 
 
 # ---------------------------------------------------------------------------
-# delays
-# ---------------------------------------------------------------------------
-
-def _checked_need(ev: Evaluation) -> np.ndarray:
-    """The evaluation's completion time, for a decision that can execute."""
-    if np.any(ev.active & (ev.rate <= 0.0)):
-        raise ValueError("offloading with zero DS uplink rate")
-    if np.any(ev.active & (ev.f_leo <= 0.0)):
-        raise ValueError("offloading with zero satellite compute share")
-    return ev.need
-
-
-def ds_completion_time(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
-    """End-to-end DS task completion time per UAV: slowest device upload, then
-    the longer of the local branch and the satellite branch."""
-    return _checked_need(Evaluation.of(ctx, decision))
-
-
-def deadline_lower_bounds(ctx: SlotContext, power, f_leo, gamma):
-    """Smallest delta_tol satisfying each completion branch:
-    (local) upload + on-board compute, (satellite) upload + transmit +
-    remote compute + round trip. The satellite bound is l_off where nothing
-    is offloaded, +inf where offloading is impossible."""
-    ev = Evaluation(ctx, power, f_leo, None, gamma)
-    return ev.local, ev.sat
-
-
-def completion_time(ctx: SlotContext, power, f_leo, gamma):
-    """DS completion time per UAV, the later of the two deadline_lower_bounds:
-    the smallest delta_tol meeting the deadline. +inf where gamma > 0 but
-    the link or the compute share cannot carry the offload."""
-    return Evaluation(ctx, power, f_leo, None, gamma).need
-
-
-# ---------------------------------------------------------------------------
 # storage dynamics
 # ---------------------------------------------------------------------------
 
@@ -569,16 +525,6 @@ def buffer_transition(requested, nominal_up, storage_free, storage_capacity):
 # energy and the slot objective
 # ---------------------------------------------------------------------------
 
-def slot_energy(ctx: SlotContext, decision: SlotDecision):
-    """Per-UAV energy split: (radio, on-board compute, satellite compute), J.
-
-    Radio energy covers the DS uplink for its transmit duration and the DT
-    uplink for the whole forwarding window at the fixed DT power.
-    """
-    ev = Evaluation.of(ctx, decision)
-    return ev.e_comm, ev.e_uav, ev.e_leo
-
-
 def objective_terms(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
     """Per-UAV slot-utility contributions: DT bits shipped to the satellite
     minus omega times the UAV's slot energy. The DT term here is the nominal
@@ -587,16 +533,11 @@ def objective_terms(ctx: SlotContext, decision: SlotDecision) -> np.ndarray:
     return Evaluation.of(ctx, decision).terms
 
 
-def slot_objective_bits(ctx: SlotContext, decision: SlotDecision):
-    """Slot utility the optimizers maximize (sum over UAVs; one per row of a
-    stacked context)."""
-    return np.sum(objective_terms(ctx, decision), axis=-1)
-
-
 def slot_objective_mbit(ctx: SlotContext, decision: SlotDecision):
-    """Slot objective with the data term expressed in Mbit; the scale on which
+    """Slot utility the optimizers maximize (sum over UAVs; one per row of a
+    stacked context), with the data term in Mbit: the scale on which
     convergence thresholds and oracle tolerances operate."""
-    return slot_objective_bits(ctx, decision) / 1e6
+    return np.sum(objective_terms(ctx, decision), axis=-1) / 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +610,7 @@ def check_feasible(ctx: SlotContext, decision: SlotDecision,
     budget_ok = holds("budget", ~(budget <= ctx.leo_cpu_hz * (1 + 1e-9) + 1e-6),
                       budget - ctx.leo_cpu_hz)
 
-    gap = completion_time(ctx, d.power, d.f_leo, d.gamma) - d.delta_tol
+    gap = Evaluation.of(ctx, d).need - d.delta_tol
     deadline_ok = holds("deadline", ~(gap <= time_slack), gap)
 
     collected, nominal_up, available = storage_terms(ctx, d.delta_tol, ctx.storage_free)
@@ -692,14 +633,12 @@ class SlotMetrics:
     context, its arrays are (B, U) and ``utility_bits`` and the totals
     below are (B,); ``row`` splits it per cell."""
 
-    collected_bits: np.ndarray   # device->UAV DT bits per UAV
     uplinked_bits: np.ndarray    # UAV->LEO DT bits per UAV (storage-capped)
     energy_comm_j: np.ndarray
     energy_uav_comp_j: np.ndarray
     energy_leo_comp_j: np.ndarray
     ds_delay_s: np.ndarray       # completion time per UAV
     next_free: np.ndarray        # storage free space at next slot start
-    overflow: np.ndarray         # bool per UAV: collection request was capped
     utility_bits: float          # capped DT volume minus omega * energy
 
     def row(self, b: int) -> "SlotMetrics":
@@ -734,14 +673,18 @@ def meter_slot(ctx: SlotContext, decision: SlotDecision) -> SlotMetrics:
     """Run the physical bookkeeping for one slot and price the utility from
     what actually moved (storage caps applied). Row by row on a stacked
     context, where the utility is one float per row; a 1-D context gives
-    a float."""
+    a float. A decision that offloads over a zero rate or a zero compute
+    share cannot execute and raises ValueError."""
     step = dt_collection_step(ctx.dt_dev_rate_sum, decision.delta_tol, ctx.slot_seconds,
                               ctx.r_tol_leo, ctx.storage_free, ctx.storage_capacity)
     ev = Evaluation.of(ctx, decision)
+    if np.any(ev.active & (ev.rate <= 0.0)):
+        raise ValueError("offloading with zero DS uplink rate")
+    if np.any(ev.active & (ev.f_leo <= 0.0)):
+        raise ValueError("offloading with zero satellite compute share")
     e_comm, e_uav, e_leo = ev.e_comm, ev.e_uav, ev.e_leo
-    delay = _checked_need(ev)
     # keepdims: a (B, 1) omega column multiplies (B, 1) sums, never (B,) ones
     utility = (np.sum(step.uplinked, axis=-1, keepdims=True)
                - ctx.omega * np.sum(e_comm + e_uav + e_leo, axis=-1, keepdims=True))[..., 0]
-    return SlotMetrics(step.collected, step.uplinked, e_comm, e_uav, e_leo, delay,
-                       step.next_free, step.overflow, _per_row(utility))
+    return SlotMetrics(step.uplinked, e_comm, e_uav, e_leo, ev.need, step.next_free,
+                       _per_row(utility))

@@ -39,8 +39,7 @@ _NOISE = 1e-9          # accepted objective decrease attributable to float noise
 # SP1: DS uplink power
 # ---------------------------------------------------------------------------
 
-def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
-                    gamma: np.ndarray, ev: model.Evaluation | None = None):
+def solve_sp1_power(ctx: SlotContext, ev: model.Evaluation):
     """Lowest transmit power that meets the satellite-branch deadline, within
     the power box.
 
@@ -51,19 +50,15 @@ def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
 
     Returns (power array, per-UAV infeasible mask). UAVs with nothing to
     offload get zero power. UAVs with no compute share, no slack left, or
-    p_req above pmax are flagged and get zero power. ``ev``, an evaluation
-    of a decision with this compute share and ratio, lends its remote
-    compute time.
+    p_req above pmax are flagged and get zero power. ``ev`` evaluates the
+    decision; its power is not read.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if ev is None:
-        ev = model.Evaluation(ctx, None, f_leo, None, gamma)
-    live = (gamma > 0.0) & ctx.loaded_mbit
+    live = (ev.gamma > 0.0) & ctx.loaded_mbit
     # no compute share makes the remote compute time, and so -slack, infinite
-    slack = delta_tol - ctx.l_off - ev.remote - 2.0 * ctx.l_prop
+    slack = ev.delta_tol - ctx.l_off - ev.remote - 2.0 * ctx.l_prop
     has_slack = slack > 0.0
     b_n = ctx.leo_bandwidth_hz / 1e6 / ctx.num_uavs   # per-UAV band share, MHz
-    exponent = gamma * ctx.sum_d_mbit / (np.where(has_slack, slack, 1.0) * b_n)
+    exponent = ev.gamma * ctx.sum_d_mbit / (np.where(has_slack, slack, 1.0) * b_n)
     # float_power rounds like the scalar libm pow (np.power's SIMD kernel can
     # differ in the last bit). A tiny band share overflows to inf, which the
     # pmax test below flags.
@@ -78,25 +73,21 @@ def solve_sp1_power(ctx: SlotContext, f_leo: np.ndarray, delta_tol: np.ndarray,
 # SP2: satellite compute share
 # ---------------------------------------------------------------------------
 
-def solve_sp2_compute(ctx: SlotContext, power: np.ndarray, delta_tol: np.ndarray,
-                      gamma: np.ndarray, ev: model.Evaluation | None = None):
+def solve_sp2_compute(ctx: SlotContext, ev: model.Evaluation):
     """Smallest compute share finishing the offloaded bits inside the deadline
     (remote compute energy grows with the share, so the minimum is optimal).
 
     Returns (f array, per-UAV infeasible mask, budget_scaled flag per row).
     Shares are clamped to the pool size; if a row's shares jointly exceed
     the pool they are scaled down proportionally and flagged (the next
-    ratio pass shrinks the offload loads to match). ``ev``, an evaluation
-    of a decision with this power and ratio, lends its transmit time.
+    ratio pass shrinks the offload loads to match). ``ev`` evaluates the
+    decision; its compute share is not read.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if ev is None:
-        ev = model.Evaluation(ctx, power, None, None, gamma)
     active = ev.active
-    slack = delta_tol - ctx.l_off - ev.transmit - 2.0 * ctx.l_prop
+    slack = ev.delta_tol - ctx.l_off - ev.transmit - 2.0 * ctx.l_prop
     bad = active & ((slack <= 0.0) | ~np.isfinite(slack))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f_min = np.where(active & ~bad, ctx.cycles_per_bit * gamma * ctx.sum_d / slack, 0.0)
+        f_min = np.where(active & ~bad, ctx.cycles_per_bit * ev.gamma * ctx.sum_d / slack, 0.0)
     # where f_min exceeds the pool, even the whole pool misses the deadline
     infeasible = bad | (f_min > ctx.leo_cpu_hz)
     # best effort where the deadline is missed; the ratio pass must shrink gamma
@@ -114,9 +105,7 @@ def solve_sp2_compute(ctx: SlotContext, power: np.ndarray, delta_tol: np.ndarray
 # SP3: DT forwarding start time
 # ---------------------------------------------------------------------------
 
-def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
-               gamma: np.ndarray, mode: str = "paper-relaxed",
-               ev: model.Evaluation | None = None):
+def sp3_bounds(ctx: SlotContext, ev: model.Evaluation, mode: str = "paper-relaxed"):
     """Feasible interval [lo, hi] for the DT forwarding start time.
 
     mode='strict' takes the true two-branch completion bound as the lower
@@ -126,13 +115,10 @@ def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     meaningful while both branches are live: UAVs currently offloading
     nothing keep the exact on-board bound, since their satellite constraint
     is vacuous and averaging against it would undercut the real deadline.
-    At gamma = 0 both modes therefore give the on-board bound. ``ev``, an
-    evaluation of a decision with this power, compute share and ratio,
-    lends its deadline bounds. The buffer's part of the interval is
-    ``ctx.storage_bounds``.
+    At gamma = 0 both modes therefore give the on-board bound. ``ev``
+    evaluates the decision; its start time is not read. The buffer's part
+    of the interval is ``ctx.storage_bounds``.
     """
-    if ev is None:
-        ev = model.Evaluation(ctx, power, f_leo, None, gamma)
     if mode == "strict":
         lo_deadline = ev.need
     else:
@@ -145,8 +131,8 @@ def sp3_bounds(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
     return np.maximum(floor, lo_deadline), ceiling
 
 
-def solve_sp3_start_time(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
-                         gamma: np.ndarray, mode: str = "paper-relaxed"):
+def solve_sp3_start_time(ctx: SlotContext, ev: model.Evaluation,
+                         mode: str = "paper-relaxed"):
     """Choose when DT forwarding starts. The objective is linear in the start
     time, so the optimum sits on an interval end:
 
@@ -156,7 +142,7 @@ def solve_sp3_start_time(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
         admit.
 
     Returns (delta_tol array, empty-interval mask)."""
-    lo, hi = sp3_bounds(ctx, power, f_leo, gamma, mode=mode)
+    lo, hi = sp3_bounds(ctx, ev, mode)
     return _start_in(ctx, lo, hi)
 
 
@@ -174,17 +160,14 @@ def _start_in(ctx: SlotContext, lo: np.ndarray, hi: np.ndarray):
 # SP4: offload ratio
 # ---------------------------------------------------------------------------
 
-def solve_sp4_ratio(ctx: SlotContext, power: np.ndarray, f_leo: np.ndarray,
-                    delta_tol: np.ndarray, ev: model.Evaluation | None = None):
+def solve_sp4_ratio(ctx: SlotContext, ev: model.Evaluation):
     """Choose the offloaded fraction. Linear objective over the interval the
     two deadline branches leave open; the sign of the per-bit saving
     (on-board compute energy versus remote compute + transmit energy)
-    selects the end. Returns (gamma array, empty-interval mask). ``ev``,
-    an evaluation of a decision with this power, lends its rate."""
-    power = np.asarray(power, dtype=float)
-    f_leo = np.asarray(f_leo, dtype=float)
+    selects the end. Returns (gamma array, empty-interval mask). ``ev``
+    evaluates the decision; its ratio is not read."""
+    power, f_leo, delta_tol, rate = ev.power, ev.f_leo, ev.delta_tol, ev.rate
     active = ctx.loaded
-    rate = ctx.ds_rate(power) if ev is None else ev.rate
     usable = active & (rate > 0.0) & (f_leo > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         g_min = 1.0 + np.where(active, (ctx.l_off - delta_tol) / ctx.load_seconds_floor, 0.0)
@@ -257,14 +240,13 @@ class SlotSolveTrace:
 
     def row(self, b: int) -> "SlotSolveTrace":
         """Row ``b`` of a stacked solve's trace. Its passes end where it
-        converged; the block seconds of the stack are shared equally."""
-        n = len(self.iterations)
+        converged. Its block seconds stay at the default zeros: the stack
+        timed its blocks for all rows at once."""
         # fields a solver left at their defaults hold one value for all rows
         per_row = {f.name: getattr(self, f.name) for f in fields(self)
                    if f.name not in ("objective_mbit", "sp_seconds")}
         passes = self.objective_mbit[:self.iterations[b]]
         return SlotSolveTrace(objective_mbit=[o[b] for o in passes],
-                              sp_seconds={k: v / n for k, v in self.sp_seconds.items()},
                               **{k: v[b] if isinstance(v, list) else v for k, v in per_row.items()})
 
 
@@ -374,7 +356,7 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None) -> Solved:
         held = None if live is True else ~active[..., None]
 
         t0 = time.perf_counter()
-        p_cand, p_bad = solve_sp1_power(ctx, ev.f_leo, ev.delta_tol, ev.gamma, ev)
+        p_cand, p_bad = solve_sp1_power(ctx, ev)
         counts["sp1_infeasible"] += p_bad.sum(axis=-1) * live
         # the incumbent's need, read first, is inherited by the candidate
         inc_ok = (ev.need <= ev.delta_tol + 1e-9) & (ev.power <= ctx.pmax_w + 1e-12)
@@ -384,7 +366,7 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None) -> Solved:
         seconds["sp1"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        f_cand, f_bad, scaled = solve_sp2_compute(ctx, ev.power, ev.delta_tol, ev.gamma, ev)
+        f_cand, f_bad, scaled = solve_sp2_compute(ctx, ev)
         counts["sp2_infeasible"] += f_bad.sum(axis=-1) * live
         counts["budget_scaled"] += scaled & live
         inc_ok = (ev.need <= ev.delta_tol + 1e-9) & (ev.f_leo <= ctx.leo_cpu_hz + 1e-6)
@@ -400,7 +382,7 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None) -> Solved:
 
         if pinned_start is None:
             t0 = time.perf_counter()
-            lo3, hi3 = sp3_bounds(ctx, ev.power, ev.f_leo, ev.gamma, mode, ev)
+            lo3, hi3 = sp3_bounds(ctx, ev, mode)
             dt_cand, dt_empty = _start_in(ctx, lo3, hi3)
             counts["sp3_empty"] += dt_empty.sum(axis=-1) * live
             cand = ev.replace(delta_tol=dt_cand)
@@ -409,7 +391,7 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None) -> Solved:
             seconds["sp3"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        gm_cand, gm_empty = solve_sp4_ratio(ctx, ev.power, ev.f_leo, ev.delta_tol, ev)
+        gm_cand, gm_empty = solve_sp4_ratio(ctx, ev)
         counts["sp4_empty"] += gm_empty.sum(axis=-1) * live
         inc_ok = ev.need <= ev.delta_tol + 1e-9
         cand = ev.replace(gamma=gm_cand)
@@ -467,7 +449,7 @@ def fallback_decision(ctx: SlotContext) -> SlotDecision:
     """Deterministic safe decision: keep everything on board, start DT
     forwarding as soon as the on-board branch completes."""
     z = np.zeros(ctx.sum_d.shape)
-    dt = np.clip(model.completion_time(ctx, z, z, z), 0.0, ctx.slot_seconds)
+    dt = np.clip(model.Evaluation(ctx, z, z, None, z).need, 0.0, ctx.slot_seconds)
     return SlotDecision(z, z.copy(), dt, z.copy())
 
 

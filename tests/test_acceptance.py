@@ -46,8 +46,7 @@ def test_criterion_1_blocks_match_grid_references():
         ctx, _ = scenario_ctx(seed=seed, slot=seed % 10)
         fixed = random_fixed_decision(ctx, rng)
 
-        p, p_bad = solve_sp1_power(ctx, fixed.f_leo, fixed.delta_tol,
-                                    fixed.gamma)
+        p, p_bad = solve_sp1_power(ctx, model.Evaluation.of(ctx, fixed))
         res = grid_sp1(ctx, fixed)
         live = res.feasible & ~p_bad & (fixed.gamma > 0)
         rate = ctx.ds_rate(p)
@@ -59,8 +58,7 @@ def test_criterion_1_blocks_match_grid_references():
             worst["power"] = max(worst["power"], float(np.max(gap)))
         counts["power"] += int(np.sum(live))
 
-        f, f_bad, scaled = solve_sp2_compute(ctx, fixed.power, fixed.delta_tol,
-                                             fixed.gamma)
+        f, f_bad, scaled = solve_sp2_compute(ctx, model.Evaluation.of(ctx, fixed))
         if not scaled:
             res = grid_sp2(ctx, fixed)
             live = res.feasible & ~f_bad & (fixed.gamma > 0)
@@ -72,8 +70,7 @@ def test_criterion_1_blocks_match_grid_references():
                 worst["compute"] = max(worst["compute"], float(np.max(gap)))
             counts["compute"] += int(np.sum(live))
 
-        dt, dt_empty = solve_sp3_start_time(ctx, fixed.power, fixed.f_leo,
-                                            fixed.gamma)
+        dt, dt_empty = solve_sp3_start_time(ctx, model.Evaluation.of(ctx, fixed))
         res = grid_sp3(ctx, fixed)
         live = res.feasible & ~dt_empty
         terms = model.objective_terms(
@@ -84,8 +81,7 @@ def test_criterion_1_blocks_match_grid_references():
             worst["start"] = max(worst["start"], float(np.max(gap)))
         counts["start"] += int(np.sum(live))
 
-        gm, gm_empty = solve_sp4_ratio(ctx, fixed.power, fixed.f_leo,
-                                       fixed.delta_tol)
+        gm, gm_empty = solve_sp4_ratio(ctx, model.Evaluation.of(ctx, fixed))
         res = grid_sp4(ctx, fixed)
         live = res.feasible & ~gm_empty
         terms = model.objective_terms(
@@ -234,9 +230,8 @@ def test_criterion_4_strict_mode_feasible_iterates():
             if trace.fallback:
                 continue
             slots += 1
-            local, sat = model.deadline_lower_bounds(ctx, decision.power,
-                                                     decision.f_leo,
-                                                     decision.gamma)
+            ev = model.Evaluation.of(ctx, decision)
+            local, sat = ev.local, ev.sat
             if np.any(np.maximum(local, sat) > decision.delta_tol + 1e-9):
                 violations += 1
     report("criterion 4: strict mode meets every deadline bound",

@@ -163,7 +163,7 @@ def per_slot_fitness(cfg, state):
 
     def slot_terms(ctx, p, f, dt, gm, free):
         obj = np.sum(model.objective_terms(ctx, SlotDecision(p, f, dt, gm)), axis=-1) / 1e6
-        need = model.completion_time(ctx, p, f, gm)
+        need = model.Evaluation(ctx, p, f, None, gm).need
         v_deadline = np.sum(np.minimum(np.maximum(need - dt, 0.0), 1e6), axis=-1)
         collected, nominal_up, available = model.storage_terms(ctx, dt, free)
         v_storage = np.sum(np.maximum(collected - free, 0.0), axis=-1) / 1e6
@@ -289,8 +289,7 @@ class TestNoOffload:
     def test_start_respects_onboard_completion(self):
         ctx, cfg = scenario_ctx(seed=2)
         decision, _ = solve_slot_no_offload(ctx, cfg)
-        local, _ = model.deadline_lower_bounds(ctx, decision.power,
-                                               decision.f_leo, decision.gamma)
+        local = model.Evaluation.of(ctx, decision).local
         assert np.all(decision.delta_tol >= local - 1e-9)
 
     def test_impossible_onboard_deadline_flagged(self):

@@ -394,10 +394,14 @@ class TestStackedFeasibility:
         stacked = SlotContext.stack(ctxs)
         stacked_decision = SlotDecision(*(np.stack([getattr(d, f.name) for d in decisions])
                                           for f in dataclasses.fields(SlotDecision)))
-        energy = model.slot_energy(stacked, stacked_decision)
+        def slot_energy(ctx, d):
+            ev = model.Evaluation.of(ctx, d)
+            return ev.e_comm, ev.e_uav, ev.e_leo
+
+        energy = slot_energy(stacked, stacked_decision)
         terms = model.objective_terms(stacked, stacked_decision)
         for b, (ctx, d) in enumerate(zip(ctxs, decisions)):
-            for got, want in zip(energy, model.slot_energy(ctx, d)):
+            for got, want in zip(energy, slot_energy(ctx, d)):
                 assert np.array_equal(got[b], want)
             assert np.array_equal(terms[b], model.objective_terms(ctx, d))
 

@@ -3,6 +3,7 @@ determinism, sweep axes, and the command-line interface."""
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -11,8 +12,8 @@ import pytest
 
 from jcorm import cli, harness
 from jcorm.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from jcorm.config import (CONFIG_KEYS, MAX_SLOTS, MAX_UAV_SLOTS, MAX_UAVS, ConfigError,
-                          GaConfig, ScenarioConfig,
+from jcorm.config import (CONFIG_KEYS, MAX_GA_DRAWS, MAX_SLOTS, MAX_UAV_SLOTS,
+                          MAX_UAVS, ConfigError, GaConfig, ScenarioConfig,
                           ToleranceConfig, load_config, load_config_text)
 from jcorm.oracle import grid_sp1, grid_sp2, grid_sp3, grid_sp4
 from jcorm.scenario import build_slot_context, generate_scenario
@@ -193,6 +194,29 @@ class TestConfig:
                 (dict(num_uavs=101, num_slots=100, slot_seconds=4.0), r"num_uavs \* num_slots")):
             with pytest.raises(ConfigError, match=message):
                 ScenarioConfig(**overrides).validate()
+
+    @pytest.mark.parametrize("at_cap, key", [
+        # population x U x T
+        (dict(num_uavs=10, num_slots=1000, slot_seconds=0.4, ga_generations=0),
+         "ga_population"),
+        # population x (generations + 1) x U x T, the default GA at the size caps
+        (dict(num_uavs=10, num_slots=1000, slot_seconds=0.4), "ga_generations"),
+        # (generations + 1) x T
+        (dict(num_uavs=1, num_slots=1, ga_population=1, ga_generations=100_999),
+         "ga_generations"),
+        # population x tournament
+        (dict(ga_population=1, ga_tournament=MAX_GA_DRAWS), "ga_tournament"),
+        # U x T x (k_sens_max + k_tol_max)
+        (dict(num_uavs=1024, num_slots=1, k_sens_max=1024, k_tol_max=1024), "k_tol_max"),
+    ], ids=["generation-genes", "run-genes", "slot-passes", "tournament", "device-slots"])
+    def test_work_caps(self, at_cap, key):
+        # accepted exactly at the cap, rejected one step above it
+        cfg = ScenarioConfig().copy(**at_cap)
+        cfg.validate()
+        owner, name, _ = CONFIG_KEYS[key]
+        value = getattr(getattr(cfg, owner) if owner else cfg, name)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            cfg.copy(**{key: value + 1}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +542,16 @@ class TestCli:
         ("num_slots = 1e308\n", "num_slots"),
         ("num_uavs = 1e20\n", "num_uavs"),        # ran out of memory
         ("slot_seconds = 0.001\nnum_slots = 100000\n", "num_slots"),   # ran for minutes
-    ], ids=["uavs-1e308", "slots-1e308", "uavs-1e20", "slots-1e5"])
+        # each would allocate gigabytes or run for hours
+        ("ga_population = 1000000000\n", "ga_population"),
+        ("ga_generations = 1000000000\n", "ga_generations"),
+        ("ga_tournament = 1000000000\n", "ga_tournament"),
+        ("k_tol_max = 10000000\n", "k_tol_max"),
+        # within the gene caps, but 60.6M generations of about 0.3 ms each
+        ("num_uavs = 1\nnum_slots = 1\nga_population = 1\nga_generations = 60599999\n",
+         "ga_generations"),
+    ], ids=["uavs-1e308", "slots-1e308", "uavs-1e20", "slots-1e5", "ga-population-1e9",
+            "ga-generations-1e9", "ga-tournament-1e9", "k-tol-1e7", "ga-generations-6e7"])
     def test_oversized_run_is_config_error(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(text)

@@ -166,15 +166,16 @@ class TestChannels:
 
 class TestDelays:
     def test_local_compute_fixture(self):
-        # half of 6 Mbit on a 2 GHz CPU at 400 cycles/bit
-        t = model.local_compute_time(6e6, 0.5, 400.0, 2e9)
+        # half of 6 Mbit on a 2 GHz CPU at 400 cycles/bit, after no upload
+        ctx = make_ctx(sum_d=np.array([6e6]), l_off=np.array([0.0]))
+        t = model.Evaluation(ctx, None, None, None, 0.5).local
         assert t == pytest.approx(0.6, rel=1e-12)
 
     def test_completion_all_local(self):
         ctx = make_ctx()
         dec = SlotDecision(np.zeros(2), np.zeros(2), np.full(2, 5.0), np.zeros(2))
-        t = model.ds_completion_time(ctx, dec)
-        local = model.local_compute_time(ctx.sum_d, 0.0, 400.0, 2e9)
+        t = model.meter_slot(ctx, dec).ds_delay_s
+        local = model.Evaluation.of(ctx, dec).local - ctx.l_off
         assert np.allclose(t, ctx.l_off + local)
 
     def test_completion_all_offloaded(self):
@@ -184,15 +185,15 @@ class TestDelays:
         rate = ctx.ds_rate(dec.power)
         expect = (ctx.l_off + ctx.sum_d / rate
                   + 400.0 * ctx.sum_d / 5e9 + 2 * ctx.l_prop)
-        assert np.allclose(model.ds_completion_time(ctx, dec), expect)
+        assert np.allclose(model.meter_slot(ctx, dec).ds_delay_s, expect)
 
     def test_branch_terms_elementwise(self):
         ctx = make_ctx()
         power = np.array([0.5, 0.0])
         f_leo = np.array([5e9, 0.0])
         gamma = np.array([0.3, 0.3])
-        t_tx = model.Evaluation(ctx, power, f_leo, None, gamma).transmit
-        t_cmp = model.remote_compute_time(ctx, f_leo, gamma)
+        ev = model.Evaluation(ctx, power, f_leo, None, gamma)
+        t_tx, t_cmp = ev.transmit, ev.remote
         assert t_tx[0] == pytest.approx(0.3 * ctx.sum_d[0] / ctx.ds_rate(0.5)[0], rel=1e-12)
         assert t_cmp[0] == pytest.approx(400.0 * 0.3 * ctx.sum_d[0] / 5e9, rel=1e-12)
         assert t_tx[1] == np.inf and t_cmp[1] == np.inf   # no rate, no share
@@ -203,20 +204,21 @@ class TestDelays:
         ctx = make_ctx()
         dec = SlotDecision(np.full(2, 0.5), np.full(2, 5e9), np.full(2, 5.0),
                            np.full(2, 0.3))
-        local, sat = model.deadline_lower_bounds(ctx, dec.power, dec.f_leo, dec.gamma)
-        assert np.allclose(model.ds_completion_time(ctx, dec), np.maximum(local, sat))
+        ev = model.Evaluation.of(ctx, dec)
+        local, sat = ev.local, ev.sat
+        assert np.allclose(model.meter_slot(ctx, dec).ds_delay_s, np.maximum(local, sat))
 
     def test_offloading_without_rate_rejected(self):
         ctx = make_ctx()
         dec = SlotDecision(np.zeros(2), np.full(2, 5e9), np.full(2, 5.0), np.ones(2))
         with pytest.raises(ValueError):
-            model.ds_completion_time(ctx, dec)
+            model.meter_slot(ctx, dec)
 
     def test_offloading_without_compute_rejected(self):
         ctx = make_ctx()
         dec = SlotDecision(np.full(2, 0.5), np.zeros(2), np.full(2, 5.0), np.ones(2))
         with pytest.raises(ValueError):
-            model.ds_completion_time(ctx, dec)
+            model.meter_slot(ctx, dec)
 
     def test_completion_time_matches_checked_completion(self):
         ctx = make_ctx()
@@ -228,23 +230,23 @@ class TestDelays:
             gm = rng.choice([0.0, 0.3, 1.0], 2)
             dec = SlotDecision(p, f, np.full(2, 5.0), gm)
             try:
-                expect = model.ds_completion_time(ctx, dec)
+                expect = model.meter_slot(ctx, dec).ds_delay_s
             except ValueError:
                 continue
             compared += 1
-            got = model.completion_time(ctx, p, f, gm)
+            got = model.Evaluation(ctx, p, f, None, gm).need
             assert np.array_equal(got, expect)
         assert compared > 50
 
     def test_completion_time_infinite_without_power(self):
         ctx = make_ctx()
-        t = model.completion_time(ctx, np.zeros(2), np.full(2, 5e9), np.array([0.4, 0.0]))
+        t = model.Evaluation(ctx, np.zeros(2), np.full(2, 5e9), None, np.array([0.4, 0.0])).need
         assert t[0] == np.inf and np.isfinite(t[1])
 
     def test_deadline_bounds_no_offload_branch(self):
         ctx = make_ctx()
-        local, sat = model.deadline_lower_bounds(ctx, np.zeros(2), np.zeros(2),
-                                                 np.zeros(2))
+        ev = model.Evaluation(ctx, np.zeros(2), np.zeros(2), None, np.zeros(2))
+        local, sat = ev.local, ev.sat
         assert np.allclose(sat, ctx.l_off)  # vacuous satellite branch
 
 
@@ -351,13 +353,13 @@ class TestEnergy:
     def test_no_offload_means_no_leo_energy(self):
         ctx = make_ctx()
         dec = SlotDecision(np.zeros(2), np.zeros(2), np.full(2, 5.0), np.zeros(2))
-        _, _, e_leo = model.slot_energy(ctx, dec)
+        e_leo = model.Evaluation.of(ctx, dec).e_leo
         assert np.all(e_leo == 0.0)
 
     def test_full_slot_collection_means_no_dt_comm_energy(self):
         ctx = make_ctx()
         dec = SlotDecision(np.zeros(2), np.zeros(2), np.full(2, 10.0), np.zeros(2))
-        e_comm, _, _ = model.slot_energy(ctx, dec)
+        e_comm = model.Evaluation.of(ctx, dec).e_comm
         assert np.all(e_comm == 0.0)
 
     def test_leo_compute_energy_fixture(self):
@@ -365,7 +367,7 @@ class TestEnergy:
         ctx = make_ctx(sum_d=np.array([6e6, 0.0]))
         dec = SlotDecision(np.array([0.5, 0.0]), np.array([1e10, 0.0]),
                            np.full(2, 10.0), np.array([1.0, 0.0]))
-        _, _, e_leo = model.slot_energy(ctx, dec)
+        e_leo = model.Evaluation.of(ctx, dec).e_leo
         assert e_leo[0] == pytest.approx(24.0, rel=1e-12)
         assert e_leo[1] == 0.0
 
@@ -373,7 +375,7 @@ class TestEnergy:
         ctx = make_ctx()
         dec = SlotDecision(np.zeros(2), np.zeros(2), np.full(2, 10.0),
                            np.array([0.25, 0.0]))
-        _, e_uav, _ = model.slot_energy(ctx, dec)
+        e_uav = model.Evaluation.of(ctx, dec).e_uav
         expect = 400.0 * 1e-28 * ctx.sum_d * (1.0 - dec.gamma) * (2e9) ** 2
         assert np.allclose(e_uav, expect)
 
@@ -382,15 +384,16 @@ class TestEnergy:
         dec = SlotDecision(np.full(2, 0.3), np.full(2, 3e9), np.full(2, 4.0),
                            np.full(2, 0.4))
         terms = model.objective_terms(ctx, dec)
-        assert float(np.sum(terms)) == pytest.approx(model.slot_objective_bits(ctx, dec))
-        assert model.slot_objective_mbit(ctx, dec) == pytest.approx(
-            model.slot_objective_bits(ctx, dec) / 1e6)
+        bits = np.sum(model.Evaluation.of(ctx, dec).terms)
+        assert float(np.sum(terms)) == pytest.approx(bits)
+        assert model.slot_objective_mbit(ctx, dec) == pytest.approx(bits / 1e6)
 
     def test_objective_prices_window_and_energy(self):
         ctx = make_ctx()
         dec = SlotDecision(np.zeros(2), np.zeros(2), np.array([4.0, 10.0]), np.zeros(2))
         terms = model.objective_terms(ctx, dec)
-        e = model.slot_energy(ctx, dec)
+        ev = model.Evaluation.of(ctx, dec)
+        e = ev.e_comm, ev.e_uav, ev.e_leo
         expect = ctx.r_tol_leo * np.clip(10.0 - dec.delta_tol, 0, None) \
             - 10.0 * (e[0] + e[1] + e[2])
         assert np.allclose(terms, expect)

@@ -56,8 +56,7 @@ class TestPowerGrid:
     def test_matches_closed_form(self):
         hits = 0
         for ctx, fixed in draw_instances(8):
-            p, bad = solve_sp1_power(ctx, fixed.f_leo, fixed.delta_tol,
-                                     fixed.gamma)
+            p, bad = solve_sp1_power(ctx, model.Evaluation.of(ctx, fixed))
             res = grid_sp1(ctx, fixed)
             rate = ctx.ds_rate(p)
             live = res.feasible & ~bad & (fixed.gamma > 0)
@@ -73,8 +72,7 @@ class TestComputeGrid:
     def test_matches_closed_form(self):
         hits = 0
         for ctx, fixed in draw_instances(8, rng_seed=1):
-            f, bad, scaled = solve_sp2_compute(ctx, fixed.power, fixed.delta_tol,
-                                               fixed.gamma)
+            f, bad, scaled = solve_sp2_compute(ctx, model.Evaluation.of(ctx, fixed))
             res = grid_sp2(ctx, fixed)
             live = res.feasible & ~bad & (fixed.gamma > 0)
             if scaled:
@@ -93,8 +91,7 @@ class TestComputeGrid:
         for u in np.flatnonzero(res.feasible):
             f_try = fixed.f_leo.copy()
             f_try[u] = res.best[u]
-            _, sat = model.deadline_lower_bounds(ctx, fixed.power, f_try,
-                                                 fixed.gamma)
+            sat = model.Evaluation(ctx, fixed.power, f_try, None, fixed.gamma).sat
             assert sat[u] <= fixed.delta_tol[u] + 1e-6
 
 
@@ -102,8 +99,7 @@ class TestStartGrid:
     def test_solver_at_least_as_good(self):
         hits = 0
         for ctx, fixed in draw_instances(8, rng_seed=2):
-            dt, empty = solve_sp3_start_time(ctx, fixed.power, fixed.f_leo,
-                                             fixed.gamma)
+            dt, empty = solve_sp3_start_time(ctx, model.Evaluation.of(ctx, fixed))
             res = grid_sp3(ctx, fixed)
             cand = SlotDecision(fixed.power, fixed.f_leo, dt, fixed.gamma)
             terms = model.objective_terms(ctx, cand)
@@ -117,8 +113,7 @@ class TestRatioGrid:
     def test_solver_at_least_as_good(self):
         hits = 0
         for ctx, fixed in draw_instances(8, rng_seed=4):
-            gm, empty = solve_sp4_ratio(ctx, fixed.power, fixed.f_leo,
-                                        fixed.delta_tol)
+            gm, empty = solve_sp4_ratio(ctx, model.Evaluation.of(ctx, fixed))
             res = grid_sp4(ctx, fixed)
             cand = SlotDecision(fixed.power, fixed.f_leo, fixed.delta_tol, gm)
             terms = model.objective_terms(ctx, cand)

@@ -54,7 +54,7 @@ def reference_rotation(ctx, cfg, pinned_start=None):
         return model.objective_terms(ctx, SlotDecision(p, f, dt, gm))
 
     def need(p, f, gm):
-        return np.maximum(*model.deadline_lower_bounds(ctx, p, f, gm))
+        return model.Evaluation(ctx, p, f, None, gm).need
 
     n = ctx.num_uavs
     p = np.full(n, ctx.pmax_w / 2.0)
@@ -63,25 +63,26 @@ def reference_rotation(ctx, cfg, pinned_start=None):
     gm = np.where(ctx.sum_d <= 0.0, 0.0, 0.5)
     objs = []
     for _ in range(cfg.tol.i_max):
-        p_cand, bad = solve_sp1_power(ctx, f, dt, gm)
+        p_cand, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, f, dt, gm))
         ok = (need(p, f, gm) <= dt + 1e-9) & (p <= ctx.pmax_w + 1e-12)
         keep = ok & (terms(p, f, dt, gm) > terms(p_cand, f, dt, gm))
         p = np.where(keep | bad, p, p_cand)
 
-        f_cand, _, _ = solve_sp2_compute(ctx, p, dt, gm)
+        f_cand, _, _ = solve_sp2_compute(ctx, model.Evaluation(ctx, p, None, dt, gm))
         ok = (need(p, f, gm) <= dt + 1e-9) & (f <= ctx.leo_cpu_hz + 1e-6)
         keep = ok & (terms(p, f, dt, gm) > terms(p, f_cand, dt, gm))
         f_new = np.where(keep, f, f_cand)
         f = f_cand if np.sum(f_new) > ctx.leo_cpu_hz * (1.0 + 1e-9) else f_new
 
         if pinned_start is None:
-            dt_cand, _ = solve_sp3_start_time(ctx, p, f, gm, mode=cfg.solver_mode)
-            lo, hi = sp3_bounds(ctx, p, f, gm, mode=cfg.solver_mode)
+            ev = model.Evaluation(ctx, p, f, None, gm)
+            dt_cand, _ = solve_sp3_start_time(ctx, ev, mode=cfg.solver_mode)
+            lo, hi = sp3_bounds(ctx, ev, mode=cfg.solver_mode)
             ok = (dt >= lo - 1e-9) & (dt <= hi + 1e-9)
             keep = ok & (terms(p, f, dt, gm) > terms(p, f, dt_cand, gm))
             dt = np.where(keep, dt, dt_cand)
 
-        gm_cand, _ = solve_sp4_ratio(ctx, p, f, dt)
+        gm_cand, _ = solve_sp4_ratio(ctx, model.Evaluation(ctx, p, f, dt, None))
         ok = need(p, f, gm) <= dt + 1e-9
         keep = ok & (terms(p, f, dt, gm) > terms(p, f, dt, gm_cand))
         gm = np.where(keep, gm, gm_cand)
@@ -90,6 +91,13 @@ def reference_rotation(ctx, cfg, pinned_start=None):
         if len(objs) > 1 and abs(objs[-1] - objs[-2]) <= cfg.tol.tau_outer:
             break
     return SlotDecision(p, f, dt, gm), objs
+
+
+def on_board(ctx):
+    """Evaluation of the decision that offloads nothing: zero power,
+    compute share and ratio."""
+    z = np.zeros(ctx.num_uavs)
+    return model.Evaluation(ctx, z, z, None, z)
 
 
 def sat_slack(ctx, f, dt, gm):
@@ -105,14 +113,14 @@ def sat_slack(ctx, f, dt, gm):
 class TestPower:
     def test_zero_ratio_gives_zero_power(self):
         ctx = make_ctx()
-        p, bad = solve_sp1_power(ctx, np.full(2, 5e9), np.full(2, 5.0),
-                                 np.zeros(2))
+        p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, np.full(2, 5e9),
+                                                       np.full(2, 5.0), np.zeros(2)))
         assert np.all(p == 0.0) and not np.any(bad)
 
     def test_zero_load_gives_zero_power(self):
         ctx = make_ctx(sum_d=np.zeros(2))
-        p, bad = solve_sp1_power(ctx, np.full(2, 5e9), np.full(2, 5.0),
-                                 np.full(2, 0.5))
+        p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, np.full(2, 5e9),
+                                                       np.full(2, 5.0), np.full(2, 0.5)))
         assert np.all(p == 0.0) and not np.any(bad)
 
     def test_single_uav_fixture_matches_fine_grid(self):
@@ -124,7 +132,7 @@ class TestPower:
         f = np.array([5e9])
         dt = np.array([5.0])
         gm = np.array([0.5])
-        p, bad = solve_sp1_power(ctx, f, dt, gm)
+        p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, f, dt, gm))
         assert not bad[0]
         oracle = grid_sp1(ctx, SlotDecision(p, f, dt, gm), num_points=10001)
         assert oracle.feasible[0]
@@ -141,7 +149,7 @@ class TestPower:
             f = rng.uniform(0.5, 1.5, n) * 1e9
             dt = rng.uniform(4.0, 9.0, n)
             gm = rng.uniform(0.1, 0.8, n)
-            p, bad = solve_sp1_power(ctx, f, dt, gm)
+            p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, f, dt, gm))
             for u in range(n):
                 p_req = required_power(ctx, f[u], dt[u], gm[u], u)
                 if p_req > ctx.pmax_w * (1.0 + 1e-9):
@@ -158,15 +166,15 @@ class TestPower:
         p_req = np.array([required_power(ctx, f[u], dt[u], gm[u], u) for u in range(2)])
         # exactly at the box: the lowest power itself
         ctx.pmax_w = float(p_req[0])
-        p, bad = solve_sp1_power(ctx, f, dt, gm)
+        p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, f, dt, gm))
         assert not bad[0] and p[0] == p_req[0]
         # inside the 1e-9 tolerance: clipped to the box
         ctx.pmax_w = float(p_req[0]) / (1.0 + 0.5e-9)
-        p, bad = solve_sp1_power(ctx, f, dt, gm)
+        p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, f, dt, gm))
         assert not bad[0] and p[0] == ctx.pmax_w
         # beyond it: flagged, zero power
         ctx.pmax_w = float(p_req[0]) / (1.0 + 2e-9)
-        p, bad = solve_sp1_power(ctx, f, dt, gm)
+        p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, f, dt, gm))
         assert bad[0] and p[0] == 0.0
 
     def test_power_meets_deadline_within_box(self):
@@ -177,7 +185,7 @@ class TestPower:
             f = rng.uniform(0.5, 1.5, n) * 1e9
             dt = rng.uniform(4.0, 9.0, n)
             gm = rng.uniform(0.1, 0.8, n)
-            p, bad = solve_sp1_power(ctx, f, dt, gm)
+            p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, f, dt, gm))
             ok = ~bad & (gm > 0)
             assert np.all(p >= 0.0) and np.all(p <= ctx.pmax_w + 1e-12)
             rate = ctx.ds_rate(p)
@@ -187,16 +195,16 @@ class TestPower:
 
     def test_impossible_deadline_flagged(self):
         ctx = make_ctx()
-        p, bad = solve_sp1_power(ctx, np.full(2, 5e9), np.full(2, 0.6),
-                                 np.ones(2))
+        p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, np.full(2, 5e9),
+                                                       np.full(2, 0.6), np.ones(2)))
         # 0.6 s minus upload and round trip leaves too little for 4-6 Mbit
         assert np.all(bad)
         assert np.all(p == 0.0)
 
     def test_zero_compute_share_flagged(self):
         ctx = make_ctx()
-        p, bad = solve_sp1_power(ctx, np.zeros(2), np.full(2, 5.0),
-                                 np.full(2, 0.5))
+        p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, np.zeros(2),
+                                                       np.full(2, 5.0), np.full(2, 0.5)))
         assert np.all(bad)
 
 
@@ -207,8 +215,8 @@ class TestPower:
 class TestComputeShare:
     def test_zero_ratio_gives_zero_share(self):
         ctx = make_ctx()
-        f, bad, scaled = solve_sp2_compute(ctx, np.full(2, 0.5), np.full(2, 5.0),
-                                           np.zeros(2))
+        f, bad, scaled = solve_sp2_compute(ctx, model.Evaluation(ctx, np.full(2, 0.5), None,
+                                                                 np.full(2, 5.0), np.zeros(2)))
         assert np.all(f == 0.0) and not np.any(bad) and not scaled
 
     def test_fixture_1_2_ghz(self):
@@ -218,7 +226,7 @@ class TestComputeShare:
         gm = np.array([1.0, 0.0])
         l_comm = gm[0] * ctx.sum_d[0] / float(ctx.ds_rate(p)[0])
         dt = np.array([ctx.l_off[0] + l_comm + 2 * ctx.l_prop + 2.0, 5.0])
-        f, bad, scaled = solve_sp2_compute(ctx, p, dt, gm)
+        f, bad, scaled = solve_sp2_compute(ctx, model.Evaluation(ctx, p, None, dt, gm))
         assert f[0] == pytest.approx(1.2e9, rel=1e-9)
         assert not bad[0] and not scaled
 
@@ -228,15 +236,16 @@ class TestComputeShare:
         p = np.full(n, 0.5)
         dt = np.full(n, 6.0)
         gm = np.full(n, 0.3)
-        f, bad, scaled = solve_sp2_compute(ctx, p, dt, gm)
+        f, bad, scaled = solve_sp2_compute(ctx, model.Evaluation(ctx, p, None, dt, gm))
         live = ~bad & (gm > 0) & ~scaled & (f < ctx.leo_cpu_hz)
-        _, sat = model.deadline_lower_bounds(ctx, p, f, gm)
+        sat = model.Evaluation(ctx, p, f, None, gm).sat
         assert np.allclose(sat[live], dt[live], rtol=1e-9, atol=1e-9)
 
     def test_singular_deadline_clamps_and_flags(self):
         ctx = make_ctx()
         dt = ctx.l_off.copy()          # no room for transmit or compute at all
-        f, bad, scaled = solve_sp2_compute(ctx, np.full(2, 0.5), dt, np.ones(2))
+        f, bad, scaled = solve_sp2_compute(ctx, model.Evaluation(ctx, np.full(2, 0.5), None,
+                                                                 dt, np.ones(2)))
         assert np.all(bad)
         # both UAVs get best-effort pool shares, rescaled to fit jointly
         assert scaled
@@ -250,7 +259,7 @@ class TestComputeShare:
         gm = np.ones(2)
         l_comm = gm * ctx.sum_d / ctx.ds_rate(p)
         dt = ctx.l_off + l_comm + 2 * ctx.l_prop + 400.0 * ctx.sum_d / 8e9
-        f, bad, scaled = solve_sp2_compute(ctx, p, dt, gm)
+        f, bad, scaled = solve_sp2_compute(ctx, model.Evaluation(ctx, p, None, dt, gm))
         assert scaled
         assert np.sum(f) <= ctx.leo_cpu_hz * (1 + 1e-9)
 
@@ -263,15 +272,15 @@ class TestStartTime:
     def test_waiting_pays_starts_late(self):
         # forwarding is a net loss when omega * DT power exceeds the DT rate
         ctx = make_ctx(r_tol_leo=np.array([5.0, 5.0]))
-        dt, empty = solve_sp3_start_time(ctx, np.zeros(2), np.zeros(2), np.zeros(2))
+        dt, empty = solve_sp3_start_time(ctx, on_board(ctx))
         assert not np.any(empty)
-        _, hi = sp3_bounds(ctx, np.zeros(2), np.zeros(2), np.zeros(2))
+        _, hi = sp3_bounds(ctx, on_board(ctx))
         assert np.allclose(dt, np.minimum(hi, 10.0))
 
     def test_storage_limits_late_start(self):
         ctx = make_ctx(r_tol_leo=np.array([5.0, 5.0]),
                        storage_free=np.array([4e7, 8e9]))
-        dt, _ = solve_sp3_start_time(ctx, np.zeros(2), np.zeros(2), np.zeros(2))
+        dt, _ = solve_sp3_start_time(ctx, on_board(ctx))
         assert dt[0] == pytest.approx(4e7 / 2e7)   # free / collection rate
         assert dt[1] == pytest.approx(10.0)
 
@@ -279,7 +288,7 @@ class TestStartTime:
         # empty backlog, zero DS load: the backlog bound alone drives the start
         ctx = make_ctx(sum_d=np.zeros(2), l_off=np.zeros(2),
                        storage_free=np.full(2, 1.2e10))
-        dt, empty = solve_sp3_start_time(ctx, np.zeros(2), np.zeros(2), np.zeros(2))
+        dt, empty = solve_sp3_start_time(ctx, on_board(ctx))
         assert not np.any(empty)
         expect = ctx.r_tol_leo * 10.0 / (ctx.r_tol_leo + ctx.dt_dev_rate_sum)
         assert np.allclose(dt, expect)
@@ -289,8 +298,9 @@ class TestStartTime:
         p = np.full(2, 0.5)
         f = np.full(2, 5e9)
         gm = np.zeros(2)
-        dt, _ = solve_sp3_start_time(ctx, p, f, gm)
-        local, _ = model.deadline_lower_bounds(ctx, p, f, gm)
+        ev = model.Evaluation(ctx, p, f, None, gm)
+        dt, _ = solve_sp3_start_time(ctx, ev)
+        local = ev.local
         assert np.all(dt >= local - 1e-9)
 
     def test_relaxed_bound_below_strict_when_offloading(self):
@@ -299,16 +309,18 @@ class TestStartTime:
         p = np.full(n, 0.5)
         f = np.full(n, 1.5e9)
         gm = np.full(n, 0.5)
-        lo_rel, _ = sp3_bounds(ctx, p, f, gm, mode="paper-relaxed")
-        lo_str, _ = sp3_bounds(ctx, p, f, gm, mode="strict")
+        ev = model.Evaluation(ctx, p, f, None, gm)
+        lo_rel, _ = sp3_bounds(ctx, ev, mode="paper-relaxed")
+        lo_str, _ = sp3_bounds(ctx, ev, mode="strict")
         assert np.all(lo_rel <= lo_str + 1e-12)
 
     def test_relaxed_equals_strict_without_offloading(self):
         ctx, _ = scenario_ctx(seed=1)
         n = ctx.num_uavs
         z = np.zeros(n)
-        lo_rel, hi_rel = sp3_bounds(ctx, z, z, z, mode="paper-relaxed")
-        lo_str, hi_str = sp3_bounds(ctx, z, z, z, mode="strict")
+        ev = model.Evaluation(ctx, z, z, None, z)
+        lo_rel, hi_rel = sp3_bounds(ctx, ev, mode="paper-relaxed")
+        lo_str, hi_str = sp3_bounds(ctx, ev, mode="strict")
         assert np.allclose(lo_rel, lo_str) and np.allclose(hi_rel, hi_str)
 
     def test_empty_interval_flagged(self):
@@ -316,7 +328,7 @@ class TestStartTime:
         ctx = make_ctx(r_tol_leo=np.array([5e9, 5e9]),
                        storage_free=np.array([1e5, 1e5]),
                        sum_d=np.zeros(2), l_off=np.zeros(2))
-        dt, empty = solve_sp3_start_time(ctx, np.zeros(2), np.zeros(2), np.zeros(2))
+        dt, empty = solve_sp3_start_time(ctx, on_board(ctx))
         assert np.all(empty)
         assert np.all(dt == ctx.slot_seconds)
 
@@ -326,13 +338,13 @@ class TestStartTime:
         for ctx in (make_ctx(), make_ctx(storage_free=np.array([1.2e10, 1.19e10])),
                     scenario_ctx(seed=1)[0]):
             z = np.zeros(ctx.num_uavs)
-            local, _ = model.deadline_lower_bounds(ctx, z, z, z)
+            local = model.Evaluation(ctx, z, z, None, z).local
             used = ctx.storage_capacity - ctx.storage_free
             backlog = ((ctx.r_tol_leo * ctx.slot_seconds - used)
                        / (ctx.r_tol_leo + ctx.dt_dev_rate_sum))
             expect = np.maximum.reduce([np.zeros(ctx.num_uavs), backlog, local])
             for mode in ("strict", "paper-relaxed"):
-                lo, _ = sp3_bounds(ctx, z, z, z, mode=mode)
+                lo, _ = sp3_bounds(ctx, model.Evaluation(ctx, z, z, None, z), mode=mode)
                 assert np.array_equal(lo, expect)
 
 
@@ -344,8 +356,8 @@ class TestRatio:
     def test_remote_at_uav_speed_keeps_work_local(self):
         # compute-energy terms cancel, transmit cost remains: lower end wins
         ctx = make_ctx()
-        gm, empty = solve_sp4_ratio(ctx, np.full(2, 0.5), np.full(2, 2e9),
-                                    np.full(2, 8.0))
+        gm, empty = solve_sp4_ratio(ctx, model.Evaluation(ctx, np.full(2, 0.5), np.full(2, 2e9),
+                                                          np.full(2, 8.0), None))
         g_min = 1.0 + (ctx.l_off - 8.0) / (400.0 * ctx.sum_d / 2e9)
         assert not np.any(empty)
         assert np.allclose(gm, np.clip(g_min, 0.0, 1.0))
@@ -355,7 +367,7 @@ class TestRatio:
         p = np.full(2, 1e-6)
         f = np.full(2, 1e9)
         dt = np.full(2, 9.0)
-        gm, empty = solve_sp4_ratio(ctx, p, f, dt)
+        gm, empty = solve_sp4_ratio(ctx, model.Evaluation(ctx, p, f, dt, None))
         rate = ctx.ds_rate(p)
         g_max = (dt - 2 * ctx.l_prop - ctx.l_off) / ((1 / rate + 400.0 / f) * ctx.sum_d)
         assert not np.any(empty)
@@ -363,7 +375,8 @@ class TestRatio:
 
     def test_zero_power_collapses_interval(self):
         ctx = make_ctx()
-        gm, empty = solve_sp4_ratio(ctx, np.zeros(2), np.zeros(2), np.full(2, 8.0))
+        gm, empty = solve_sp4_ratio(ctx, model.Evaluation(ctx, np.zeros(2), np.zeros(2),
+                                                          np.full(2, 8.0), None))
         g_min = np.clip(1.0 + (ctx.l_off - 8.0) / (400.0 * ctx.sum_d / 2e9), 0.0, 1.0)
         assert np.allclose(gm, g_min)
 
@@ -374,15 +387,15 @@ class TestRatio:
         p = np.full(2, 1e-9)    # rate barely above zero
         f = np.full(2, 1e6)
         dt = np.full(2, 9.0)
-        gm, empty = solve_sp4_ratio(ctx, p, f, dt)
+        gm, empty = solve_sp4_ratio(ctx, model.Evaluation(ctx, p, f, dt, None))
         assert np.all(empty)
         g_min = np.clip(1.0 + (ctx.l_off - dt) / (400.0 * ctx.sum_d / 2e9), 0.0, 1.0)
         assert np.allclose(gm, g_min)
 
     def test_zero_load_stays_zero(self):
         ctx = make_ctx(sum_d=np.zeros(2))
-        gm, empty = solve_sp4_ratio(ctx, np.full(2, 0.5), np.full(2, 1e9),
-                                    np.full(2, 5.0))
+        gm, empty = solve_sp4_ratio(ctx, model.Evaluation(ctx, np.full(2, 0.5), np.full(2, 1e9),
+                                                          np.full(2, 5.0), None))
         assert np.all(gm == 0.0) and not np.any(empty)
 
     def test_ratio_respects_deadline(self):
@@ -393,9 +406,10 @@ class TestRatio:
             p = rng.uniform(0.2, 1.0, n)
             f = rng.uniform(0.5, 1.5, n) * 1e9
             dt = rng.uniform(5.0, 9.5, n)
-            gm, empty = solve_sp4_ratio(ctx, p, f, dt)
+            gm, empty = solve_sp4_ratio(ctx, model.Evaluation(ctx, p, f, dt, None))
             live = ~empty
-            local, sat = model.deadline_lower_bounds(ctx, p, f, gm)
+            ev = model.Evaluation(ctx, p, f, None, gm)
+            local, sat = ev.local, ev.sat
             assert np.all(np.maximum(local, sat)[live] <= dt[live] + 1e-6)
 
 
@@ -453,8 +467,8 @@ class TestSlotSolve:
         ctx, cfg = scenario_ctx(seed=4, solver_mode="strict")
         decision, trace = solve_slot_jcorm(ctx, cfg)
         assert not trace.fallback
-        local, sat = model.deadline_lower_bounds(ctx, decision.power,
-                                                 decision.f_leo, decision.gamma)
+        ev = model.Evaluation.of(ctx, decision)
+        local, sat = ev.local, ev.sat
         assert np.all(np.maximum(local, sat) <= decision.delta_tol + 1e-9)
 
     def test_pass_objective_equals_slot_objective(self):
@@ -589,7 +603,7 @@ class TestSlotSolve:
         ctx = make_ctx()
         fb = fallback_decision(ctx)
         assert np.all(fb.power == 0.0) and np.all(fb.gamma == 0.0)
-        local, _ = model.deadline_lower_bounds(ctx, fb.power, fb.f_leo, fb.gamma)
+        local = model.Evaluation.of(ctx, fb).local
         assert np.all(fb.delta_tol >= np.minimum(local, ctx.slot_seconds) - 1e-12)
 
 
