@@ -8,7 +8,7 @@ from .config import (ConfigError, GaConfig, ScenarioConfig, ToleranceConfig,
 from .harness import (ExperimentResult, SweepResult, run_compare,
                       run_experiment, run_sweep)
 from .model import SlotContext, SlotDecision, SlotMetrics
-from .oracle import GridSpec, grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
+from .oracle import grid_axes, grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
 from .scenario import NetworkState, build_slot_context, generate_scenario
 from .solver import HorizonResult, run_horizon, run_horizons, solve_slot_jcorm
 
@@ -32,7 +32,7 @@ __all__ = [
     "solve_slot_atsm",
     "solve_slot_no_offload",
     "run_horizon_ga",
-    "GridSpec",
+    "grid_axes",
     "grid_sp1",
     "grid_sp2",
     "grid_sp3",

@@ -21,7 +21,7 @@ import numpy as np
 from .config import (ALGORITHMS, SOLVER_MODES, ConfigError, ScenarioConfig, coerce,
                      load_config)
 from . import harness
-from .oracle import GridSpec, grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
+from .oracle import grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
 from .scenario import build_slot_context, generate_scenario
 
 EXIT_OK = 0
@@ -191,7 +191,7 @@ def _cmd_oracle(args) -> int:
         best = np.array2string(res.best, precision=4)
         print(f"  {name:8s} grid best per UAV: {best}")
     if args.joint:
-        joint = grid_joint(ctx, GridSpec.for_context(ctx, points=points))
+        joint = grid_joint(ctx, points)
         if joint.feasible:
             print(f"  joint grid optimum {joint.best_obj_mbit:.6f} Mbit")
         else:

@@ -250,6 +250,10 @@ class ScenarioConfig:
             # a silent DS device has rate 0: its upload would never finish
             raise ConfigError("device_power_sens_w = 0 cannot upload the DS load "
                               "(ds_size_max_bits > 0)")
+        if self.beta == 0 and self.ds_size_max_bits > 0:
+            # no DS band: the upload time overflows to inf
+            raise ConfigError("beta = 0 leaves no band to upload the DS load "
+                              "(ds_size_max_bits > 0)")
         if self.rician_k0 < 0:
             raise ConfigError("rician_k0 must be >= 0")
         if self.pathloss_coeff <= 0 or self.pathloss_exp <= 0:

@@ -22,40 +22,16 @@ from .model import SlotContext, SlotDecision
 
 _TIME_SLACK = 1e-9      # matches model.check_feasible
 _BITS_SLACK = 1e-3
+FINE_POINTS = 10001     # points on each per-coordinate grid
 
 
-@dataclass
-class GridSpec:
-    """Axis definitions for the grid searches: (lower, upper) per variable
-    plus point counts."""
-
-    power: tuple = (0.0, 1.0)            # W
-    compute: tuple = (0.0, 1.0e10)       # Hz
-    start: tuple = (0.0, 10.0)           # s
-    ratio: tuple = (0.0, 1.0)
-    power_points: int = 20
-    compute_points: int = 20
-    start_points: int = 20
-    ratio_points: int = 20
-
-    def validate(self) -> None:
-        for name in ("power", "compute", "start", "ratio"):
-            lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ValueError(f"grid bounds for {name} are not ordered")
-            if getattr(self, name + "_points") < 2:
-                raise ValueError(f"grid needs >= 2 points on axis {name}")
-
-    def axis(self, name: str) -> np.ndarray:
-        lo, hi = getattr(self, name)
-        return np.linspace(lo, hi, getattr(self, name + "_points"))
-
-    @classmethod
-    def for_context(cls, ctx: SlotContext, points: int = 20) -> "GridSpec":
-        return cls(power=(0.0, ctx.pmax_w), compute=(0.0, ctx.leo_cpu_hz),
-                   start=(0.0, ctx.slot_seconds), ratio=(0.0, 1.0),
-                   power_points=points, compute_points=points,
-                   start_points=points, ratio_points=points)
+def grid_axes(ctx: SlotContext, points: int) -> tuple:
+    """The (power, compute, start, ratio) axes, each `points` values from 0
+    to its box bound."""
+    return (np.linspace(0.0, ctx.pmax_w, points),
+            np.linspace(0.0, ctx.leo_cpu_hz, points),
+            np.linspace(0.0, ctx.slot_seconds, points),
+            np.linspace(0.0, 1.0, points))
 
 
 @dataclass
@@ -68,13 +44,44 @@ class GridResult:
     best_obj: np.ndarray     # per UAV, NaN where infeasible
 
 
+def _search(ctx, axis, score, maximize) -> GridResult:
+    """Best feasible point of `axis` for each UAV, ties to the lowest index.
+
+    `score(u)` gives UAV u's (feasible mask, objective) over the axis, or
+    None when u offloads nothing and is feasible at (0, 0)."""
+    n = ctx.num_uavs
+    res = GridResult(np.zeros(n, dtype=bool), np.full(n, np.nan), np.full(n, np.nan))
+    fill, pick = (-np.inf, np.argmax) if maximize else (np.inf, np.argmin)
+    for u in range(n):
+        scored = score(u)
+        if scored is None:
+            res.feasible[u] = True
+            res.best[u] = 0.0
+            res.best_obj[u] = 0.0
+            continue
+        ok, obj = scored
+        if not np.any(ok):
+            continue
+        obj = np.where(ok, obj, fill)
+        idx = int(pick(obj))
+        res.feasible[u] = True
+        res.best[u] = axis[idx]
+        res.best_obj[u] = float(obj[idx])
+    return res
+
+
+def _rate(ctx, u, p):
+    """DS-uplink rate of UAV u at power p on its equal share of the band."""
+    return (ctx.leo_bandwidth_hz / ctx.num_uavs) * np.log2(
+        1.0 + p * float(ctx.sat_gain[u]) / ctx.noise_w)
+
+
 def _branch_times(ctx, u, p, f, g):
     """Completion times of both branches for UAV u, broadcast over grids."""
     sum_d = float(ctx.sum_d[u])
     l_off = float(ctx.l_off[u])
     local = l_off + ctx.cycles_per_bit * (1.0 - g) * sum_d / ctx.uav_cpu_hz
-    rate = (ctx.leo_bandwidth_hz / ctx.num_uavs) * np.log2(
-        1.0 + p * float(ctx.sat_gain[u]) / ctx.noise_w)
+    rate = _rate(ctx, u, p)
     offload = g * sum_d
     with np.errstate(divide="ignore", invalid="ignore"):
         t_tx = np.where(offload > 0.0,
@@ -92,8 +99,7 @@ def _branch_times(ctx, u, p, f, g):
 def _uav_objective(ctx, u, p, f, dt, g):
     """Per-UAV objective term for UAV u, broadcast over grids."""
     sum_d = float(ctx.sum_d[u])
-    rate = (ctx.leo_bandwidth_hz / ctx.num_uavs) * np.log2(
-        1.0 + p * float(ctx.sat_gain[u]) / ctx.noise_w)
+    rate = _rate(ctx, u, p)
     offload = g * sum_d
     with np.errstate(divide="ignore", invalid="ignore"):
         l_comm = np.where(offload > 0.0,
@@ -115,118 +121,72 @@ def _storage_masks(ctx, u, dt):
     return storage_ok & backlog_ok
 
 
-def grid_sp1(ctx: SlotContext, fixed: SlotDecision, num_points: int = 10001) -> GridResult:
+def grid_sp1(ctx: SlotContext, fixed: SlotDecision) -> GridResult:
     """1-D power search per UAV minimizing transmit energy (omega-weighted)
     subject to the satellite-branch deadline and the power box."""
-    n = ctx.num_uavs
-    p_axis = np.linspace(0.0, ctx.pmax_w, num_points)
-    feasible = np.zeros(n, dtype=bool)
-    best = np.full(n, np.nan)
-    best_obj = np.full(n, np.nan)
-    for u in range(n):
+    p_axis = grid_axes(ctx, FINE_POINTS)[0]
+
+    def score(u):
         g = float(fixed.gamma[u])
         offload = g * float(ctx.sum_d[u])
         if offload <= 0.0:
-            feasible[u] = True
-            best[u] = 0.0
-            best_obj[u] = 0.0
-            continue
+            return None
         _, sat = _branch_times(ctx, u, p_axis, float(fixed.f_leo[u]), g)
-        ok = sat <= float(fixed.delta_tol[u]) + _TIME_SLACK
-        if not np.any(ok):
-            continue
-        rate = (ctx.leo_bandwidth_hz / n) * np.log2(
-            1.0 + p_axis * float(ctx.sat_gain[u]) / ctx.noise_w)
+        rate = _rate(ctx, u, p_axis)
         with np.errstate(divide="ignore", invalid="ignore"):
             obj = np.where(rate > 0.0,
                            ctx.omega * offload * p_axis / np.where(rate > 0.0, rate, 1.0),
                            np.inf)
-        obj = np.where(ok, obj, np.inf)
-        idx = int(np.argmin(obj))
-        feasible[u] = True
-        best[u] = p_axis[idx]
-        best_obj[u] = float(obj[idx])
-    return GridResult(feasible, best, best_obj)
+        return sat <= float(fixed.delta_tol[u]) + _TIME_SLACK, obj
+
+    return _search(ctx, p_axis, score, maximize=False)
 
 
-def grid_sp2(ctx: SlotContext, fixed: SlotDecision, num_points: int = 10001) -> GridResult:
+def grid_sp2(ctx: SlotContext, fixed: SlotDecision) -> GridResult:
     """1-D compute-share search per UAV minimizing remote compute energy
     (omega-weighted) subject to the satellite-branch deadline and the
     per-UAV share cap (the pool budget is a joint constraint, checked by
     grid_joint)."""
-    n = ctx.num_uavs
-    f_axis = np.linspace(0.0, ctx.leo_cpu_hz, num_points)
-    feasible = np.zeros(n, dtype=bool)
-    best = np.full(n, np.nan)
-    best_obj = np.full(n, np.nan)
-    for u in range(n):
+    f_axis = grid_axes(ctx, FINE_POINTS)[1]
+
+    def score(u):
         g = float(fixed.gamma[u])
         offload = g * float(ctx.sum_d[u])
         if offload <= 0.0:
-            feasible[u] = True
-            best[u] = 0.0
-            best_obj[u] = 0.0
-            continue
+            return None
         _, sat = _branch_times(ctx, u, float(fixed.power[u]), f_axis, g)
-        ok = sat <= float(fixed.delta_tol[u]) + _TIME_SLACK
-        if not np.any(ok):
-            continue
         obj = ctx.omega * ctx.cycles_per_bit * ctx.switch_cap * offload * f_axis ** 2
-        obj = np.where(ok, obj, np.inf)
-        idx = int(np.argmin(obj))
-        feasible[u] = True
-        best[u] = f_axis[idx]
-        best_obj[u] = float(obj[idx])
-    return GridResult(feasible, best, best_obj)
+        return sat <= float(fixed.delta_tol[u]) + _TIME_SLACK, obj
+
+    return _search(ctx, f_axis, score, maximize=False)
 
 
-def grid_sp3(ctx: SlotContext, fixed: SlotDecision, num_points: int = 10001) -> GridResult:
+def grid_sp3(ctx: SlotContext, fixed: SlotDecision) -> GridResult:
     """1-D forwarding-start search per UAV maximizing the UAV's objective
     term subject to both completion branches, storage, and backlog."""
-    n = ctx.num_uavs
-    dt_axis = np.linspace(0.0, ctx.slot_seconds, num_points)
-    feasible = np.zeros(n, dtype=bool)
-    best = np.full(n, np.nan)
-    best_obj = np.full(n, np.nan)
-    for u in range(n):
-        local, sat = _branch_times(ctx, u, float(fixed.power[u]),
-                                   float(fixed.f_leo[u]), float(fixed.gamma[u]))
+    dt_axis = grid_axes(ctx, FINE_POINTS)[2]
+
+    def score(u):
+        p, f, g = float(fixed.power[u]), float(fixed.f_leo[u]), float(fixed.gamma[u])
+        local, sat = _branch_times(ctx, u, p, f, g)
         ok = (dt_axis >= max(local, sat) - _TIME_SLACK) & _storage_masks(ctx, u, dt_axis)
-        if not np.any(ok):
-            continue
-        obj = _uav_objective(ctx, u, float(fixed.power[u]), float(fixed.f_leo[u]),
-                             dt_axis, float(fixed.gamma[u]))
-        obj = np.where(ok, obj, -np.inf)
-        idx = int(np.argmax(obj))
-        feasible[u] = True
-        best[u] = dt_axis[idx]
-        best_obj[u] = float(obj[idx])
-    return GridResult(feasible, best, best_obj)
+        return ok, _uav_objective(ctx, u, p, f, dt_axis, g)
+
+    return _search(ctx, dt_axis, score, maximize=True)
 
 
-def grid_sp4(ctx: SlotContext, fixed: SlotDecision, num_points: int = 10001) -> GridResult:
+def grid_sp4(ctx: SlotContext, fixed: SlotDecision) -> GridResult:
     """1-D offload-ratio search per UAV maximizing the UAV's objective term
     subject to both completion branches."""
-    n = ctx.num_uavs
-    g_axis = np.linspace(0.0, 1.0, num_points)
-    feasible = np.zeros(n, dtype=bool)
-    best = np.full(n, np.nan)
-    best_obj = np.full(n, np.nan)
-    for u in range(n):
-        local, sat = _branch_times(ctx, u, float(fixed.power[u]),
-                                   float(fixed.f_leo[u]), g_axis)
-        dt = float(fixed.delta_tol[u])
-        ok = (np.maximum(local, sat) <= dt + _TIME_SLACK)
-        if not np.any(ok):
-            continue
-        obj = _uav_objective(ctx, u, float(fixed.power[u]), float(fixed.f_leo[u]),
-                             dt, g_axis)
-        obj = np.where(ok, obj, -np.inf)
-        idx = int(np.argmax(obj))
-        feasible[u] = True
-        best[u] = g_axis[idx]
-        best_obj[u] = float(obj[idx])
-    return GridResult(feasible, best, best_obj)
+    g_axis = grid_axes(ctx, FINE_POINTS)[3]
+
+    def score(u):
+        p, f, dt = float(fixed.power[u]), float(fixed.f_leo[u]), float(fixed.delta_tol[u])
+        local, sat = _branch_times(ctx, u, p, f, g_axis)
+        ok = np.maximum(local, sat) <= dt + _TIME_SLACK
+        return ok, _uav_objective(ctx, u, p, f, dt, g_axis)
+
+    return _search(ctx, g_axis, score, maximize=True)
 
 
 @dataclass
@@ -236,9 +196,9 @@ class JointResult:
     best_obj_mbit: float        # NaN when infeasible
 
 
-def grid_joint(ctx: SlotContext, grid: GridSpec) -> JointResult:
+def grid_joint(ctx: SlotContext, points: int) -> JointResult:
     """Exhaustive feasible-point maximization of the slot objective on the
-    4-D grid, for one or two UAVs.
+    4-D grid of `grid_axes(ctx, points)`, for one or two UAVs.
 
     Everything except the compute-pool budget separates per UAV, so each
     UAV's best (power, start, ratio) is tabulated for every compute value,
@@ -246,17 +206,14 @@ def grid_joint(ctx: SlotContext, grid: GridSpec) -> JointResult:
     exact for the grid and keeps the evaluation count at
     points^4 * U + points^U.
     """
-    grid.validate()
     n = ctx.num_uavs
+    if points < 2:
+        raise ValueError("joint grid oracle needs >= 2 points per axis")
     if n > 2:
         raise ValueError("joint grid oracle is limited to 2 UAVs")
-    if max(grid.power_points, grid.compute_points,
-           grid.start_points, grid.ratio_points) > 25:
+    if points > 25:
         raise ValueError("joint grid oracle is limited to 25 points per axis")
-    p_ax = grid.axis("power")
-    f_ax = grid.axis("compute")
-    d_ax = grid.axis("start")
-    g_ax = grid.axis("ratio")
+    p_ax, f_ax, d_ax, g_ax = grid_axes(ctx, points)
     # broadcast axes: (P, F, D, G)
     p4 = p_ax[:, None, None, None]
     f4 = f_ax[None, :, None, None]
@@ -272,38 +229,24 @@ def grid_joint(ctx: SlotContext, grid: GridSpec) -> JointResult:
         ok = (np.maximum(local, sat) <= d4 + _TIME_SLACK) & _storage_masks(ctx, u, d4)
         obj = _uav_objective(ctx, u, p4, f4, d4, g4)
         obj = np.where(ok, obj, -np.inf)
-        flat = obj.transpose(1, 0, 2, 3).reshape(len(f_ax), -1)  # (F, P*D*G)
+        flat = obj.transpose(1, 0, 2, 3).reshape(points, -1)  # (F, P*D*G)
         argmax_idx.append(np.argmax(flat, axis=1))
-        best_over_f.append(flat[np.arange(len(f_ax)), argmax_idx[-1]])
+        best_over_f.append(flat[np.arange(points), argmax_idx[-1]])
 
-    if n == 1:
-        total = best_over_f[0]
-        fi = int(np.argmax(total))
-        if not np.isfinite(total[fi]):
-            return JointResult(False, None, float("nan"))
-        f_pick = (fi,)
-    else:
-        pair = best_over_f[0][:, None] + best_over_f[1][None, :]
-        pool_ok = (f_ax[:, None] + f_ax[None, :]) <= ctx.leo_cpu_hz * (1 + 1e-9) + 1e-6
-        pair = np.where(pool_ok, pair, -np.inf)
-        flat_idx = int(np.argmax(pair))
-        if not np.isfinite(pair.reshape(-1)[flat_idx]):
-            return JointResult(False, None, float("nan"))
-        f_pick = np.unravel_index(flat_idx, pair.shape)
-
-    power = np.zeros(n)
-    f_leo = np.zeros(n)
-    dt = np.zeros(n)
-    gm = np.zeros(n)
-    shape_pdg = (len(p_ax), len(d_ax), len(g_ax))
-    for u in range(n):
-        fi = int(f_pick[u])
-        pi, di, gi = np.unravel_index(int(argmax_idx[u][fi]), shape_pdg)
-        power[u] = p_ax[pi]
-        f_leo[u] = f_ax[fi]
-        dt[u] = d_ax[di]
-        gm[u] = g_ax[gi]
-    decision = SlotDecision(power, f_leo, dt, gm)
+    # the summed best objectives of every compute combination, (F,) per
+    # UAV, where the combination fits the pool
+    total, pool = best_over_f[0], f_ax
+    for best in best_over_f[1:]:
+        total = total[..., None] + best
+        pool = pool[..., None] + f_ax
+    total = np.where(pool <= ctx.leo_cpu_hz * (1 + 1e-9) + 1e-6, total, -np.inf)
+    flat_idx = int(np.argmax(total))
+    if not np.isfinite(total.reshape(-1)[flat_idx]):
+        return JointResult(False, None, float("nan"))
+    f_idx = np.array(np.unravel_index(flat_idx, total.shape))
+    pdg = np.array([argmax_idx[u][f_idx[u]] for u in range(n)])
+    p_idx, d_idx, g_idx = np.unravel_index(pdg, (points, points, points))
+    decision = SlotDecision(p_ax[p_idx], f_ax[f_idx], d_ax[d_idx], g_ax[g_idx])
     report = model.check_feasible(ctx, decision)
     if not report.ok:
         raise RuntimeError(f"oracle selected an infeasible cell: {report.violations}")

@@ -10,7 +10,7 @@ from jcorm import model
 from jcorm.config import ScenarioConfig, ToleranceConfig
 from jcorm.harness import run_experiment, run_sweep
 from jcorm.model import SlotDecision, dt_collection_step
-from jcorm.oracle import GridSpec, grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
+from jcorm.oracle import grid_axes, grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
 from jcorm.scenario import build_slot_context, generate_scenario
 from jcorm.solver import (run_horizon, solve_slot_jcorm, solve_sp1_power,
                           solve_sp2_compute, solve_sp3_start_time, solve_sp4_ratio)
@@ -138,8 +138,7 @@ def test_criterion_2_near_optimal_on_small_unimodal_instances():
         ctx = build_slot_context(cfg, state, 0,
                                  np.full(2, cfg.storage_initial_free_bits))
         seed += 1
-        spec = GridSpec.for_context(ctx, points=points)
-        oracle = grid_joint(ctx, spec)
+        oracle = grid_joint(ctx, points)
         if not oracle.feasible or oracle.best_obj_mbit <= 0.0:
             continue
 
@@ -148,8 +147,7 @@ def test_criterion_2_near_optimal_on_small_unimodal_instances():
                 ("start", oracle.decision.delta_tol),
                 ("ratio", oracle.decision.gamma)]
         unimodal = True
-        for name, best_vec in axes:
-            grid_vals = spec.axis(name)
+        for (name, best_vec), grid_vals in zip(axes, grid_axes(ctx, points)):
             for u in range(2):
                 center = int(np.argmin(np.abs(grid_vals - best_vec[u])))
                 vals = np.empty(points)

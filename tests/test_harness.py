@@ -304,7 +304,6 @@ class TestResults:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides", [
-        dict(beta=0.0),                                 # DS rate 0: delays near 3e306 s
         dict(switch_cap=1e150, omega=0.0),              # energies near 1e178 J
         dict(ds_size_max_bits=1e300, omega=0.0),
         # weak DS devices under a huge load: delays near 1e282 s (a DS rate
@@ -633,6 +632,19 @@ class TestCli:
                        "ds_size_max_bits = 0\n")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
+    def test_ds_load_without_ds_band_is_config_error(self, tmp_path, capsys):
+        # ran, exited 3 and wrote ds_delay_s = inf: with no DS band the
+        # upload time overflows
+        cfg = tmp_path / "no-band.cfg"
+        cfg.write_text("beta = 0\nds_size_max_bits = 4e8\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "beta" in capsys.readouterr().err
+        # without a DS load, the DT devices may take the whole band
+        cfg.write_text(TINY + "beta = 0\nds_size_min_bits = 0\nds_size_max_bits = 0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
     def test_oversized_tasks_exit_infeasible(self, tmp_path):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(TINY + "ds_size_min_bits = 1e9\nds_size_max_bits = 1e9\n")
@@ -702,7 +714,7 @@ class TestCli:
         lines = out[()].splitlines()
         for line, (name, grid) in zip(lines[1:], (("power", grid_sp1), ("compute", grid_sp2),
                                                   ("start", grid_sp3), ("ratio", grid_sp4))):
-            best = np.array2string(grid(ctx, decision, num_points=10001).best, precision=4)
+            best = np.array2string(grid(ctx, decision).best, precision=4)
             assert line == f"  {name:8s} grid best per UAV: {best}"
         assert len(lines) == 5
 

@@ -8,7 +8,7 @@ import pytest
 from jcorm import model
 from jcorm.config import ToleranceConfig
 from jcorm.model import SlotDecision
-from jcorm.oracle import GridSpec, grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
+from jcorm.oracle import grid_axes, grid_joint, grid_sp1, grid_sp2, grid_sp3, grid_sp4
 from jcorm.solver import (solve_sp1_power, solve_sp2_compute,
                           solve_sp3_start_time, solve_sp4_ratio)
 
@@ -149,31 +149,30 @@ class TestJointGrid:
     def test_idle_network_scores_zero(self):
         ctx = make_ctx(sum_d=np.zeros(2), dt_dev_rate_sum=np.zeros(2),
                        l_off=np.zeros(2), storage_free=np.full(2, 1.2e10))
-        res = grid_joint(ctx, GridSpec.for_context(ctx, points=5))
+        res = grid_joint(ctx, 5)
         assert res.feasible
         assert res.best_obj_mbit == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_large_fleets(self):
         ctx, _ = scenario_ctx(seed=0)
         with pytest.raises(ValueError):
-            grid_joint(ctx, GridSpec.for_context(ctx, points=5))
+            grid_joint(ctx, 5)
 
     def test_rejects_oversized_grids(self):
         ctx = tiny_ctx()
         with pytest.raises(ValueError):
-            grid_joint(ctx, GridSpec.for_context(ctx, points=26))
+            grid_joint(ctx, 26)
 
     def test_deterministic(self):
         ctx = tiny_ctx()
-        spec = GridSpec.for_context(ctx, points=8)
-        r1 = grid_joint(ctx, spec)
-        r2 = grid_joint(ctx, spec)
+        r1 = grid_joint(ctx, 8)
+        r2 = grid_joint(ctx, 8)
         assert r1.best_obj_mbit == r2.best_obj_mbit
         assert np.array_equal(r1.decision.power, r2.decision.power)
 
     def test_best_point_is_feasible(self):
         ctx = tiny_ctx()
-        res = grid_joint(ctx, GridSpec.for_context(ctx, points=10))
+        res = grid_joint(ctx, 10)
         assert res.feasible
         report = model.check_feasible(ctx, res.decision)
         assert report.ok, report.violations
@@ -182,10 +181,8 @@ class TestJointGrid:
         # independent cross-check: the reported optimum beats random feasible
         # cells drawn from the same axes
         ctx = tiny_ctx()
-        spec = GridSpec.for_context(ctx, points=9)
-        res = grid_joint(ctx, spec)
-        axes = {name: spec.axis(name)
-                for name in ("power", "compute", "start", "ratio")}
+        res = grid_joint(ctx, 9)
+        axes = dict(zip(("power", "compute", "start", "ratio"), grid_axes(ctx, 9)))
         rng = np.random.default_rng(17)
         checked = 0
         for _ in range(400):
@@ -203,6 +200,6 @@ class TestJointGrid:
 
     def test_two_uav_budget_respected(self):
         ctx = make_ctx(sum_d=np.array([8e5, 6e5]), l_off=np.array([0.3, 0.25]))
-        res = grid_joint(ctx, GridSpec.for_context(ctx, points=6))
+        res = grid_joint(ctx, 6)
         assert res.feasible
         assert np.sum(res.decision.f_leo) <= ctx.leo_cpu_hz * (1 + 1e-9)

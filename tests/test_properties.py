@@ -1,19 +1,28 @@
 """Property tests over configs that ``validate()`` accepts: every slot a
 rotation solver does not hand to the fallback is feasible on its own
-context, the buffer stays within [0, capacity], and utility is finite.
+context, the buffer stays within [0, capacity], and utility is finite. And
+over every config key: a config either runs to finite numbers or is a
+configuration error.
 
 RuntimeWarning is an error here as in the whole suite (pyproject.toml), so
 a property run that overflows or divides by zero fails too."""
 
+import contextlib
+import csv
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jcorm import model
 from jcorm.baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
-from jcorm.config import SOLVER_MODES, ScenarioConfig
+from jcorm.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from jcorm.config import (ALGORITHMS, CONFIG_KEYS, MAX_SLOTS, MAX_UAVS, SOLVER_MODES,
+                          ScenarioConfig)
 from jcorm.scenario import generate_scenario
 from jcorm.solver import run_horizon, solve_slot_jcorm
 
@@ -94,3 +103,95 @@ def test_slot_solvers_feasible_bounded_and_finite(cfg):
 def test_ga_bounded_and_finite(cfg):
     cfg = cfg.copy(ga_population=6, ga_generations=2)
     _assert_physical(cfg, run_horizon_ga(cfg, generate_scenario(cfg, cfg.seed)))
+
+
+# ---------------------------------------------------------------------------
+# every config key through the CLI
+# ---------------------------------------------------------------------------
+
+# a fleet small enough that four algorithms over two seeds run in
+# milliseconds; every accepted size stays within U <= 4, T <= 3,
+# population <= 8 and generations <= 3
+DEFAULTS = ScenarioConfig()
+SMALL = dict(num_uavs=3, num_slots=2, ga_population=8, ga_generations=3)
+SIZE_VALUES = {"num_uavs": [1, 2, 3, 4, 0, MAX_UAVS + 1],
+               "num_slots": [0, 1, 2, 3, MAX_SLOTS + 1],
+               "ga_population": [1, 2, 5, 8, 0],
+               "ga_generations": [0, 1, 3, -1]}
+# the bounds validate() checks besides zero, with a value just past each
+# closed one, and the choices of the string keys
+BOUNDS = {
+    "k_sens_min": [1], "k_sens_max": [1], "k_tol_min": [1], "k_tol_max": [1],
+    "elevation_deg": [-1e-9, 89.999, 90.0],
+    "beta": [1.0, 1.0 + 1e-9], "ga_crossover_rate": [1.0, 1.5],
+    "ga_mutation_rate": [1.0, -0.5], "ga_elitism": [-1], "ga_tournament": [1],
+    "ga_penalty_weight": [-1.0], "seed": [-1], "ga_seed": [None, -1], "i_max": [1],
+    "ds_size_min_bits": [DEFAULTS.ds_size_max_bits],
+    "storage_initial_free_bits": [DEFAULTS.storage_capacity_bits],
+    "ref_gain_db": [-4000.0, 4000.0], "antenna_gain_db": [4000.0],
+    "noise_dbm": [-4000.0, 4000.0],
+    "algo": list(ALGORITHMS) + ["annealing"], "solver_mode": list(SOLVER_MODES) + ["relaxed"],
+}
+
+
+def _key_value(key):
+    """One value for ``key``: eight times in nine log-uniform within 10^+-1
+    of the default (over (0, 1] for the shares, rounded up for integers),
+    else zero or a bound."""
+    if key in SIZE_VALUES:
+        return st.sampled_from(SIZE_VALUES[key])
+    owner, name, declared = CONFIG_KEYS[key]
+    default = getattr(getattr(DEFAULTS, owner) if owner else DEFAULTS, name)
+    if declared == "str":
+        return st.sampled_from(BOUNDS[key])
+    if key in ("beta", "ga_crossover_rate", "ga_mutation_rate"):
+        near = st.floats(0.0, 1.0, exclude_min=True)
+    elif default is None:
+        near = st.integers(0, 2 ** 32)
+    else:
+        near = st.floats(-1.0, 1.0).map(lambda e: default * 10.0 ** e)
+        if declared != "float":
+            near = near.map(math.ceil)
+    edges = st.sampled_from([0] + BOUNDS.get(key, []))
+    return st.sampled_from([near] * 4 + [edges] + [near] * 4).flatmap(lambda pick: pick)
+
+
+@st.composite
+def key_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), min_size=4, max_size=8,
+                         unique=True))
+    return {key: draw(_key_value(key)) for key in keys}
+
+
+def _finite_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            for cell in row.values():
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), row
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=key_overrides())
+# a DS load with no DS band: its upload time overflowed to inf
+@example(overrides={"beta": 0.0, "ds_size_max_bits": 4e8})
+def test_every_key_runs_finite_or_is_config_error(overrides):
+    text = "".join(f"{key} = {value}\n" for key, value in {**SMALL, **overrides}.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["compare", "--config", path, "--seeds", "0,1", "--algos",
+                         ",".join(ALGORITHMS), "--format", "csv", "--out", out])
+        if code == EXIT_CONFIG:
+            assert "configuration error" in err.getvalue(), text
+        else:
+            assert code in (EXIT_OK, EXIT_INFEASIBLE), text
+            _finite_csv(os.path.join(out, "compare.csv"))

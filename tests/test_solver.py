@@ -134,7 +134,7 @@ class TestPower:
         gm = np.array([0.5])
         p, bad = solve_sp1_power(ctx, model.Evaluation(ctx, None, f, dt, gm))
         assert not bad[0]
-        oracle = grid_sp1(ctx, SlotDecision(p, f, dt, gm), num_points=10001)
+        oracle = grid_sp1(ctx, SlotDecision(p, f, dt, gm))
         assert oracle.feasible[0]
         rate = float(ctx.ds_rate(p)[0])
         solver_obj = ctx.omega * gm[0] * ctx.sum_d[0] * p[0] / rate
