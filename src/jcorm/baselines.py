@@ -17,8 +17,8 @@ import numpy as np
 from . import model
 from .config import ScenarioConfig
 from .model import SlotContext, SlotDecision
-from .solver import (FIGURES, HorizonResult, SlotRecords, SlotSolveTrace, SlotSteps, Solved,
-                     rotate, run_horizon, settle_rotation, solve_sp3_start_time)
+from .solver import (FIGURES, HorizonResult, SlotSolveTrace, SlotSteps, Solved, rotate,
+                     run_horizon, settle_rotation, solve_sp3_start_time)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,6 @@ solve_slot_atsm.steps = SlotSteps(_rotate_atsm, _settle_atsm)
 
 @dataclass
 class GaTrace:
-    generations: int = 0
     best_fitness: list = field(default_factory=list)
     sanitized: bool = False
 
@@ -95,8 +94,7 @@ def _evolve(rng, ga, hi, fitness_fn, trace: GaTrace) -> np.ndarray:
     dim = len(hi)
     genomes = rng.uniform(0.0, 1.0, size=(pop, dim)) * hi
     fitness = fitness_fn(genomes)
-    for gen in range(ga.generations):
-        trace.generations = gen + 1
+    for _ in range(ga.generations):
         order = np.argsort(fitness)[::-1]
         elite = genomes[order[:ga.elitism]].copy()
 
@@ -169,7 +167,7 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
     t_start = _time.perf_counter()
     if t_slots == 0:
         return HorizonResult(np.empty((0, len(FIGURES))), [], 0.0,
-                             _time.perf_counter() - t_start, SlotRecords(), None)
+                             _time.perf_counter() - t_start, [], [], [])
 
     base_free = np.full(n, cfg.storage_initial_free_bits, dtype=float)
     ctxs = [build_slot_context(cfg, state, t, base_free) for t in range(t_slots)]

@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
 from .config import ConfigError, ScenarioConfig
 from .scenario import generate_scenario, generate_scenarios
-from .solver import FIGURES, HorizonResult, run_horizon, run_horizons, solve_slot_jcorm
+from .solver import FIGURES, HorizonResult, run_horizon, run_horizons, solve_slot_jcorm, stack_key
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +303,12 @@ def _scenario_key(cfg: ScenarioConfig) -> tuple:
 
 
 def _group_key(cfg: ScenarioConfig) -> tuple:
-    """Cells with equal keys share array shapes, solver settings and buffer
-    capacity, so their slots are solved and metered together as one stacked
-    rotation. With one capacity, the stacked context holds it as a scalar,
-    so a stack's next_free can be checked against one number (as the
-    benchmark's traced storage check in bench/tracing.py does)."""
-    return (cfg.algo, cfg.num_uavs, cfg.num_slots, cfg.solver_mode,
-            cfg.tol.i_max, cfg.tol.tau_outer, cfg.storage_capacity_bits)
+    """Cells with equal keys share an algorithm, ``solver.stack_key`` and
+    buffer capacity, so their slots are solved and metered together as one
+    stacked rotation. With one capacity, the stacked context holds it as a
+    scalar, so a stack's next_free can be checked against one number (as
+    the benchmark's traced storage check in bench/tracing.py does)."""
+    return (cfg.algo, *stack_key(cfg), cfg.storage_capacity_bits)
 
 
 def _run_group(cells: list, states: list) -> list:

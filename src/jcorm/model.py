@@ -13,7 +13,7 @@ Units: meters, seconds, hertz, watts, bits. Rates are bit/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -546,22 +546,14 @@ def slot_objective_mbit(ctx: SlotContext, decision: SlotDecision):
 
 @dataclass
 class FeasibilityReport:
-    """Which slot constraints a decision meets: bools for a 1-D context,
-    one entry per row for a stacked one. ``violations`` names each failed
-    constraint with its worst excess; on a stacked context its values are
-    per row, NaN (or False for a flag) on the rows that meet it."""
+    """Whether a decision meets every slot constraint: a bool for a 1-D
+    context, one per row for a stacked one. ``violations`` names each
+    failed constraint with its worst excess; on a stacked context its
+    values are per row, NaN (or False for a flag) on the rows that meet
+    it."""
 
-    box_ok: bool
-    budget_ok: bool          # sum of satellite compute shares within the pool
-    deadline_ok: bool        # completion time within delta_tol, every UAV
-    storage_ok: bool         # collection fits the free space
-    backlog_ok: bool         # nominal uplink volume within buffer contents
-    violations: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return (self.box_ok & self.budget_ok & self.deadline_ok
-                & self.storage_ok & self.backlog_ok)
+    ok: bool
+    violations: dict
 
     def row_violations(self, rows):
         """The violations of each row that ``rows`` (one bool per row)
@@ -578,8 +570,7 @@ class FeasibilityReport:
         return out
 
 
-def check_feasible(ctx: SlotContext, decision: SlotDecision,
-                   time_slack: float = 1e-9) -> FeasibilityReport:
+def check_feasible(ctx: SlotContext, decision: SlotDecision) -> FeasibilityReport:
     """Independent re-evaluation of every slot constraint on a decision,
     reduced over the UAV axis only."""
     d = decision
@@ -598,29 +589,23 @@ def check_feasible(ctx: SlotContext, decision: SlotDecision,
                 viol[name] = np.where(row_bad, worst, np.nan) if stacked else float(worst)
         return ~row_bad if stacked else not row_bad
 
-    box_ok = (holds("gamma_box", (d.gamma < -1e-12) | (d.gamma > 1.0 + 1e-12),
-                    np.abs(d.gamma - np.clip(d.gamma, 0, 1)))
-              & holds("delta_box", (d.delta_tol < -1e-12)
-                      | (d.delta_tol > ctx.slot_seconds + 1e-9))
-              & holds("f_box", (d.f_leo < -1e-6)
-                      | (d.f_leo > ctx.leo_cpu_hz * (1 + 1e-12) + 1e-6))
-              & holds("p_box", (d.power < -1e-12) | (d.power > ctx.pmax_w + 1e-9)))
-
     budget = d.f_leo.sum(axis=-1, keepdims=True)
-    budget_ok = holds("budget", ~(budget <= ctx.leo_cpu_hz * (1 + 1e-9) + 1e-6),
-                      budget - ctx.leo_cpu_hz)
-
     gap = Evaluation.of(ctx, d).need - d.delta_tol
-    deadline_ok = holds("deadline", ~(gap <= time_slack), gap)
-
     collected, nominal_up, available = storage_terms(ctx, d.delta_tol, ctx.storage_free)
-    storage_ok = holds("storage", ~(collected <= ctx.storage_free + 1e-3),
-                       collected - ctx.storage_free)
-    backlog_ok = holds("backlog", ~(nominal_up <= available + 1e-3),
-                       nominal_up - available)
-
-    return FeasibilityReport(box_ok, budget_ok, deadline_ok, storage_ok,
-                             backlog_ok, viol)
+    ok = (holds("gamma_box", (d.gamma < -1e-12) | (d.gamma > 1.0 + 1e-12),
+                np.abs(d.gamma - np.clip(d.gamma, 0, 1)))
+          & holds("delta_box", (d.delta_tol < -1e-12)
+                  | (d.delta_tol > ctx.slot_seconds + 1e-9))
+          & holds("f_box", (d.f_leo < -1e-6)
+                  | (d.f_leo > ctx.leo_cpu_hz * (1 + 1e-12) + 1e-6))
+          & holds("p_box", (d.power < -1e-12) | (d.power > ctx.pmax_w + 1e-9))
+          & holds("budget", ~(budget <= ctx.leo_cpu_hz * (1 + 1e-9) + 1e-6),
+                  budget - ctx.leo_cpu_hz)
+          & holds("deadline", ~(gap <= 1e-9), gap)
+          & holds("storage", ~(collected <= ctx.storage_free + 1e-3),
+                  collected - ctx.storage_free)
+          & holds("backlog", ~(nominal_up <= available + 1e-3), nominal_up - available))
+    return FeasibilityReport(ok, viol)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ the required rate is invariant to that scaling.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
@@ -462,32 +463,19 @@ FIGURES = ("utility_bits", "uplinked_bits", "energy_j", "ds_delay_s")
 
 
 @dataclass
-class SlotRecords:
-    """Per slot, the decision, solver trace and SlotMetrics of a horizon
-    run as the solver and ``model.meter_slot`` returned them: 1-D for a
-    single cell, stacked (B, U) and shared by the B cells of a stack."""
-
-    decisions: list = field(default_factory=list)
-    traces: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
-
-
-@dataclass
 class HorizonResult:
-    """One cell's run over the horizon.
-
-    ``figures`` holds the cell's per-slot CSV figures, which a stacked run
-    reduces for all its cells at once. The per-slot decisions, metrics and
-    traces stay in ``records`` as the run produced them. For a cell of a
-    stack (``row`` is its row), ``decisions``, ``slot_metrics`` and
-    ``traces`` split them out each time they are read, and only then."""
+    """One cell's run over the horizon: its per-slot CSV figures, which a
+    stacked run reduces for all its cells at once, and its own per-slot
+    decisions, solver traces and SlotMetrics (None for a run that kept
+    none)."""
 
     figures: np.ndarray               # (T, 4): the FIGURES of each slot
     infeasible_slots: list            # slot indices that needed the fallback
     mean_ds_delay_s: float            # over every UAV and slot
     wall_seconds: float
-    records: SlotRecords | None       # None for a run that kept none
-    row: int | None                   # the cell's row of stacked records
+    decisions: list | None
+    traces: list | None
+    slot_metrics: list | None
 
     @property
     def utility_bits(self) -> float:
@@ -506,23 +494,6 @@ class HorizonResult:
         # slot by slot from zero, as the slots accumulate
         return sum(self.figures[:, FIGURES.index(figure)].tolist(), 0.0)
 
-    @property
-    def decisions(self) -> list:
-        return self._split(self.records.decisions)
-
-    @property
-    def slot_metrics(self) -> list:
-        return self._split(self.records.metrics)
-
-    @property
-    def traces(self) -> list:
-        return self._split(self.records.traces)
-
-    def _split(self, records: list) -> list:
-        if self.row is None:
-            return list(records)
-        return [record.row(self.row) for record in records]
-
 
 # most UAV-rows (rows x U) a stack's solve call holds when it takes later
 # slots' rows along: a pass costs about the same from 120 to 1,200
@@ -530,10 +501,16 @@ class HorizonResult:
 AHEAD_UAV_ROWS = 1 << 11
 
 
+# the array shapes and solver settings that a stack reads from its first
+# cell: cells whose stack_key values are equal may run as one stack
+STACK_FIELDS = ("num_uavs", "num_slots", "solver_mode", "tol.i_max", "tol.tau_outer")
+stack_key = operator.attrgetter(*STACK_FIELDS)
+
+
 def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = True) -> list:
-    """Thread storage through the slots of B cells that share num_uavs,
-    num_slots, solver_mode and tol, and meter slot t of all of them with
-    one ``model.meter_slot`` call on their stacked context
+    """Thread storage through the slots of B cells that share
+    ``STACK_FIELDS`` (ValueError otherwise), and meter slot t of all of
+    them with one ``model.meter_slot`` call on their stacked context
     (``scenario.ContextStack``); a single cell runs on its 1-D contexts
     from ``scenario.build_slot_context``, one ``slot_solver`` call
     (callable (ctx, cfg) -> (SlotDecision, trace)) per slot. A stack whose
@@ -541,18 +518,21 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
     hold two of its slots within ``AHEAD_UAV_ROWS`` is solved ahead of its
     buffer chain (see ``_solve_ahead``); any other solves slot t of all
     cells with one call. Each slot's CSV figures and fallback flags are
-    reduced for all cells at once. Returns one HorizonResult per cell, all
-    sharing the stacked slot records; the group's wall time is shared
-    equally. Without ``keep_records`` the results hold only their figures
-    (``records`` is None), and the run holds no per-slot record that grows
-    with B x U x T."""
+    reduced for all cells at once. Returns one HorizonResult per cell, with
+    its own rows of the slot records, split at the end; the group's wall
+    time is shared equally. Without ``keep_records`` the run keeps no
+    per-slot record that grows with B x U x T."""
     from . import scenario
 
     t_start = time.perf_counter()
     cfg = cfgs[0]
+    for other in cfgs[1:]:
+        differ = [f for f, a, b in zip(STACK_FIELDS, stack_key(cfg), stack_key(other)) if a != b]
+        if differ:
+            raise ValueError(f"the cells of one stack differ in {', '.join(differ)}")
     cells, slots = len(cfgs), cfg.num_slots
     stack = scenario.ContextStack(cfgs, states) if cells > 1 and slots else None
-    records = SlotRecords() if keep_records else None
+    decisions, traces, metered = [], [], []
     delays = []
     figures = np.empty((cells, slots, len(FIGURES)))
     fallback = np.zeros((cells, slots), dtype=bool)
@@ -565,9 +545,9 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
         fallback[:, t] = getattr(trace, "fallback", False)
         delays.append(metrics.ds_delay_s)
         if keep_records:
-            records.decisions.append(decision)
-            records.traces.append(trace)
-            records.metrics.append(metrics)
+            decisions.append(decision)
+            traces.append(trace)
+            metered.append(metrics)
         return metrics.next_free
 
     steps = getattr(slot_solver, "steps", None)
@@ -590,8 +570,15 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
     else:
         mean_delay = np.zeros(cells)
     wall = (time.perf_counter() - t_start) / cells
-    return [HorizonResult(figures[b], np.flatnonzero(fallback[b]).tolist(),
-                          float(mean_delay[b]), wall, records, None if stack is None else b)
+
+    def kept(records, b):
+        # cell b's records: its rows of a stack's, a single cell's as they are
+        if not keep_records:
+            return None
+        return list(records) if stack is None else [record.row(b) for record in records]
+
+    return [HorizonResult(figures[b], np.flatnonzero(fallback[b]).tolist(), float(mean_delay[b]),
+                          wall, kept(decisions, b), kept(traces, b), kept(metered, b))
             for b in range(cells)]
 
 

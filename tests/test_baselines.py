@@ -100,7 +100,7 @@ class TestHorizonGa:
             assert np.array_equal(decision.f_leo, genes[n:2 * n])
             assert np.array_equal(decision.delta_tol, genes[2 * n:3 * n])
             assert np.array_equal(decision.gamma, genes[3 * n:])
-        assert result.traces[0].generations == 0
+        assert result.traces[0].best_fitness == []
 
     def test_scenario_seed_reused_when_ga_seed_unset(self):
         cfg_a = ScenarioConfig(num_uavs=2, num_slots=3, seed=7,

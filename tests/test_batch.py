@@ -3,6 +3,7 @@ are solved as one (B, U) rotation, and every cell must come out exactly as
 its own 1-D run does."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ class TestStackedEqualsSerial:
             fallbacks = [len(r.infeasible_slots) for r in stacked]
             assert 0 < sum(fallbacks) < len(cfgs) * cfgs[0].num_slots
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("num_uavs", dict(num_uavs=7)), ("num_slots", dict(num_slots=4)),
+        ("solver_mode", dict(solver_mode="strict")), ("tol.i_max", dict(i_max=1)),
+        ("tol.tau_outer", dict(tau_outer=1e-3)),
+    ])
+    def test_mixed_cells_are_refused(self, field, overrides):
+        # a stack solves every cell with its first cell's shapes and solver
+        # settings, so a cell that differs in one of them is refused
+        cfgs = [ScenarioConfig(seed=0), ScenarioConfig(seed=1).copy(**overrides)]
+        states = [generate_scenario(cfg, cfg.seed) for cfg in cfgs]
+        with pytest.raises(ValueError, match=rf"differ in {re.escape(field)}$"):
+            run_horizons(cfgs, states, solve_slot_jcorm)
+        assert harness._group_key(cfgs[0]) != harness._group_key(cfgs[1])
+
     @pytest.mark.parametrize("overrides", [
         {}, dict(num_uavs=96), TIGHT_BUFFER,
         dict(pmax_w=1e-4, ds_size_min_bits=5e6, ds_size_max_bits=5e6),
@@ -168,17 +183,18 @@ class TestSolveAhead:
         assert 1 < len(calls) <= slots
         assert 0 < resolved < len(cfgs) * (slots - 1)
 
-        # the stacked records of each slot, traces included, are those of
+        # every cell's records of each slot, traces included, are those of
         # one solve call per slot on the slot's own context
         per_slot = run_horizons(cfgs, states, lambda ctx, cfg: SOLVERS[algo](ctx, cfg))
-        got, want = stacked[0].records, per_slot[0].records
-        for g, w in zip(got.traces, want.traces):
-            for name in TRACE_FIELDS:
-                assert getattr(g, name) == getattr(w, name), name
-        for g, w in zip(got.decisions + got.metrics, want.decisions + want.metrics):
-            for f in dataclasses.fields(g):
-                assert np.asarray(getattr(g, f.name)).tobytes() == \
-                    np.asarray(getattr(w, f.name)).tobytes(), f.name
+        for got, want in zip(stacked, per_slot):
+            for g, w in zip(got.traces, want.traces, strict=True):
+                for name in TRACE_FIELDS:
+                    assert getattr(g, name) == getattr(w, name), name
+            for g, w in zip(got.decisions + got.slot_metrics, want.decisions + want.slot_metrics,
+                            strict=True):
+                for f in dataclasses.fields(g):
+                    assert np.asarray(getattr(g, f.name)).tobytes() == \
+                        np.asarray(getattr(w, f.name)).tobytes(), f.name
 
     @pytest.mark.parametrize("slots_per_call", [0.5, 1.5, 2, 3])
     def test_the_cap_bounds_each_call(self, monkeypatch, slots_per_call):
@@ -256,25 +272,25 @@ class TestSolveAhead:
 
 
 class TestStackedPath:
-    """What a stack keeps stacked: read-only scenario tables and contexts,
-    slot records that are split per cell only when read, and the
-    constraints that made a slot fall back."""
+    """What a stack keeps: read-only scenario tables and contexts, slot
+    records that each cell holds its own rows of, and the constraints that
+    made a slot fall back."""
 
     def test_fallback_rows_name_their_constraints(self):
         # tight-buffer cells fall back in their first slot, the others do not
         cfgs = [ScenarioConfig(seed=seed, **(TIGHT_BUFFER if seed % 2 else {}))
                 for seed in range(6)]
         stacked = assert_stacked_equals_serial(cfgs)
-        trace = stacked[0].records.traces[0]
-        assert 0 < sum(trace.fallback) < len(cfgs)
+        first = [result.traces[0] for result in stacked]
+        assert 0 < sum(trace.fallback for trace in first) < len(cfgs)
         constraints = {"gamma_box", "delta_box", "f_box", "p_box", "budget", "deadline",
                        "storage", "backlog"}
-        for fell_back, violations in zip(trace.fallback, trace.violations):
-            if fell_back:
-                assert violations and set(violations) <= constraints
-                assert all(v is True or v > 0 for v in violations.values())
+        for trace in first:
+            if trace.fallback:
+                assert trace.violations and set(trace.violations) <= constraints
+                assert all(v is True or v > 0 for v in trace.violations.values())
             else:
-                assert violations == {}
+                assert trace.violations == {}
 
     def test_stack_without_records_keeps_its_figures(self):
         # the harness's stacks keep no per-slot records: its rows read
@@ -285,7 +301,7 @@ class TestStackedPath:
         kept = run_horizons(cfgs, states, solve_slot_jcorm)
         bare = run_horizons(cfgs, states, solve_slot_jcorm, keep_records=False)
         for got, want in zip(bare, kept):
-            assert got.records is None
+            assert got.decisions is got.traces is got.slot_metrics is None
             assert got.figures.tobytes() == want.figures.tobytes()
             assert got.infeasible_slots == want.infeasible_slots
             assert got.mean_ds_delay_s == want.mean_ds_delay_s
@@ -368,8 +384,7 @@ class TestStackedFeasibility:
         report = model.check_feasible(stacked, stacked_decision)
         rows = [model.check_feasible(c, d) for c, d in zip(ctxs, decisions)]
         assert not all(r.ok for r in rows) and any(r.ok for r in rows)
-        for name in ("box_ok", "budget_ok", "deadline_ok", "storage_ok", "backlog_ok", "ok"):
-            assert getattr(report, name).tolist() == [getattr(r, name) for r in rows], name
+        assert report.ok.tolist() == [r.ok for r in rows]
         keys = set().union(*(r.violations for r in rows))
         assert set(report.violations) == keys
         for key in keys:

@@ -16,6 +16,9 @@ GOLDEN = {
     # every algorithm at the defaults (U=6): 1-D runs and small stacks
     "four-algorithms": (dict(), ["jcorm", "atsm", "ga", "no-offload"], range(5),
                         "e0a484eaeb288718d02a642fa20c0dcb185caf82ad3011b08d241d6c06983951"),
+    # the strict deadline bound, through check_feasible and the settle step
+    "strict": (dict(solver_mode="strict"), ["jcorm", "atsm", "no-offload"], range(5),
+               "8d6f53995aa5ee48549ab8aac95aad9764deb868ead103127dd303ac7333e506"),
     # two stacks of ten 96-UAV cells
     "fleet-96": (dict(num_uavs=96), ["atsm", "no-offload"], range(10),
                  "c7c9782c9cc694c3aef6d10fa8eab28f1ab31743d7bbe70687df740707507c34"),

@@ -418,29 +418,31 @@ class TestFeasibility:
         dec = self.feasible_decision(ctx)
         dec.delta_tol = np.full(2, 0.1)
         rep = model.check_feasible(ctx, dec)
-        assert not rep.deadline_ok and "deadline" in rep.violations
+        assert not rep.ok and "deadline" in rep.violations
 
     def test_detects_budget_violation(self):
         ctx = make_ctx()
         dec = self.feasible_decision(ctx)
         dec.f_leo = np.full(2, 6e9)
         rep = model.check_feasible(ctx, dec)
-        assert not rep.budget_ok
+        assert not rep.ok and "budget" in rep.violations
 
     def test_detects_storage_violation(self):
         ctx = make_ctx(storage_free=np.array([1e7, 8e9]))
         dec = self.feasible_decision(ctx)
         rep = model.check_feasible(ctx, dec)
-        assert not rep.storage_ok
+        assert not rep.ok and "storage" in rep.violations
 
     def test_detects_box_violations(self):
         ctx = make_ctx()
         dec = self.feasible_decision(ctx)
         dec.gamma = np.array([1.5, 0.5])
-        assert not model.check_feasible(ctx, dec).box_ok
+        rep = model.check_feasible(ctx, dec)
+        assert not rep.ok and "gamma_box" in rep.violations
         dec = self.feasible_decision(ctx)
         dec.power = np.array([2.0, 0.5])
-        assert not model.check_feasible(ctx, dec).box_ok
+        rep = model.check_feasible(ctx, dec)
+        assert not rep.ok and "p_box" in rep.violations
 
     def test_meter_prices_what_moved(self):
         ctx = make_ctx()
