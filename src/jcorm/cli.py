@@ -29,42 +29,43 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
+def _tokens(text: str) -> list:
+    return text.replace(",", " ").split()
+
+
 def _parse_floats(text: str) -> list:
     try:
-        return [float(v) for v in text.replace(",", " ").split()]
+        return [float(v) for v in _tokens(text)]
     except ValueError:
         raise ConfigError(f"cannot parse value list {text!r}") from None
 
 
 def _parse_seeds(text: str) -> list:
-    return [coerce("seed", token) for token in text.replace(",", " ").split()]
+    return [coerce("seed", token) for token in _tokens(text)]
 
 
 def _base_config(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.algo is not None:
-        overrides["algo"] = args.algo
-    if getattr(args, "mode", None) is not None:
-        overrides["solver_mode"] = args.mode
+    overrides = {key: getattr(args, key) for key in ("seed", "algo", "solver_mode")
+                 if getattr(args, key, None) is not None}
     if overrides:
         cfg = cfg.copy(**overrides)
     cfg.validate()
     return cfg
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", default=None, help="scenario seed")
-    parser.add_argument("--algo", choices=ALGORITHMS, default=None,
-                        help="algorithm selector")
-    parser.add_argument("--mode", choices=SOLVER_MODES, default=None,
-                        help="deadline handling inside the slot solver")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", default="csv,svg",
-                        help="comma-separated outputs: csv,svg")
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named flags, each shared by several subcommands."""
+    shared = {
+        "config": dict(help="flat key=value config file"),
+        "seed": dict(help="scenario seed (default: the config's)"),
+        "mode": dict(dest="solver_mode", choices=SOLVER_MODES,
+                     help="deadline handling inside the slot solver"),
+        "out": dict(default=".", help="output directory"),
+        "seeds": dict(default="0", help="seed list, comma or space separated"),
+    }
+    for name in names:
+        parser.add_argument(f"--{name}", **shared[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,33 +73,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jcorm",
         description="Satellite-UAV-IoT data collection and offloading simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: a removed --seed or --algo would read as --seeds or --algos
+    exact = dict(allow_abbrev=False)
 
-    p_run = sub.add_parser("run", help="run one experiment")
-    _add_common(p_run)
+    p_run = sub.add_parser("run", help="run one experiment", **exact)
+    _add_flags(p_run, "config", "seed", "mode", "out")
+    p_run.add_argument("--algo", choices=ALGORITHMS,
+                       help="algorithm (default: the config's)")
 
-    p_sweep = sub.add_parser("sweep", help="sweep one config axis over seeds")
-    _add_common(p_sweep)
+    p_sweep = sub.add_parser("sweep", help="sweep one config axis over seeds", **exact)
+    _add_flags(p_sweep, "config", "mode", "out", "seeds")
+    p_sweep.add_argument("--format", default="csv,svg",
+                         help="comma-separated outputs from csv and svg")
     p_sweep.add_argument("--axis", required=True,
                          help=f"one of {sorted(harness.SWEEP_AXES)}")
     p_sweep.add_argument("--values", required=True,
                          help="axis values, comma or space separated")
-    p_sweep.add_argument("--seeds", default="0",
-                         help="seed list, comma or space separated")
     p_sweep.add_argument("--algos", default=None,
-                         help="comma-separated algorithms (default: --algo)")
+                         help="comma-separated algorithms (default: the config's algo)")
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="most processes (>= 1); each fleet's cells are cut into "
                               "at least this many parts, up to the CPU count")
 
-    p_cmp = sub.add_parser("compare", help="paired-seed algorithm comparison")
-    _add_common(p_cmp)
+    p_cmp = sub.add_parser("compare", help="paired-seed algorithm comparison", **exact)
+    _add_flags(p_cmp, "config", "mode", "out", "seeds")
     p_cmp.add_argument("--algos", default="jcorm,atsm,ga,no-offload",
                        help="comma-separated algorithms")
-    p_cmp.add_argument("--seeds", default="0",
-                       help="seed list, comma or space separated")
 
-    p_orc = sub.add_parser("oracle", help="grid search one slot (debug)")
-    _add_common(p_orc)
+    p_orc = sub.add_parser("oracle", help="grid search one slot (debug)", **exact)
+    _add_flags(p_orc, "config", "seed", "mode")
     p_orc.add_argument("--slot", type=int, default=0, help="slot index")
     p_orc.add_argument("--points", type=int, default=None,
                        help="joint grid points per axis (with --joint; default 15)")
@@ -113,10 +116,8 @@ def _cmd_run(args) -> int:
     rows = harness.result_rows(result)
     rows.extend(harness.aggregate_rows(rows))
     os.makedirs(args.out, exist_ok=True)
-    formats = args.format.split(",")
     path = os.path.join(args.out, f"run_{cfg.algo}_seed{cfg.seed}.csv")
-    if "csv" in formats:
-        harness.write_csv(rows, path)
+    harness.write_csv(rows, path)
     print(f"algorithm {cfg.algo}  seed {cfg.seed}  slots {len(result.figures)}")
     print(f"utility {result.utility_bits:.6g} bits  "
           f"uplinked {result.total_uplinked_bits:.6g} bits  "
@@ -124,13 +125,11 @@ def _cmd_run(args) -> int:
           f"mean DS delay {result.mean_ds_delay_s:.6g} s")
     print(f"wall {result.wall_seconds:.3f} s  "
           f"infeasible slots {result.infeasible_slots}")
-    if "csv" in formats:
-        print(f"wrote {path}")
+    print(f"wrote {path}")
     return EXIT_INFEASIBLE if result.infeasible_slots else EXIT_OK
 
 
-def _sweep_common(args, result) -> int:
-    formats = tuple(args.format.split(","))
+def _sweep_common(args, result, formats=("csv",)) -> int:
     written = harness.write_sweep_outputs(result, args.out, formats)
     for path in written:
         print(f"wrote {path}")
@@ -141,21 +140,22 @@ def _sweep_common(args, result) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _base_config(args)
+    formats = harness.check_formats(args.format.split(","))
     values = _parse_floats(args.values)
     seeds = _parse_seeds(args.seeds)
-    algos = args.algos.split(",") if args.algos else None
+    algos = None if args.algos is None else _tokens(args.algos)
     result = harness.run_sweep(cfg, args.axis, values, seeds,
                                algorithms=algos, workers=args.workers)
     for algo in result.algorithms:
         means = result.stat_metric(algo, "utility_bits", "mean")
         pretty = ", ".join(format(m, ".6g") for m in means)
         print(f"{algo}: mean utility over {args.axis} = [{pretty}] bits")
-    return _sweep_common(args, result)
+    return _sweep_common(args, result, formats)
 
 
 def _cmd_compare(args) -> int:
     cfg = _base_config(args)
-    algos = args.algos.split(",")
+    algos = _tokens(args.algos)
     seeds = _parse_seeds(args.seeds)
     result = harness.run_compare(cfg, algos, seeds)
     for algo in algos:

@@ -409,17 +409,23 @@ def _run_cells(cells: list, workers: int = 1) -> list:
     return [row for cell_rows in per_cell for row in cell_rows]
 
 
+def _check_nonempty(**lists) -> None:
+    for name, items in lists.items():
+        if not items:
+            raise ConfigError(f"the {name} list is empty")
+
+
 def run_sweep(base_cfg: ScenarioConfig, axis: str, values, seeds,
               algorithms=None, workers: int = 1) -> SweepResult:
     """Run every (algorithm, axis value, seed) cell and assemble the row
-    table (see ``_run_cells``). Assembly order is fixed whatever the
-    grouping and ``workers``, keeping the CSV byte-identical for identical
-    inputs."""
-    algorithms = list(algorithms) if algorithms else [base_cfg.algo]
+    table (see ``_run_cells``). ``algorithms`` defaults to the base
+    config's; an empty list is a ``ConfigError``. Assembly order is fixed
+    whatever the grouping and ``workers``, keeping the CSV byte-identical
+    for identical inputs."""
+    algorithms = [base_cfg.algo] if algorithms is None else list(algorithms)
     values = list(values)
     seeds = list(seeds)
-    apply_axis(base_cfg, axis, values[0] if values else 0)  # fail fast on axis name
-
+    _check_nonempty(algorithms=algorithms, values=values, seeds=seeds)
     cells = [(apply_axis(base_cfg, axis, value).copy(algo=algo, seed=seed), axis, value)
              for algo in algorithms for value in values for seed in seeds]
     rows = _run_cells(cells, workers)
@@ -432,6 +438,7 @@ def run_compare(base_cfg: ScenarioConfig, algorithms, seeds) -> SweepResult:
     Modeled as a degenerate sweep over the single value None."""
     algorithms = list(algorithms)
     seeds = list(seeds)
+    _check_nonempty(algorithms=algorithms, seeds=seeds)
     cells = [(base_cfg.copy(algo=algo, seed=seed), "", None)
              for algo in algorithms for seed in seeds]
     rows = _run_cells(cells)
@@ -528,10 +535,24 @@ def render_svg_lines(title: str, x_label: str, y_label: str, x_values,
     return "\n".join(parts) + "\n"
 
 
+def check_formats(formats) -> tuple:
+    """The output formats of ``write_sweep_outputs``: a non-empty list
+    from csv and svg, else a ``ConfigError`` naming the first other
+    token."""
+    formats = tuple(formats)
+    if not formats:
+        raise ConfigError("no output format given; choose from csv, svg")
+    for token in formats:
+        if token not in ("csv", "svg"):
+            raise ConfigError(f"unknown output format {token!r}; choose from csv, svg")
+    return formats
+
+
 def write_sweep_outputs(result: SweepResult, out_dir: str,
                         formats=("csv", "svg")) -> list:
-    """Persist a sweep: one CSV, and one SVG per metric when requested.
-    Returns the written paths."""
+    """Persist a sweep: one CSV, and one SVG per metric when requested
+    (see ``check_formats``). Returns the written paths."""
+    formats = check_formats(formats)
     os.makedirs(out_dir, exist_ok=True)
     stem = result.axis or "compare"
     written = []

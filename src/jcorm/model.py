@@ -478,7 +478,6 @@ class CollectionStep:
     collected: np.ndarray   # bits gathered from DT devices this slot
     uplinked: np.ndarray    # bits actually forwarded to the satellite
     next_free: np.ndarray   # free buffer space at the next slot start
-    overflow: np.ndarray    # requested collection exceeded the free space
 
 
 def dt_collection_step(dev_rate_sum, delta_tol, slot_seconds: float,
@@ -488,11 +487,11 @@ def dt_collection_step(dev_rate_sum, delta_tol, slot_seconds: float,
     ``storage_capacity`` may be (B, 1) columns of a stacked context; the
     range checks hold element by element, and NaN fails them.
 
-    Devices deliver ``dev_rate_sum * delta_tol`` bits; a request beyond the
-    free space is an overflow (flagged, then capped -- the buffer cannot
-    physically exceed its capacity). The uplink forwards at ``r_tol_leo``
-    for the remainder of the slot, bounded by what the buffer holds: this
-    slot's collection plus the backlog already stored.
+    Devices deliver ``dev_rate_sum * delta_tol`` bits, capped at the free
+    space (the buffer cannot physically exceed its capacity). The uplink
+    forwards at ``r_tol_leo`` for the remainder of the slot, bounded by what
+    the buffer holds: this slot's collection plus the backlog already
+    stored.
     """
     delta_tol = np.asarray(delta_tol, dtype=float)
     storage_free = np.asarray(storage_free, dtype=float)
@@ -503,11 +502,10 @@ def dt_collection_step(dev_rate_sum, delta_tol, slot_seconds: float,
         raise ValueError("delta_tol must lie in [0, slot length]")
     if not (storage_free.min() >= 0.0 and (storage_free <= storage_capacity + 1e-9).all()):
         raise ValueError("storage_free must lie in [0, capacity]")
-    requested = dev_rate_sum * delta_tol
-    overflow = requested > storage_free + 1e-9
     collected, uplinked, next_free = buffer_transition(
-        requested, r_tol_leo * (slot_seconds - delta_tol), storage_free, storage_capacity)
-    return CollectionStep(collected, uplinked, next_free, overflow)
+        dev_rate_sum * delta_tol, r_tol_leo * (slot_seconds - delta_tol), storage_free,
+        storage_capacity)
+    return CollectionStep(collected, uplinked, next_free)
 
 
 def buffer_transition(requested, nominal_up, storage_free, storage_capacity):

@@ -46,13 +46,14 @@ class NetworkState:
     sat_gain: float
 
 
-# most device-slots (devices x slots) whose draws a batch holds at once.
-# Generation and the stacks that run on its scenarios come one after the
-# other, so peak memory is the larger of the two. A device-slot's draws
-# and link temporaries take about 34 B, a UAV-slot of a part about 100 B
-# (README, "Parts and batches"), so bounding the device-slots by the same
-# count as the harness bounds a part's UAV-slots keeps the draws below
-# what a full part holds.
+# most device-slots (devices x slots) whose draws a batch holds at once,
+# and whose links one block evaluates at once. Generation and the stacks
+# that run on its scenarios come one after the other, so peak memory is
+# the larger of the two. A device-slot's draws and link temporaries take
+# about 34 B, a UAV-slot of a part about 100 B (README, "Parts and
+# batches"), so bounding the device-slots by the same count as the
+# harness bounds a part's UAV-slots keeps the draws below what a full
+# part holds.
 BATCH_DEVICE_SLOTS = 1 << 16
 
 
@@ -118,7 +119,9 @@ def _draw_links(cfg: ScenarioConfig, rngs: list, counts: np.ndarray,
     seeds from their generators, and write the chunk's (T, n U) link
     tables into ``out`` (sum_d, l_off, dt_dev_rate_sum). The draws of the
     seeds lie end to end in one flat array per kind, and the links of every
-    UAV of the chunk with K devices are evaluated as one block."""
+    UAV of the chunk with K devices are evaluated in blocks of at most
+    ``BATCH_DEVICE_SLOTS`` device-slots (see ``_link_blocks``), which
+    bounds the link temporaries."""
     u, t = cfg.num_uavs, cfg.num_slots
     links = counts.ravel()
     first = (np.cumsum(links) - links).reshape(counts.shape)   # each link's first device
@@ -165,8 +168,7 @@ def _draw_links(cfg: ScenarioConfig, rngs: list, counts: np.ndarray,
     ds_first = first[:, :u].ravel()
     ds_bits_first = np.cumsum(n_sens) - n_sens
     ds_band = cfg.beta * cfg.uav_bandwidth_hz
-    for k in np.flatnonzero(np.bincount(n_sens)).tolist():
-        idx = np.flatnonzero(n_sens == k)
+    for k, idx in _link_blocks(n_sens, t):
         rate = rates(ds_first[idx], k, cfg.device_power_sens_w, ds_band)
         block = _blocks(bits, t * ds_bits_first[idx], (t, k))
         if ds_band > 0.0 and np.any((block > 0) & (rate <= 0.0)):
@@ -181,11 +183,22 @@ def _draw_links(cfg: ScenarioConfig, rngs: list, counts: np.ndarray,
         l_off[:, idx] = upload.max(axis=-1).T
     n_tol = counts[:, u:].ravel()
     dt_first = first[:, u:].ravel()
-    for k in np.flatnonzero(np.bincount(n_tol)).tolist():
-        idx = np.flatnonzero(n_tol == k)
+    for k, idx in _link_blocks(n_tol, t):
         rate = rates(dt_first[idx], k, cfg.device_power_tol_w,
                      (1.0 - cfg.beta) * cfg.uav_bandwidth_hz)
         dt_rate_sum[:, idx] = rate.sum(axis=-1).T
+
+
+def _link_blocks(counts: np.ndarray, t: int):
+    """(K, links) for each block of the links with K devices: the links of
+    each device count in order, in row chunks of at most
+    ``BATCH_DEVICE_SLOTS`` device-slots and at least one link. A row's
+    values do not depend on the chunk it is evaluated in."""
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        idx = np.flatnonzero(counts == k)
+        step = max(1, BATCH_DEVICE_SLOTS // max(1, t * k))
+        for start in range(0, len(idx), step):
+            yield k, idx[start:start + step]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

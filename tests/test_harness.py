@@ -387,6 +387,30 @@ class TestResults:
         run_rows = [r for r in res.rows if r["kind"] == "run"]
         assert len(run_rows) == 4    # 2 algorithms x 2 seeds
 
+    def test_empty_list_raises(self):
+        base = small_cfg()
+        with pytest.raises(ConfigError, match="the seeds list is empty"):
+            harness.run_sweep(base, "omega", [1.0], [])
+        with pytest.raises(ConfigError, match="the values list is empty"):
+            harness.run_sweep(base, "omega", [], [0])
+        with pytest.raises(ConfigError, match="the algorithms list is empty"):
+            harness.run_sweep(base, "omega", [1.0], [0], algorithms=[])
+        with pytest.raises(ConfigError, match="the algorithms list is empty"):
+            harness.run_compare(base, [], [0])
+        with pytest.raises(ConfigError, match="the seeds list is empty"):
+            harness.run_compare(base, ["jcorm"], [])
+
+    @pytest.mark.parametrize("formats, message", [
+        (("pdf",), "unknown output format 'pdf'"),
+        (("csv", ""), "unknown output format ''"),
+        ((), "no output format given"),
+    ])
+    def test_unknown_output_format_is_config_error(self, tmp_path, formats, message):
+        res = harness.run_compare(small_cfg(), ["no-offload"], [0])
+        with pytest.raises(ConfigError, match=message):
+            harness.write_sweep_outputs(res, str(tmp_path / "out"), formats)
+        assert not (tmp_path / "out").exists()
+
     def test_svg_rendering(self, tmp_path):
         res = harness.run_sweep(small_cfg(), "omega", [1.0, 10.0], [0],
                                 algorithms=["jcorm"])
@@ -459,6 +483,68 @@ class TestCli:
         assert main(["run", "--no-such-flag"]) == EXIT_CONFIG
         assert main([]) == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--axis", "omega", "--values", "1", "--seed", "7"],
+        ["compare", "--algos", "no-offload", "--seed", "7"],
+        ["sweep", "--axis", "omega", "--values", "1", "--algo", "no-offload"],
+        ["compare", "--algos", "no-offload", "--algo", "ga"],
+        ["oracle", "--algo", "jcorm"],
+        ["oracle", "--out", "."],
+        ["oracle", "--format", "csv"],
+        ["run", "--format", "csv"],
+        ["compare", "--algos", "no-offload", "--format", "csv"],
+    ], ids=lambda args: f"{args[0]}{args[-2]}")
+    def test_removed_flag_is_usage_error(self, capsys, monkeypatch, args):
+        # each flag was ignored or had one meaningful value; none is read
+        # as a prefix of a flag that remains
+        monkeypatch.setattr(harness, "_run_cells", lambda *a, **k: pytest.fail("a cell ran"))
+        monkeypatch.setattr(cli, "generate_scenario", lambda *a: pytest.fail("a slot ran"))
+        assert main(args) == EXIT_CONFIG
+        assert f"unrecognized arguments: {args[-2]} {args[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("formats, token", [("pdf", "'pdf'"), ("", "''"),
+                                                ("csv,pdf", "'pdf'")])
+    def test_unknown_sweep_format_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                  formats, token):
+        monkeypatch.setattr(harness, "_run_cells", lambda *a, **k: pytest.fail("a cell ran"))
+        out = tmp_path / "out"
+        code = main(["sweep", "--axis", "omega", "--values", "1", "--format", formats,
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"unknown output format {token}" in err
+        assert not out.exists()
+
+    def test_sweep_svg_format_writes_no_csv(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--axis", "omega", "--values", "1,10",
+                     "--algos", "no-offload", "--format", "svg", "--out", str(out)])
+        assert code == EXIT_OK
+        assert sorted(os.listdir(out)) == [
+            f"omega_{metric}.svg"
+            for metric in ("ds_delay_s", "energy_j", "uplinked_bits", "utility_bits")]
+
+    @pytest.mark.parametrize("args, name", [
+        (["sweep", "--axis", "omega", "--values", "1", "--seeds", ""], "seeds"),
+        (["sweep", "--axis", "omega", "--values", "1", "--seeds", ","], "seeds"),
+        (["sweep", "--axis", "omega", "--values", ""], "values"),
+        (["sweep", "--axis", "omega", "--values", "1", "--algos", ""], "algorithms"),
+        (["compare", "--algos", "no-offload", "--seeds", ""], "seeds"),
+        (["compare", "--algos", ","], "algorithms"),
+    ], ids=["sweep-seeds", "sweep-seeds-comma", "sweep-values", "sweep-algos",
+            "compare-seeds", "compare-algos"])
+    def test_empty_list_is_config_error(self, tmp_path, capsys, monkeypatch, args, name):
+        # an empty --seeds ended in a KeyError traceback, and an empty
+        # --values wrote a CSV of only its header
+        monkeypatch.setattr(harness, "_run_cells", lambda *a, **k: pytest.fail("a cell ran"))
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"the {name} list is empty" in err
+        assert not out.exists()
 
     def test_infinite_energy_price_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
@@ -677,7 +763,7 @@ class TestCli:
         cfg = tmp_path / "two.cfg"
         cfg.write_text("num_slots = 2\nnum_uavs = 2\n")
         code = main(["oracle", "--config", str(cfg), "--slot", "0",
-                     "--points", "6", "--joint", "--out", str(tmp_path)])
+                     "--points", "6", "--joint"])
         assert code == EXIT_OK
         text = capsys.readouterr().out
         assert "grid best per UAV" in text
@@ -688,8 +774,7 @@ class TestCli:
         monkeypatch.setattr(cli, "generate_scenario", lambda *a: solves.append(a))
         cfg = tmp_path / "two.cfg"
         cfg.write_text("num_slots = 2\nnum_uavs = 2\n")
-        code = main(["oracle", "--config", str(cfg), "--points", "3",
-                     "--out", str(tmp_path)])
+        code = main(["oracle", "--config", str(cfg), "--points", "3"])
         assert code == EXIT_CONFIG and solves == []
         assert "needs --joint" in capsys.readouterr().err
 
@@ -700,8 +785,8 @@ class TestCli:
         cfg_path.write_text("num_slots = 2\nnum_uavs = 2\n")
         out = {}
         for extra in ((), ("--joint",), ("--joint", "--points", "15")):
-            assert main(["oracle", "--config", str(cfg_path), "--slot", "0", *extra,
-                         "--out", str(tmp_path)]) == EXIT_OK
+            assert main(["oracle", "--config", str(cfg_path), "--slot", "0",
+                         *extra]) == EXIT_OK
             out[extra] = capsys.readouterr().out
         assert out[("--joint",)] == out[("--joint", "--points", "15")]
         assert out[("--joint",)].startswith(out[()])
@@ -729,8 +814,7 @@ class TestCli:
         monkeypatch.setattr(cli, "generate_scenario", lambda *a: solves.append(a))
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text(text)
-        code = main(["oracle", "--config", str(cfg), "--joint", "--points", points,
-                     "--out", str(tmp_path)])
+        code = main(["oracle", "--config", str(cfg), "--joint", "--points", points])
         assert code == EXIT_CONFIG and solves == []
         assert message in capsys.readouterr().err
 

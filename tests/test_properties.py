@@ -195,7 +195,7 @@ def test_every_key_runs_finite_or_is_config_error(overrides):
         out = os.path.join(tmp, "out")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["compare", "--config", path, "--seeds", "0,1", "--algos",
-                         ",".join(ALGORITHMS), "--format", "csv", "--out", out])
+                         ",".join(ALGORITHMS), "--out", out])
         if code == EXIT_CONFIG:
             assert "configuration error" in err.getvalue(), text
         else:

@@ -5,6 +5,7 @@ exactly, field by field."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,3 +205,49 @@ class TestDeviceLinkEvaluations:
         for slot in range(cfg.num_slots):
             build_slot_context(cfg, state, slot, free)
         assert calls == []
+
+
+class TestLinkBlockChunks:
+    """Each device count's links are evaluated in row chunks of at most
+    ``BATCH_DEVICE_SLOTS`` device-slots, which bounds the link temporaries
+    and leaves every table bit-identical."""
+
+    TABLES = ("n_sens", "n_tol", "sum_d", "l_off", "dt_dev_rate_sum")
+
+    @pytest.mark.parametrize("cap", [1, 50, 1000])
+    def test_tables_do_not_depend_on_the_chunks(self, monkeypatch, cap):
+        # 96 UAVs with 1-9 devices each: about ten links per device count
+        cfg = ScenarioConfig(num_uavs=96, k_sens_min=1, k_sens_max=9, k_tol_min=5,
+                             k_tol_max=12)
+        want = generate_scenarios(cfg, [0, 1, 2])
+        chunks = []
+        real = scenario._link_blocks
+
+        def counted(counts, t):
+            for k, idx in real(counts, t):
+                assert len(idx) == 1 or len(idx) * t * k <= cap
+                chunks.append(len(idx))
+                yield k, idx
+
+        monkeypatch.setattr(scenario, "BATCH_DEVICE_SLOTS", cap)
+        monkeypatch.setattr(scenario, "_link_blocks", counted)
+        got = generate_scenarios(cfg, [0, 1, 2])
+        assert len(chunks) > 2 * (9 + 8)     # more than one chunk per device count
+        for a, b in zip(want, got):
+            for name in self.TABLES:
+                assert_identical(getattr(b, name), getattr(a, name), name)
+
+    def test_cap_scenario_peak_memory(self):
+        # at the device-slot cap, 2,096,000 device-slots: the draws take
+        # about 44 MB, and the link temporaries of one K = 1048 block
+        # took about 63 MB more before the blocks were chunked
+        cfg = ScenarioConfig(num_uavs=100, num_slots=10, k_sens_min=1048, k_sens_max=1048,
+                             k_tol_min=1048, k_tol_max=1048)
+        cfg.validate()
+        tracemalloc.start()
+        try:
+            generate_scenario(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
