@@ -2,21 +2,28 @@
 
   * ATSM: the forwarding start is pinned to half the slot; power, compute
     share, and offload ratio are still optimized by the same block passes.
+    A slot whose DS load cannot finish by then is flagged, and degrades to
+    no-offload with the start kept (the delay violation stays visible in
+    the metrics).
   * GA: a genetic algorithm over the raw (p, f, start, ratio) boxes of
     every slot at once, with penalized constraint violations.
   * No-Offloading: everything is computed on board; only the forwarding
-    start is optimized against the on-board completion bound.
+    start is optimized against the on-board completion bound. A slot whose
+    start interval is empty, or whose decision fails check_feasible, is
+    flagged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import model
 from .config import ScenarioConfig
 from .model import SlotContext, SlotDecision
+from .scenario import ContextStack
 from .solver import (FIGURES, HorizonResult, SlotSolveTrace, SlotSteps, Solved, rotate,
                      run_horizon, settle_rotation, solve_sp3_start_time)
 
@@ -25,25 +32,8 @@ from .solver import (FIGURES, HorizonResult, SlotSolveTrace, SlotSteps, Solved, 
 # ATSM
 # ---------------------------------------------------------------------------
 
-def solve_slot_atsm(ctx: SlotContext, cfg: ScenarioConfig):
-    """Half-slot split baseline: forwarding starts at slot/2 for every UAV;
-    the remaining blocks run the main solver's guarded rotation.
-    Returns (SlotDecision, SlotSolveTrace). An instance whose DS load cannot
-    finish by slot/2 is flagged, and the decision degrades to no-offload
-    with the start kept at slot/2 (the delay violation stays visible in the
-    metrics)."""
-    return _settle_atsm(ctx, cfg, _rotate_atsm(ctx, cfg))
-
-
-def _rotate_atsm(ctx: SlotContext, cfg: ScenarioConfig):
-    return rotate(ctx, cfg, pinned_start=ctx.slot_seconds / 2.0)
-
-
-def _settle_atsm(ctx: SlotContext, cfg: ScenarioConfig, solved):
-    return settle_rotation(ctx, cfg, solved, keep_start=True)
-
-
-solve_slot_atsm.steps = SlotSteps(_rotate_atsm, _settle_atsm)
+solve_slot_atsm = SlotSteps("solve_slot_atsm", partial(rotate, pinned=True),
+                            partial(settle_rotation, keep_start=True))
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +138,17 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
 
     Fitness scores a whole generation at once: the genomes are viewed as
     (pop, T, 4, U), and the deadline, storage and pool penalties of all
-    slots come from one call against the stacked context of the T slots.
-    Only the storage chain (each slot's starting free space) and the
-    objective run slot by slot. The per-slot terms are then added in slot
-    order, so the sums round as a slot-by-slot fitness would.
+    slots come from one call against the cell's ``ContextStack.rows`` of
+    the T slots, whose NaN buffer state the GA never reads. Only the
+    storage chain (each slot's starting free space) and the objective, on
+    each slot's (1, U) context, run slot by slot. The per-slot terms are
+    then added in slot order, so the sums round as a slot-by-slot fitness
+    would.
 
     The best genome is replayed slot by slot through solver.run_horizon.
     Returns a solver.HorizonResult; the single GaTrace is shared by all
     slots."""
     import time as _time
-
-    from .scenario import build_slot_context
 
     ga = cfg.ga
     n = cfg.num_uavs
@@ -169,9 +159,10 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
         return HorizonResult(np.empty((0, len(FIGURES))), [], 0.0,
                              _time.perf_counter() - t_start, [], [], [])
 
-    base_free = np.full(n, cfg.storage_initial_free_bits, dtype=float)
-    ctxs = [build_slot_context(cfg, state, t, base_free) for t in range(t_slots)]
-    stacked = SlotContext.stack(ctxs)
+    stack = ContextStack([cfg], [state])
+    base_free = stack.initial_free
+    ctxs = [stack.slot(t, base_free) for t in range(t_slots)]
+    stacked = stack.rows(np.arange(t_slots), np.zeros(t_slots, dtype=int))
     cap = cfg.storage_capacity_bits
     hi_slot = np.concatenate([np.full(n, cfg.pmax_w), np.full(n, cfg.leo_cpu_hz),
                               np.full(n, cfg.slot_seconds), np.ones(n)])
@@ -224,15 +215,6 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
 # no offloading
 # ---------------------------------------------------------------------------
 
-def solve_slot_no_offload(ctx: SlotContext, cfg: ScenarioConfig):
-    """Everything computed on board: zero power, zero compute share, zero
-    ratio; the forwarding start solves the start-time block against the
-    on-board completion bound. A slot whose start interval is empty, or
-    whose decision fails check_feasible, is flagged. Returns
-    (SlotDecision, SlotSolveTrace)."""
-    return _settle_no_offload(ctx, cfg, _solve_no_offload(ctx, cfg))
-
-
 def _solve_no_offload(ctx: SlotContext, cfg: ScenarioConfig) -> Solved:
     zeros = np.zeros(ctx.sum_d.shape)
     dt, empty = solve_sp3_start_time(ctx, model.Evaluation(ctx, zeros, zeros, None, zeros))
@@ -250,4 +232,5 @@ def _settle_no_offload(ctx: SlotContext, cfg: ScenarioConfig, solved: Solved):
     return solved.decision, trace
 
 
-solve_slot_no_offload.steps = SlotSteps(_solve_no_offload, _settle_no_offload)
+solve_slot_no_offload = SlotSteps("solve_slot_no_offload", _solve_no_offload,
+                                  _settle_no_offload)

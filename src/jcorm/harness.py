@@ -409,23 +409,28 @@ def _run_cells(cells: list, workers: int = 1) -> list:
     return [row for cell_rows in per_cell for row in cell_rows]
 
 
-def _check_nonempty(**lists) -> None:
+def _check_lists(**lists) -> None:
+    # a repeated entry (==, so 4 and 4.0 are one) would run again and be
+    # pooled as another sample
     for name, items in lists.items():
         if not items:
             raise ConfigError(f"the {name} list is empty")
+        if len(set(items)) < len(items):
+            repeat = next(item for i, item in enumerate(items) if item in items[:i])
+            raise ConfigError(f"the {name} list repeats {repeat!r}")
 
 
 def run_sweep(base_cfg: ScenarioConfig, axis: str, values, seeds,
               algorithms=None, workers: int = 1) -> SweepResult:
     """Run every (algorithm, axis value, seed) cell and assemble the row
     table (see ``_run_cells``). ``algorithms`` defaults to the base
-    config's; an empty list is a ``ConfigError``. Assembly order is fixed
-    whatever the grouping and ``workers``, keeping the CSV byte-identical
-    for identical inputs."""
+    config's; an empty list, or one that repeats an entry, is a
+    ``ConfigError``. Assembly order is fixed whatever the grouping and
+    ``workers``, keeping the CSV byte-identical for identical inputs."""
     algorithms = [base_cfg.algo] if algorithms is None else list(algorithms)
     values = list(values)
     seeds = list(seeds)
-    _check_nonempty(algorithms=algorithms, values=values, seeds=seeds)
+    _check_lists(algorithms=algorithms, values=values, seeds=seeds)
     cells = [(apply_axis(base_cfg, axis, value).copy(algo=algo, seed=seed), axis, value)
              for algo in algorithms for value in values for seed in seeds]
     rows = _run_cells(cells, workers)
@@ -438,7 +443,7 @@ def run_compare(base_cfg: ScenarioConfig, algorithms, seeds) -> SweepResult:
     Modeled as a degenerate sweep over the single value None."""
     algorithms = list(algorithms)
     seeds = list(seeds)
-    _check_nonempty(algorithms=algorithms, seeds=seeds)
+    _check_lists(algorithms=algorithms, seeds=seeds)
     cells = [(base_cfg.copy(algo=algo, seed=seed), "", None)
              for algo in algorithms for seed in seeds]
     rows = _run_cells(cells)

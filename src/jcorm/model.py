@@ -71,8 +71,7 @@ def rician_fading_gain(k0: float, real, imag):
     return (los + amp * real) ** 2 + (amp * imag) ** 2
 
 
-def device_uav_gain(distance_m, pathloss_coeff: float, pathloss_exp: float,
-                    fading_gain=1.0):
+def device_uav_gain(distance_m, pathloss_coeff: float, pathloss_exp: float, fading_gain):
     """Device-to-UAV power gain: distance-power-law large-scale loss times the
     squared-magnitude small-scale fading gain."""
     d = np.asarray(distance_m, dtype=float)
@@ -81,18 +80,8 @@ def device_uav_gain(distance_m, pathloss_coeff: float, pathloss_exp: float,
     return pathloss_coeff * d ** (-pathloss_exp) * np.asarray(fading_gain, dtype=float)
 
 
-def device_uav_rate(power_w, gain, noise_w: float, bandwidth_share_hz: float,
-                    group_size: int):
-    """Shannon rate (bit/s) of one device on an equal FDMA share of its group's
-    band slice. ``bandwidth_share_hz`` is the slice for the whole group."""
-    if group_size <= 0:
-        raise ValueError("group_size must be >= 1")
-    snr = np.asarray(power_w, dtype=float) * np.asarray(gain, dtype=float) / noise_w
-    return (bandwidth_share_hz / group_size) * np.log2(1.0 + snr)
-
-
 def uav_leo_gain(distance_m: float, ref_gain: float, antenna_gain: float,
-                 ref_distance_m: float = 1.0) -> float:
+                 ref_distance_m: float) -> float:
     """UAV-to-satellite power gain: reference gain at ``ref_distance_m`` with
     inverse-square rolloff, times the antenna gain."""
     if distance_m <= 0:
@@ -100,13 +89,13 @@ def uav_leo_gain(distance_m: float, ref_gain: float, antenna_gain: float,
     return ref_gain * antenna_gain * (ref_distance_m / distance_m) ** 2
 
 
-def uav_leo_rate(power_w, gain, noise_w: float, leo_bandwidth_hz: float,
-                 num_uavs: int):
-    """Shannon rate (bit/s) of one UAV on its equal share of the satellite band."""
-    if num_uavs <= 0:
-        raise ValueError("num_uavs must be >= 1")
+def shannon_rate(power_w, gain, noise_w: float, band_hz, shares: int):
+    """Shannon rate (bit/s) on an equal FDMA share of a band: a device on
+    its group's slice of the UAV band, or a UAV on the satellite band."""
+    if shares <= 0:
+        raise ValueError("shares must be >= 1")
     snr = np.asarray(power_w, dtype=float) * np.asarray(gain, dtype=float) / noise_w
-    return (leo_bandwidth_hz / num_uavs) * np.log2(1.0 + snr)
+    return (band_hz / shares) * np.log2(1.0 + snr)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +157,7 @@ class SlotContext:
 
     def ds_rate(self, power_w):
         """UAV->LEO rate (bit/s) for the DS stream at the given power(s)."""
-        return uav_leo_rate(power_w, self.sat_gain, self.noise_w,
+        return shannon_rate(power_w, self.sat_gain, self.noise_w,
                             self.leo_bandwidth_hz, self.num_uavs)
 
     @cached_property

@@ -158,7 +158,7 @@ def _draw_links(cfg: ScenarioConfig, rngs: list, counts: np.ndarray,
                                         _blocks(normals, real + t * k, (t, k)))
         gain = model.device_uav_gain(_blocks(dist, link_first, (1, k)), cfg.pathloss_coeff,
                                      cfg.pathloss_exp, fade)
-        return model.device_uav_rate(power_w, gain, cfg.noise_w, band_hz, k)
+        return model.shannon_rate(power_w, gain, cfg.noise_w, band_hz, k)
 
     # one block per device count K: a row reduces over its K devices
     # exactly as that UAV's 1-D array would, which zero padding to the
@@ -212,7 +212,7 @@ def build_slot_context(cfg: ScenarioConfig, state: NetworkState, slot: int,
     tables, the current buffer state and the config scalars."""
     u = cfg.num_uavs
     sat_gain = np.full(u, state.sat_gain)
-    r_tol_leo = model.uav_leo_rate(cfg.dt_uplink_power_w, sat_gain, cfg.noise_w,
+    r_tol_leo = model.shannon_rate(cfg.dt_uplink_power_w, sat_gain, cfg.noise_w,
                                    cfg.leo_bandwidth_hz, u)
     return model.SlotContext(
         slot_seconds=cfg.slot_seconds,

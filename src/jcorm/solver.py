@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -298,16 +298,21 @@ class Solved:
         return cls(decision, objective, counts)
 
 
-class SlotSteps(NamedTuple):
+class SlotSteps:
     """A slot solver in two steps, which ``run_horizons`` runs apart on a
     stack. ``solve(ctx, cfg) -> Solved`` decides every row of ``ctx`` and
     reads the buffer state only through ``ctx.storage_bounds``;
     ``settle(ctx, cfg, solved) -> (SlotDecision, SlotSolveTrace)`` checks
     the decision on the slot's own context and falls back where it fails.
-    The solver itself settles what it solves on one context."""
+    Called as ``solver(ctx, cfg)``, it settles what it solves."""
 
-    solve: Callable
-    settle: Callable
+    def __init__(self, name: str, solve: Callable, settle: Callable):
+        self.__name__ = name
+        self.solve = solve
+        self.settle = settle
+
+    def __call__(self, ctx: SlotContext, cfg: ScenarioConfig):
+        return self.settle(ctx, cfg, self.solve(ctx, cfg))
 
 
 def _held(keep, held):
@@ -316,12 +321,12 @@ def _held(keep, held):
     return keep if held is None else keep | held
 
 
-def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None) -> Solved:
+def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned: bool = False) -> Solved:
     """Block rotation (power, compute share, forwarding start, offload
     ratio) until the slot objective settles: the solve step of the jcorm
-    and ATSM solvers. With ``pinned_start`` every UAV starts forwarding at
-    that time and the start-time block is skipped. The buffer state enters
-    only the start-time block, through ``ctx.storage_bounds``.
+    and ATSM solvers. Forwarding starts at half the slot, and stays there
+    where ``pinned``, which skips the start-time block. The buffer state
+    enters only the start-time block, through ``ctx.storage_bounds``.
 
     ``ev`` is the ``model.Evaluation`` of the incumbent decision. Each block
     reads what it needs of it, evaluates its candidate by recomputing only
@@ -336,7 +341,7 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None) -> Solved:
     shape = ctx.sum_d.shape
     ev = model.Evaluation(
         ctx, np.full(shape, ctx.pmax_w / 2.0), np.full(shape, ctx.leo_cpu_hz / ctx.num_uavs),
-        np.full(shape, ctx.slot_seconds / 2.0 if pinned_start is None else pinned_start),
+        np.full(shape, ctx.slot_seconds / 2.0),
         np.where(ctx.sum_d <= 0.0, 0.0, 0.5))
 
     # per-row state: numpy scalars for a 1-D context, (B,) arrays stacked
@@ -381,7 +386,7 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned_start=None) -> Solved:
             ev = cand.merged(broke, ev)
         seconds["sp2"] += time.perf_counter() - t0
 
-        if pinned_start is None:
+        if not pinned:
             t0 = time.perf_counter()
             lo3, hi3 = sp3_bounds(ctx, ev, mode)
             dt_cand, dt_empty = _start_in(ctx, lo3, hi3)
@@ -437,13 +442,8 @@ def settle_rotation(ctx: SlotContext, cfg: ScenarioConfig, solved: Solved,
     return decision, trace
 
 
-def solve_slot_jcorm(ctx: SlotContext, cfg: ScenarioConfig):
-    """Joint per-slot optimization: the block rotation over all four
-    decisions, settled on ``ctx``. Returns (SlotDecision, SlotSolveTrace)."""
-    return settle_rotation(ctx, cfg, rotate(ctx, cfg))
-
-
-solve_slot_jcorm.steps = SlotSteps(rotate, settle_rotation)
+# joint per-slot optimization: the rotation over all four blocks
+solve_slot_jcorm = SlotSteps("solve_slot_jcorm", rotate, settle_rotation)
 
 
 def fallback_decision(ctx: SlotContext) -> SlotDecision:
@@ -514,7 +514,8 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
     (``scenario.ContextStack``); a single cell runs on its 1-D contexts
     from ``scenario.build_slot_context``, one ``slot_solver`` call
     (callable (ctx, cfg) -> (SlotDecision, trace)) per slot. A stack whose
-    solver comes in ``SlotSteps`` (its ``steps``) and whose solve call can
+    solver is a ``SlotSteps`` (called, it solves and settles a slot; its
+    ``solve`` and ``settle`` are the two steps) and whose solve call can
     hold two of its slots within ``AHEAD_UAV_ROWS`` is solved ahead of its
     buffer chain (see ``_solve_ahead``); any other solves slot t of all
     cells with one call. Each slot's CSV figures and fallback flags are
@@ -550,11 +551,11 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
             metered.append(metrics)
         return metrics.next_free
 
-    steps = getattr(slot_solver, "steps", None)
     # a call that cannot hold two slots' rows would take a part of one
     # slot along at most, which saves less than the driver's checks cost
-    if stack is not None and steps is not None and 2 * cells * cfg.num_uavs <= AHEAD_UAV_ROWS:
-        _solve_ahead(stack, cfg, steps, meter)
+    if (stack is not None and isinstance(slot_solver, SlotSteps)
+            and 2 * cells * cfg.num_uavs <= AHEAD_UAV_ROWS):
+        _solve_ahead(stack, cfg, slot_solver, meter)
     else:
         free = (np.full(cfg.num_uavs, cfg.storage_initial_free_bits, dtype=float)
                 if stack is None else stack.initial_free)

@@ -128,20 +128,15 @@ PARTLY_BOUND = [dict(storage_initial_free_bits=free) for free in (0.0, 4e9, 8e9,
 
 
 def counted_steps(slot_solver):
-    """``slot_solver`` that records the context of each call, of its solve
-    step or of itself."""
+    """``slot_solver`` that records the context of each call of its solve
+    step, called alone or through the solver itself."""
     calls = []
 
     def solve(ctx, cfg):
         calls.append(ctx)
-        return slot_solver.steps.solve(ctx, cfg)
+        return slot_solver.solve(ctx, cfg)
 
-    def counted(ctx, cfg):
-        calls.append(ctx)
-        return slot_solver(ctx, cfg)
-
-    counted.steps = slot_solver.steps._replace(solve=solve)
-    return counted, calls
+    return solver.SlotSteps(slot_solver.__name__, solve, slot_solver.settle), calls
 
 
 def assert_same_solved(got: Solved, want: Solved):
@@ -223,7 +218,7 @@ class TestSolveAhead:
         cfgs = [ScenarioConfig(seed=seed, **v) for v in PARTLY_BOUND + [TIGHT_BUFFER]
                 for seed in range(3)]
         stack = scenario.ContextStack(cfgs, [generate_scenario(c, c.seed) for c in cfgs])
-        steps = SOLVERS[algo].steps
+        slot_solver = SOLVERS[algo]
         free = stack.initial_free
         bound = 0
         for t in range(4):
@@ -231,9 +226,9 @@ class TestSolveAhead:
             bound += int(np.sum(~solver._unbound(ctx)))
             blind = dataclasses.replace(ctx, storage_free=np.full(free.shape, np.nan))
             blind.storage_bounds = ctx.storage_bounds
-            want = steps.solve(ctx, cfgs[0])
-            assert_same_solved(steps.solve(blind, cfgs[0]), want)
-            decision, _ = steps.settle(ctx, cfgs[0], want)
+            want = slot_solver.solve(ctx, cfgs[0])
+            assert_same_solved(slot_solver.solve(blind, cfgs[0]), want)
+            decision, _ = slot_solver.settle(ctx, cfgs[0], want)
             free = model.meter_slot(ctx, decision).next_free
         assert bound > 0
 
@@ -269,6 +264,92 @@ class TestSolveAhead:
                 want = np.broadcast_to(getattr(ctx, f.name), ctx.sum_d.shape)[b]
                 got = np.broadcast_to(getattr(rows, f.name), rows.sum_d.shape)[i]
                 assert got.tobytes() == want.tobytes(), f.name
+
+
+class TestSlotSteps:
+    """A slot solver is its two steps: called, it settles what it solves."""
+
+    def test_harness_solvers_are_slot_steps(self):
+        names = {"jcorm": "solve_slot_jcorm", "atsm": "solve_slot_atsm",
+                 "no-offload": "solve_slot_no_offload"}
+        assert harness._SLOT_SOLVERS.keys() == names.keys()
+        for algo, slot_solver in harness._SLOT_SOLVERS.items():
+            assert isinstance(slot_solver, solver.SlotSteps), algo
+            assert slot_solver.__name__ == names[algo]
+            assert slot_solver is SOLVERS[algo]
+
+    @pytest.mark.parametrize("algo", sorted(SOLVERS))
+    def test_call_settles_the_solve(self, algo):
+        slot_solver = SOLVERS[algo]
+        cfgs = [ScenarioConfig(seed=seed, **v) for v in PARTLY_BOUND + [TIGHT_BUFFER]
+                for seed in range(2)]
+        states = [generate_scenario(c, c.seed) for c in cfgs]
+        stack = scenario.ContextStack(cfgs, states)
+        one = build_slot_context(cfgs[0], states[0], 1, np.full(cfgs[0].num_uavs, 1e8))
+        for ctx in (one, stack.slot(0, stack.initial_free), stack.slot(2, stack.initial_free)):
+            got_decision, got_trace = slot_solver(ctx, cfgs[0])
+            want_decision, want_trace = slot_solver.settle(ctx, cfgs[0],
+                                                           slot_solver.solve(ctx, cfgs[0]))
+            for f in dataclasses.fields(SlotDecision):
+                got, want = getattr(got_decision, f.name), getattr(want_decision, f.name)
+                assert got.shape == ctx.sum_d.shape, f.name
+                assert got.tobytes() == want.tobytes(), f.name
+            for name in TRACE_FIELDS:
+                assert getattr(got_trace, name) == getattr(want_trace, name), name
+            if ctx is one:
+                # a 1-D context gives a trace of scalars
+                assert type(got_trace.fallback) is bool
+                assert type(got_trace.iterations) is int
+
+
+def assert_same_context(got: SlotContext, want: SlotContext, skip=()):
+    """Field by field, bit for bit, in type and shape too."""
+    for f in dataclasses.fields(SlotContext):
+        if f.name in skip:
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        assert np.shape(a) == np.shape(b), f.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
+class TestStackContexts:
+    """The GA reads its slots from its cell's ContextStack: each slot's
+    context, and one ``rows`` context of all its slots, must equal
+    ``SlotContext.stack`` over ``build_slot_context``'s 1-D contexts, as
+    must those of a stack of several cells."""
+
+    @pytest.mark.parametrize("cells", [
+        [{}], [dict(num_uavs=2, num_slots=5, **TIGHT_BUFFER)],
+        [dict(uav_cpu_hz=CPU_HZ_POW_DIFFERS)],
+        [dict(leo_bandwidth_hz=2e7), dict(leo_bandwidth_hz=4e7, seed=1)],
+    ], ids=["default", "tight-buffer-U=2-T=5", "pow-clock", "two-bandwidths"])
+    def test_slots_and_rows_equal_stacked_contexts(self, cells):
+        cfgs = [ScenarioConfig(**v) for v in cells]
+        states = [generate_scenario(c, c.seed) for c in cfgs]
+        stack = scenario.ContextStack(cfgs, states)
+        u, t_slots = cfgs[0].num_uavs, cfgs[0].num_slots
+
+        def built(t, b):
+            return build_slot_context(cfgs[b], states[b], t,
+                                      np.full(u, cfgs[b].storage_initial_free_bits))
+
+        for t in range(t_slots):
+            want = SlotContext.stack([built(t, b) for b in range(len(cfgs))])
+            assert_same_context(stack.slot(t, stack.initial_free), want)
+        if len(cfgs) == 1:
+            # the GA's (T, U) context of its one cell
+            slots, picked = np.arange(t_slots), np.zeros(t_slots, dtype=int)
+        else:
+            # every (slot, cell) row, where the cells' scalars differ
+            slots = np.repeat(np.arange(t_slots), len(cfgs))
+            picked = np.tile(np.arange(len(cfgs)), t_slots)
+        rows = stack.rows(slots, picked)
+        assert np.isnan(rows.storage_free).all()
+        want = SlotContext.stack([built(t, b) for t, b in zip(slots, picked)])
+        if len(cfgs) > 1:
+            assert want.leo_bandwidth_hz.shape == (len(slots), 1)
+        assert_same_context(rows, want, skip=("storage_free",))
 
 
 class TestStackedPath:
@@ -517,8 +598,8 @@ def sweeps(draw):
         solver_mode=draw(st.sampled_from(["strict", "paper-relaxed"])),
     )
     axis = draw(st.sampled_from(sorted(AXES)))
-    values = draw(st.lists(AXES[axis], min_size=1, max_size=3))
-    seeds = draw(st.lists(st.integers(0, 50), min_size=1, max_size=3))
+    values = draw(st.lists(AXES[axis], min_size=1, max_size=3, unique=True))
+    seeds = draw(st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True))
     algos = draw(st.lists(st.sampled_from(sorted(SOLVERS)), min_size=1, max_size=3,
                           unique=True))
     return cfg, axis, values, seeds, algos

@@ -400,6 +400,21 @@ class TestResults:
         with pytest.raises(ConfigError, match="the seeds list is empty"):
             harness.run_compare(base, ["jcorm"], [])
 
+    def test_repeated_entry_raises(self, monkeypatch):
+        # a repeat was run again and pooled as another sample
+        monkeypatch.setattr(harness, "_run_cells", lambda *a, **k: pytest.fail("a cell ran"))
+        base = small_cfg()
+        with pytest.raises(ConfigError, match="the seeds list repeats 0"):
+            harness.run_sweep(base, "omega", [1.0], [0, 1, 0])
+        with pytest.raises(ConfigError, match="the values list repeats 4"):
+            harness.run_sweep(base, "num_uavs", [4, 4.0], [0])   # equal as numbers
+        with pytest.raises(ConfigError, match="the algorithms list repeats 'jcorm'"):
+            harness.run_sweep(base, "omega", [1.0], [0], algorithms=["jcorm", "jcorm"])
+        with pytest.raises(ConfigError, match="the algorithms list repeats 'no-offload'"):
+            harness.run_compare(base, ["no-offload", "no-offload"], [0])
+        with pytest.raises(ConfigError, match="the seeds list repeats 0"):
+            harness.run_compare(base, ["jcorm"], [0, 0])
+
     @pytest.mark.parametrize("formats, message", [
         (("pdf",), "unknown output format 'pdf'"),
         (("csv", ""), "unknown output format ''"),
@@ -544,6 +559,24 @@ class TestCli:
         assert main(args + ["--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error" in err and f"the {name} list is empty" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, name", [
+        (["sweep", "--axis", "omega", "--values", "1", "--seeds", "0,0"], "seeds"),
+        (["sweep", "--axis", "num_uavs", "--values", "4,4.0", "--seeds", "0",
+          "--algos", "no-offload"], "values"),
+        (["sweep", "--axis", "omega", "--values", "1", "--algos", "jcorm jcorm"], "algorithms"),
+        (["compare", "--algos", "no-offload", "--seeds", "0,0"], "seeds"),
+        (["compare", "--algos", "no-offload,no-offload", "--seeds", "0"], "algorithms"),
+    ], ids=["sweep-seeds", "sweep-values", "sweep-algos", "compare-seeds", "compare-algos"])
+    def test_repeated_entry_is_config_error(self, tmp_path, capsys, monkeypatch, args, name):
+        # a repeat was run again: compare reported std 0 over two copies of
+        # one seed, and a repeated algorithm wrote each run row twice
+        monkeypatch.setattr(harness, "_run_cells", lambda *a, **k: pytest.fail("a cell ran"))
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"the {name} list repeats" in err
         assert not out.exists()
 
     def test_infinite_energy_price_is_config_error(self, tmp_path, capsys):

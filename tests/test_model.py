@@ -114,20 +114,20 @@ class TestChannels:
 
     def test_device_gain_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
-            model.device_uav_gain(0.0, 1.0, 2.0)
+            model.device_uav_gain(0.0, 1.0, 2.0, 1.0)
 
     def test_device_rate_zero_power(self):
-        assert model.device_uav_rate(0.0, 1e-9, 1e-11, 6e6, 3) == 0.0
+        assert model.shannon_rate(0.0, 1e-9, 1e-11, 6e6, 3) == 0.0
 
     def test_device_rate_snr_15_db(self):
         # 2 MHz per-device share, SNR exactly 10^1.5
         gain = 10.0 ** 1.5 * 1e-11 / 0.3
-        rate = model.device_uav_rate(0.3, gain, 1e-11, 6e6, 3)
+        rate = model.shannon_rate(0.3, gain, 1e-11, 6e6, 3)
         assert rate == pytest.approx(10055615.346701, abs=1e-3)
 
     def test_device_rate_zero_band_share(self):
         # beta=1 leaves the DT side with no spectrum at all
-        assert model.device_uav_rate(0.3, 1e-9, 1e-11, 0.0, 5) == 0.0
+        assert model.shannon_rate(0.3, 1e-9, 1e-11, 0.0, 5) == 0.0
 
     def test_sat_gain_default_reference(self):
         d = 1731903.374930
@@ -147,17 +147,22 @@ class TestChannels:
         g = model.uav_leo_gain(1731903.374930, 1e-3, 10.0, 1000.0)
         snr = 1.0 * g / 1e-11
         assert snr == pytest.approx(333.390087429, rel=1e-9)
-        rate = model.uav_leo_rate(1.0, g, 1e-11, 40e6, 6)
+        rate = model.shannon_rate(1.0, g, 1e-11, 40e6, 6)
         assert rate == pytest.approx(55902588.473046, abs=1e-3)
 
     def test_sat_rate_zero_power(self):
-        assert model.uav_leo_rate(0.0, 3.3e-9, 1e-11, 40e6, 6) == 0.0
+        assert model.shannon_rate(0.0, 3.3e-9, 1e-11, 40e6, 6) == 0.0
 
     def test_sat_rate_decreases_with_distance(self):
-        rates = [model.uav_leo_rate(1.0, model.uav_leo_gain(d, 1e-3, 10.0, 1000.0),
+        rates = [model.shannon_rate(1.0, model.uav_leo_gain(d, 1e-3, 10.0, 1000.0),
                                     1e-11, 40e6, 6)
                  for d in np.linspace(1e6, 3e6, 9)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("shares", [0, -3])
+    def test_rate_rejects_nonpositive_shares(self, shares):
+        with pytest.raises(ValueError, match="shares must be >= 1"):
+            model.shannon_rate(1.0, 3.3e-9, 1e-11, 40e6, shares)
 
 
 # ---------------------------------------------------------------------------

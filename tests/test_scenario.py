@@ -58,9 +58,8 @@ def reference_context(cfg, ref, slot, storage_free):
     for i in range(u):
         g_sens = model.device_uav_gain(ref["sens_dist"][i], cfg.pathloss_coeff,
                                        cfg.pathloss_exp, ref["sens_fade"][i][slot])
-        r_sens = model.device_uav_rate(cfg.device_power_sens_w, g_sens, cfg.noise_w,
-                                       cfg.beta * cfg.uav_bandwidth_hz,
-                                       int(ref["n_sens"][i]))
+        r_sens = model.shannon_rate(cfg.device_power_sens_w, g_sens, cfg.noise_w,
+                                    cfg.beta * cfg.uav_bandwidth_hz, int(ref["n_sens"][i]))
         bits = ref["ds_bits"][i][slot]
         sum_d[i] = float(np.sum(bits))
         with np.errstate(divide="ignore"):
@@ -68,12 +67,11 @@ def reference_context(cfg, ref, slot, storage_free):
         l_off[i] = float(np.max(upload)) if len(bits) else 0.0
         g_tol = model.device_uav_gain(ref["tol_dist"][i], cfg.pathloss_coeff,
                                       cfg.pathloss_exp, ref["tol_fade"][i][slot])
-        r_tol = model.device_uav_rate(cfg.device_power_tol_w, g_tol, cfg.noise_w,
-                                      (1.0 - cfg.beta) * cfg.uav_bandwidth_hz,
-                                      int(ref["n_tol"][i]))
+        r_tol = model.shannon_rate(cfg.device_power_tol_w, g_tol, cfg.noise_w,
+                                   (1.0 - cfg.beta) * cfg.uav_bandwidth_hz, int(ref["n_tol"][i]))
         dt_rate_sum[i] = float(np.sum(r_tol))
     sat_gain = np.full(u, ref["sat_gain"])
-    r_tol_leo = model.uav_leo_rate(cfg.dt_uplink_power_w, sat_gain, cfg.noise_w,
+    r_tol_leo = model.shannon_rate(cfg.dt_uplink_power_w, sat_gain, cfg.noise_w,
                                    cfg.leo_bandwidth_hz, u)
     return model.SlotContext(
         slot_seconds=cfg.slot_seconds, omega=cfg.omega, sum_d=sum_d, l_off=l_off,

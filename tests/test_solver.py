@@ -570,13 +570,13 @@ class TestSlotSolve:
 
     def test_rate_computed_at_most_twice_per_pass(self, monkeypatch):
         calls = []
-        real = model.uav_leo_rate
+        real = model.shannon_rate
         ctxs = [scenario_ctx(seed=seed)[0] for seed in range(4)]
         cfgs = [ScenarioConfig(seed=seed) for seed in range(4)]
         states = [generate_scenario(c, c.seed) for c in cfgs]
         stack = ContextStack(cfgs, states)
         ctxs.append(stack.slot(0, stack.initial_free))
-        monkeypatch.setattr(model, "uav_leo_rate", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(model, "shannon_rate", lambda *a: calls.append(1) or real(*a))
         for ctx in ctxs:
             for solver in (solve_slot_jcorm, solve_slot_atsm):
                 calls.clear()
