@@ -46,31 +46,6 @@ class GaTrace:
     sanitized: bool = False
 
 
-def _ga_fitness(ctx: SlotContext, p, f, dt, gm, penalty_weight: float,
-                free, obj_bits) -> np.ndarray:
-    """Penalized fitness terms of a population over T slots, against the
-    stacked (T, U) context of those slots: genes and ``free`` (the storage
-    free at each slot start) are (pop, T, U) arrays, ``obj_bits`` the
-    (pop, T) slot objectives in bits, and the result is (pop, T), one term
-    per genome and slot.
-
-    A term is the slot objective on the Mbit scale minus penalty_weight
-    times the summed constraint violations, each measured on a unit scale
-    (seconds for deadlines, Mbit for storage terms, GHz for the pool)."""
-    need = model.Evaluation(ctx, p, f, None, gm).need
-    v_deadline = np.sum(np.minimum(np.maximum(need - dt, 0.0), 1e6), axis=-1)
-
-    collected, nominal_up, available = model.storage_terms(ctx, dt, free)
-    v_storage = np.sum(np.maximum(collected - free, 0.0), axis=-1) / 1e6
-    v_backlog = np.sum(np.maximum(nominal_up - available, 0.0), axis=-1) / 1e6
-
-    # keepdims: the (pop, T, 1) pool sums line up with the (T, 1) pool column
-    pool = np.sum(f, axis=-1, keepdims=True) - ctx.leo_cpu_hz
-    v_budget = np.maximum(pool, 0.0)[..., 0] / 1e9
-
-    return obj_bits / 1e6 - penalty_weight * (v_deadline + v_storage + v_backlog + v_budget)
-
-
 def _split_genes(g, n):
     """View a (..., 4n) genome block as (power, compute, start, ratio)."""
     return g[..., :n], g[..., n:2 * n], g[..., 2 * n:3 * n], g[..., 3 * n:]
@@ -137,13 +112,13 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
     directly rather than slot by slot.
 
     Fitness scores a whole generation at once: the genomes are viewed as
-    (pop, T, 4, U), and the deadline, storage and pool penalties of all
-    slots come from one call against the cell's ``ContextStack.rows`` of
-    the T slots, whose NaN buffer state the GA never reads. Only the
-    storage chain (each slot's starting free space) and the objective, on
-    each slot's (1, U) context, run slot by slot. The per-slot terms are
-    then added in slot order, so the sums round as a slot-by-slot fitness
-    would.
+    (pop, T, 4, U), and the penalties of all slots come from one pass
+    against the cell's ``ContextStack.rows`` of the T slots, whose NaN
+    buffer state the GA never reads; the storage and backlog penalties
+    reuse the products that thread the storage chain. Only the chain (each
+    slot's starting free space) and the objective, on each slot's (1, U)
+    context, run slot by slot. The per-slot terms are then added in slot
+    order, so the sums round as a slot-by-slot fitness would.
 
     The best genome is replayed slot by slot through solver.run_horizon.
     Returns a solver.HorizonResult; the single GaTrace is shared by all
@@ -192,7 +167,18 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
                                                      free[:, t], cap)[2]
         if not (free.min() >= 0.0 and free.max() <= cap + 1e-9):
             raise ValueError("storage_free must lie in [0, capacity]")
-        terms = _ga_fitness(stacked, p, f, dt, gm, ga.penalty_weight, free, obj_bits)
+        # the slot objective in Mbit minus the weighted violations, each on a
+        # unit scale (seconds for deadlines, Mbit for storage terms, GHz for
+        # the pool); with every start in the slot, the chain's products are
+        # the nominal storage terms
+        need = model.Evaluation(stacked, p, f, None, gm).need
+        v_deadline = np.sum(np.minimum(np.maximum(need - dt, 0.0), 1e6), axis=-1)
+        v_storage = np.sum(np.maximum(requested - free, 0.0), axis=-1) / 1e6
+        v_backlog = np.sum(np.maximum(nominal_up - (requested + (cap - free)), 0.0), axis=-1) / 1e6
+        # keepdims: the (pop, T, 1) pool sums line up with the (T, 1) pool column
+        pool = np.sum(f, axis=-1, keepdims=True) - stacked.leo_cpu_hz
+        v_budget = np.maximum(pool, 0.0)[..., 0] / 1e9
+        terms = obj_bits / 1e6 - ga.penalty_weight * (v_deadline + v_storage + v_backlog + v_budget)
         # slot by slot from zero: np.sum over T >= 8 would sum pairwise
         fit = np.zeros(pop)
         for t in range(t_slots):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
 from .config import ConfigError, ScenarioConfig
-from .scenario import generate_scenario, generate_scenarios
+from .scenario import UNREAD_FIELDS, generate_scenario, generate_scenarios
 from .solver import FIGURES, HorizonResult, run_horizon, run_horizons, solve_slot_jcorm, stack_key
 
 
@@ -146,9 +146,6 @@ def result_rows(result: ExperimentResult, axis: str = "", value=None) -> list:
     return rows
 
 
-_AGG_METRICS = FIGURES
-
-
 def _finite_stat(stat, values: list) -> float:
     """``stat`` (np.mean or np.std) of the values. Where finite values
     overflow it (the std squares them), it is taken on the values divided
@@ -181,7 +178,7 @@ def aggregate_rows(rows: list) -> list:
                 "infeasible_slots": int(sum(r["infeasible_slots"] for r in runs))
                 if kind == "mean" else None,
             }
-            for metric in _AGG_METRICS:
+            for metric in FIGURES:
                 agg[metric] = _finite_stat(stat, [r[metric] for r in runs])
             out.append(agg)
     return out
@@ -280,14 +277,9 @@ class SweepResult:
 # compares at U in {6, 96, 1024} (README, "Parts and batches")
 PART_UAV_SLOTS = 1 << 16
 
-# config fields that generate_scenario does not read; every other field
-# keys the scenario
-_UNREAD_FIELDS = {"slot_seconds", "sat_speed_mps", "leo_bandwidth_hz", "pmax_w",
-                  "dt_uplink_power_w", "cycles_per_bit", "uav_cpu_hz", "leo_cpu_hz",
-                  "switch_cap", "storage_capacity_bits", "storage_initial_free_bits",
-                  "omega", "algo", "solver_mode", "tol", "ga"}
+# every config field that generate_scenario may read keys the scenario
 _BATCH_FIELDS = tuple(f.name for f in fields(ScenarioConfig)
-                      if f.name not in _UNREAD_FIELDS and f.name != "seed")
+                      if f.name not in UNREAD_FIELDS and f.name != "seed")
 
 
 def _scenario_key(cfg: ScenarioConfig) -> tuple:

@@ -557,6 +557,12 @@ class FeasibilityReport:
         return out
 
 
+# the slacks within which a decision meets the deadline (seconds) and the
+# buffer's storage and backlog bounds (bits), here and in the grid oracle
+TIME_SLACK = 1e-9
+BITS_SLACK = 1e-3
+
+
 def check_feasible(ctx: SlotContext, decision: SlotDecision) -> FeasibilityReport:
     """Independent re-evaluation of every slot constraint on a decision,
     reduced over the UAV axis only."""
@@ -588,10 +594,10 @@ def check_feasible(ctx: SlotContext, decision: SlotDecision) -> FeasibilityRepor
           & holds("p_box", (d.power < -1e-12) | (d.power > ctx.pmax_w + 1e-9))
           & holds("budget", ~(budget <= ctx.leo_cpu_hz * (1 + 1e-9) + 1e-6),
                   budget - ctx.leo_cpu_hz)
-          & holds("deadline", ~(gap <= 1e-9), gap)
-          & holds("storage", ~(collected <= ctx.storage_free + 1e-3),
+          & holds("deadline", ~(gap <= TIME_SLACK), gap)
+          & holds("storage", ~(collected <= ctx.storage_free + BITS_SLACK),
                   collected - ctx.storage_free)
-          & holds("backlog", ~(nominal_up <= available + 1e-3), nominal_up - available))
+          & holds("backlog", ~(nominal_up <= available + BITS_SLACK), nominal_up - available))
     return FeasibilityReport(ok, viol)
 
 
@@ -606,9 +612,7 @@ class SlotMetrics:
     below are (B,); ``row`` splits it per cell."""
 
     uplinked_bits: np.ndarray    # UAV->LEO DT bits per UAV (storage-capped)
-    energy_comm_j: np.ndarray
-    energy_uav_comp_j: np.ndarray
-    energy_leo_comp_j: np.ndarray
+    energy_j: np.ndarray         # comm + on-board + satellite compute, per UAV
     ds_delay_s: np.ndarray       # completion time per UAV
     next_free: np.ndarray        # storage free space at next slot start
     utility_bits: float          # capped DT volume minus omega * energy
@@ -624,8 +628,7 @@ class SlotMetrics:
 
     @property
     def total_energy_j(self):
-        return _per_row(np.sum(self.energy_comm_j + self.energy_uav_comp_j
-                               + self.energy_leo_comp_j, axis=-1))
+        return _per_row(np.sum(self.energy_j, axis=-1))
 
     @property
     def total_uplinked_bits(self):
@@ -654,9 +657,8 @@ def meter_slot(ctx: SlotContext, decision: SlotDecision) -> SlotMetrics:
         raise ValueError("offloading with zero DS uplink rate")
     if np.any(ev.active & (ev.f_leo <= 0.0)):
         raise ValueError("offloading with zero satellite compute share")
-    e_comm, e_uav, e_leo = ev.e_comm, ev.e_uav, ev.e_leo
+    energy = ev.e_comm + ev.e_uav + ev.e_leo
     # keepdims: a (B, 1) omega column multiplies (B, 1) sums, never (B,) ones
     utility = (np.sum(step.uplinked, axis=-1, keepdims=True)
-               - ctx.omega * np.sum(e_comm + e_uav + e_leo, axis=-1, keepdims=True))[..., 0]
-    return SlotMetrics(step.uplinked, e_comm, e_uav, e_leo, ev.need, step.next_free,
-                       _per_row(utility))
+               - ctx.omega * np.sum(energy, axis=-1, keepdims=True))[..., 0]
+    return SlotMetrics(step.uplinked, energy, ev.need, step.next_free, _per_row(utility))

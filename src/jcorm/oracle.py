@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import SlotContext, SlotDecision
+from .model import BITS_SLACK, TIME_SLACK, SlotContext, SlotDecision
 
-_TIME_SLACK = 1e-9      # matches model.check_feasible
-_BITS_SLACK = 1e-3
 FINE_POINTS = 10001     # points on each per-coordinate grid
 
 
@@ -114,10 +112,10 @@ def _uav_objective(ctx, u, p, f, dt, g):
 
 def _storage_masks(ctx, u, dt):
     collected = float(ctx.dt_dev_rate_sum[u]) * dt
-    storage_ok = collected <= float(ctx.storage_free[u]) + _BITS_SLACK
+    storage_ok = collected <= float(ctx.storage_free[u]) + BITS_SLACK
     window = np.clip(ctx.slot_seconds - dt, 0.0, None)
     available = collected + (ctx.storage_capacity - float(ctx.storage_free[u]))
-    backlog_ok = float(ctx.r_tol_leo[u]) * window <= available + _BITS_SLACK
+    backlog_ok = float(ctx.r_tol_leo[u]) * window <= available + BITS_SLACK
     return storage_ok & backlog_ok
 
 
@@ -137,7 +135,7 @@ def grid_sp1(ctx: SlotContext, fixed: SlotDecision) -> GridResult:
             obj = np.where(rate > 0.0,
                            ctx.omega * offload * p_axis / np.where(rate > 0.0, rate, 1.0),
                            np.inf)
-        return sat <= float(fixed.delta_tol[u]) + _TIME_SLACK, obj
+        return sat <= float(fixed.delta_tol[u]) + TIME_SLACK, obj
 
     return _search(ctx, p_axis, score, maximize=False)
 
@@ -156,7 +154,7 @@ def grid_sp2(ctx: SlotContext, fixed: SlotDecision) -> GridResult:
             return None
         _, sat = _branch_times(ctx, u, float(fixed.power[u]), f_axis, g)
         obj = ctx.omega * ctx.cycles_per_bit * ctx.switch_cap * offload * f_axis ** 2
-        return sat <= float(fixed.delta_tol[u]) + _TIME_SLACK, obj
+        return sat <= float(fixed.delta_tol[u]) + TIME_SLACK, obj
 
     return _search(ctx, f_axis, score, maximize=False)
 
@@ -169,7 +167,7 @@ def grid_sp3(ctx: SlotContext, fixed: SlotDecision) -> GridResult:
     def score(u):
         p, f, g = float(fixed.power[u]), float(fixed.f_leo[u]), float(fixed.gamma[u])
         local, sat = _branch_times(ctx, u, p, f, g)
-        ok = (dt_axis >= max(local, sat) - _TIME_SLACK) & _storage_masks(ctx, u, dt_axis)
+        ok = (dt_axis >= max(local, sat) - TIME_SLACK) & _storage_masks(ctx, u, dt_axis)
         return ok, _uav_objective(ctx, u, p, f, dt_axis, g)
 
     return _search(ctx, dt_axis, score, maximize=True)
@@ -183,7 +181,7 @@ def grid_sp4(ctx: SlotContext, fixed: SlotDecision) -> GridResult:
     def score(u):
         p, f, dt = float(fixed.power[u]), float(fixed.f_leo[u]), float(fixed.delta_tol[u])
         local, sat = _branch_times(ctx, u, p, f, g_axis)
-        ok = np.maximum(local, sat) <= dt + _TIME_SLACK
+        ok = np.maximum(local, sat) <= dt + TIME_SLACK
         return ok, _uav_objective(ctx, u, p, f, dt, g_axis)
 
     return _search(ctx, g_axis, score, maximize=True)
@@ -226,7 +224,7 @@ def grid_joint(ctx: SlotContext, points: int) -> JointResult:
     argmax_idx = []      # (F,) flat index into (P, D, G) per UAV
     for u in range(n):
         local, sat = _branch_times(ctx, u, p4, f4, g4)
-        ok = (np.maximum(local, sat) <= d4 + _TIME_SLACK) & _storage_masks(ctx, u, d4)
+        ok = (np.maximum(local, sat) <= d4 + TIME_SLACK) & _storage_masks(ctx, u, d4)
         obj = _uav_objective(ctx, u, p4, f4, d4, g4)
         obj = np.where(ok, obj, -np.inf)
         flat = obj.transpose(1, 0, 2, 3).reshape(points, -1)  # (F, P*D*G)

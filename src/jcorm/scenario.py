@@ -68,6 +68,14 @@ def _blocks(flat: np.ndarray, starts: np.ndarray, shape: tuple) -> np.ndarray:
     return windows[starts].reshape(len(starts), *shape)
 
 
+# config fields that generate_scenarios does not read: cells that differ
+# only in these draw the same scenario
+UNREAD_FIELDS = {"slot_seconds", "sat_speed_mps", "leo_bandwidth_hz", "pmax_w",
+                 "dt_uplink_power_w", "cycles_per_bit", "uav_cpu_hz", "leo_cpu_hz",
+                 "switch_cap", "storage_capacity_bits", "storage_initial_free_bits",
+                 "omega", "algo", "solver_mode", "tol", "ga"}
+
+
 def generate_scenario(cfg: ScenarioConfig, seed: int) -> NetworkState:
     """Draw one scenario: a batch of one (see ``generate_scenarios``)."""
     return generate_scenarios(cfg, [seed])[0]

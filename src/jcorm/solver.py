@@ -31,7 +31,7 @@ import numpy as np
 
 from . import model
 from .config import ScenarioConfig
-from .model import SlotContext, SlotDecision
+from .model import TIME_SLACK, SlotContext, SlotDecision
 
 _NOISE = 1e-9          # accepted objective decrease attributable to float noise
 
@@ -258,44 +258,12 @@ class Solved:
     own context: the decision, the objective after each pass ((passes,),
     or (passes, rows) stacked), the per-row counts of its SlotSolveTrace,
     and the seconds in each block of the call (None where the solver does
-    not time its blocks, and on rows taken from a call)."""
+    not time its blocks, and on rows joined from calls)."""
 
     decision: SlotDecision
     objective: np.ndarray
     counts: dict
     seconds: dict | None = None
-
-    def take(self, rows) -> "Solved":
-        """The given rows (indices, a slice or a mask) of a stacked solve,
-        without block seconds."""
-        return Solved(SlotDecision(*(a[rows] for a in vars(self.decision).values())),
-                      self.objective[:, rows],
-                      {name: value[rows] for name, value in self.counts.items()})
-
-    @classmethod
-    def join(cls, parts: list) -> "Solved":
-        """One stacked solve of the rows of each (row indices, Solved) part,
-        in row order, as one solve of those rows would leave it. A row
-        that has settled repeats its objective in every later pass of its
-        call, so each part's objective is cut, or padded with its last
-        pass, to the most passes a joined row took. Joined parts keep no
-        block seconds."""
-        solves = [solved for _, solved in parts]
-        if len(solves) == 1 and solves[0].counts["iterations"].max() == len(solves[0].objective):
-            return solves[0]      # one call's rows, in order, and its passes
-        order = np.argsort(np.concatenate([rows for rows, _ in parts]), kind="stable")
-
-        def joined(arrays):
-            return np.concatenate(arrays, axis=-1)[..., order]
-
-        counts = {name: joined([s.counts[name] for s in solves]) for name in solves[0].counts}
-        passes = int(counts["iterations"].max())
-        objective = joined([np.concatenate([s.objective[:passes]]
-                                           + [s.objective[-1:]] * (passes - len(s.objective)))
-                            for s in solves])
-        decision = SlotDecision(*(np.concatenate(arrays)[order] for arrays in
-                                  zip(*(vars(s.decision).values() for s in solves))))
-        return cls(decision, objective, counts)
 
 
 class SlotSteps:
@@ -365,7 +333,7 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned: bool = False) -> Solve
         p_cand, p_bad = solve_sp1_power(ctx, ev)
         counts["sp1_infeasible"] += p_bad.sum(axis=-1) * live
         # the incumbent's need, read first, is inherited by the candidate
-        inc_ok = (ev.need <= ev.delta_tol + 1e-9) & (ev.power <= ctx.pmax_w + 1e-12)
+        inc_ok = (ev.need <= ev.delta_tol + TIME_SLACK) & (ev.power <= ctx.pmax_w + 1e-12)
         cand = ev.replace(power=p_cand)
         # keep the incumbent where it wins the guard or where SP1 gave up
         ev = ev.merged(_held((inc_ok & (ev.terms > cand.terms)) | p_bad, held), cand)
@@ -375,7 +343,7 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned: bool = False) -> Solve
         f_cand, f_bad, scaled = solve_sp2_compute(ctx, ev)
         counts["sp2_infeasible"] += f_bad.sum(axis=-1) * live
         counts["budget_scaled"] += scaled & live
-        inc_ok = (ev.need <= ev.delta_tol + 1e-9) & (ev.f_leo <= ctx.leo_cpu_hz + 1e-6)
+        inc_ok = (ev.need <= ev.delta_tol + TIME_SLACK) & (ev.f_leo <= ctx.leo_cpu_hz + 1e-6)
         cand = ev.replace(f_leo=f_cand)
         ev = ev.merged(_held(inc_ok & (ev.terms > cand.terms), held), cand)
         # where mixing broke a row's pool budget, the candidate honors it
@@ -392,14 +360,14 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned: bool = False) -> Solve
             dt_cand, dt_empty = _start_in(ctx, lo3, hi3)
             counts["sp3_empty"] += dt_empty.sum(axis=-1) * live
             cand = ev.replace(delta_tol=dt_cand)
-            inc_ok = (ev.delta_tol >= lo3 - 1e-9) & (ev.delta_tol <= hi3 + 1e-9)
+            inc_ok = (ev.delta_tol >= lo3 - TIME_SLACK) & (ev.delta_tol <= hi3 + TIME_SLACK)
             ev = ev.merged(_held(inc_ok & (ev.terms > cand.terms), held), cand)
             seconds["sp3"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         gm_cand, gm_empty = solve_sp4_ratio(ctx, ev)
         counts["sp4_empty"] += gm_empty.sum(axis=-1) * live
-        inc_ok = ev.need <= ev.delta_tol + 1e-9
+        inc_ok = ev.need <= ev.delta_tol + TIME_SLACK
         cand = ev.replace(gamma=gm_cand)
         ev = ev.merged(_held(inc_ok & (ev.terms > cand.terms), held), cand)
         seconds["sp4"] += time.perf_counter() - t0
@@ -591,6 +559,31 @@ def _unbound(ctx: SlotContext) -> np.ndarray:
     return ((floor.view(np.uint64) == 0) & (ceiling.view(np.uint64) == end)).all(axis=-1)
 
 
+def _joined(parts: list, cells: int) -> Solved:
+    """One stacked solve of ``cells`` rows from the (rows, solved, columns)
+    parts they were solved in: ``solved`` decided the part's ``rows`` in
+    its ``columns``. The parts are written in order, so a row solved again
+    takes its last part. A row that has settled repeats its objective in
+    every later pass of its call, so each part's objective is cut, or
+    padded with its last pass, to the most passes a joined row took, as one
+    solve of the rows would leave it. Joined rows keep no block seconds."""
+    first = parts[0][1]
+    decision = SlotDecision(*(np.empty((cells,) + a.shape[1:], dtype=a.dtype)
+                              for a in vars(first.decision).values()))
+    counts = {name: np.empty(cells, dtype=v.dtype) for name, v in first.counts.items()}
+    for rows, solved, columns in parts:
+        for name, out in vars(decision).items():
+            out[rows] = getattr(solved.decision, name)[columns]
+        for name, out in counts.items():
+            out[rows] = solved.counts[name][columns]
+    objective = np.empty((int(counts["iterations"].max()), cells))
+    for rows, solved, columns in parts:
+        passes = solved.objective[:len(objective), columns]
+        objective[:len(passes), rows] = passes
+        objective[len(passes):, rows] = passes[-1]
+    return Solved(decision, objective, counts)
+
+
 def _solve_ahead(stack, cfg: ScenarioConfig, steps: SlotSteps, meter) -> None:
     """Solve and meter the slots of a stack in order, each solve call also
     taking later slots' rows along, ahead of the buffer state they start
@@ -606,20 +599,21 @@ def _solve_ahead(stack, cfg: ScenarioConfig, steps: SlotSteps, meter) -> None:
     Walking the chain, each slot whose rows are all solved is settled and
     metered on its own context, which gives the next slot's buffer state;
     a row solved ahead whose true bounds differ is opened again and solved
-    in the next call. ``meter(t, ctx, decision, trace)`` returns the next
-    buffer state."""
+    in the next call, whose part replaces the earlier one (``_joined``).
+    ``meter(t, ctx, decision, trace)`` returns the next buffer state."""
     slots, cells = cfg.num_slots, len(stack.initial_free)
     per_call = AHEAD_UAV_ROWS // cfg.num_uavs
     open_rows = np.ones((slots, cells), dtype=bool)   # rows without a solve to keep
     ahead = np.zeros((slots, cells), dtype=bool)      # solved ahead, bounds unchecked
-    parts = [[] for _ in range(slots)]                # per slot, (row indices, Solved)
+    parts = [[] for _ in range(slots)]                # per slot, (rows, Solved, columns)
     t, ctx = 0, stack.slot(0, stack.initial_free)
+    unbound = _unbound(ctx)
     while t < slots:
         batch = [(t, np.flatnonzero(open_rows[t]))]
         size = len(batch[0][1])
         # a buffer that binds now mostly binds in the next slots too, so
         # only the cells whose bounds do not bind now are taken along
-        along = open_rows[t + 1:] & _unbound(ctx)
+        along = open_rows[t + 1:] & unbound
         for s in (t + 1 + np.flatnonzero(along.any(axis=1))).tolist():
             rows = np.flatnonzero(along[s - t - 1])
             if size + len(rows) > per_call:
@@ -639,25 +633,20 @@ def _solve_ahead(stack, cfg: ScenarioConfig, steps: SlotSteps, meter) -> None:
             solved = steps.solve(call, cfg)
         start = 0
         for s, rows in batch:
-            part = solved if len(batch) == 1 else solved.take(slice(start, start + len(rows)))
-            parts[s].append((rows, part))
+            parts[s].append((rows, solved, slice(start, start + len(rows))))
             start += len(rows)
             open_rows[s, rows] = False
             ahead[s, rows] = s > t
 
         while t < slots and not open_rows[t].any():
-            free = meter(t, ctx, *steps.settle(ctx, cfg, Solved.join(parts[t])))
+            free = meter(t, ctx, *steps.settle(ctx, cfg, _joined(parts[t], cells)))
             parts[t] = None
             t += 1
             if t == slots:
                 break
             ctx = stack.slot(t, free)
-            if ahead[t].any():
-                missed = ahead[t] & ~_unbound(ctx)
-                if missed.any():
-                    parts[t] = [(rows[keep], part.take(keep)) for rows, part in parts[t]
-                                if (keep := ~missed[rows]).any()]
-                    open_rows[t] |= missed
+            unbound = _unbound(ctx)
+            open_rows[t] |= ahead[t] & ~unbound
 
 
 def run_horizon(cfg: ScenarioConfig, state, slot_solver) -> HorizonResult:

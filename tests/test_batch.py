@@ -232,10 +232,11 @@ class TestSolveAhead:
             free = model.meter_slot(ctx, decision).next_free
         assert bound > 0
 
-    def test_joined_parts_are_a_solve_of_their_rows(self):
-        # seeds 4 and 5 settle their first slot within 15 passes, seed 0
-        # takes 16: the joined rows keep only the passes a solve of them
-        # alone makes
+    @staticmethod
+    def first_slots():
+        """The first slot of seeds 4, 0 and 5 solved as one stack, and of
+        seeds 4 and 5 alone: seeds 4 and 5 settle within 15 passes, seed 0
+        takes 16."""
         cfgs = [ScenarioConfig(seed=seed) for seed in (4, 0, 5)]
         states = [generate_scenario(c, c.seed) for c in cfgs]
 
@@ -245,9 +246,22 @@ class TestSolveAhead:
 
         whole, alone = first_slot([0, 1, 2]), first_slot([0, 2])
         assert len(whole.objective) > len(alone.objective)
+        return whole, alone
+
+    def test_joined_parts_are_a_solve_of_their_rows(self):
+        # the joined rows keep only the passes a solve of them alone makes
+        whole, alone = self.first_slots()
         # in two parts, given out of row order
-        joined = Solved.join([(np.array([2]), whole.take([2])),
-                              (np.array([0]), whole.take(np.array([True, False, False])))])
+        joined = solver._joined([(np.array([1]), whole, [2]),
+                                 (np.array([0]), whole, np.array([True, False, False]))], 2)
+        assert_same_solved(joined, alone)
+
+    def test_a_row_solved_again_takes_its_last_part(self):
+        # row 0 first gets seed 0's 16-pass column, then seed 4's: neither
+        # the replaced decision nor its passes may reach the joined solve
+        whole, alone = self.first_slots()
+        joined = solver._joined([(np.array([0, 1]), whole, slice(1, 3)),
+                                 (np.array([0]), whole, slice(0, 1))], 2)
         assert_same_solved(joined, alone)
 
     def test_rows_gather_the_stack(self):
@@ -732,7 +746,7 @@ class TestSharedScenarios:
     def test_fields_left_out_of_the_key_leave_the_scenario_unchanged(self):
         # a field the scenario reads cannot join the left-out set unnoticed:
         # every left-out field needs a change here, and must not move a bit
-        assert set(self.UNREAD_CHANGES) == harness._UNREAD_FIELDS
+        assert set(self.UNREAD_CHANGES) == scenario.UNREAD_FIELDS
         base = ScenarioConfig(seed=3, num_slots=4)
         want = self.scenario_bits(base)
         for name, value in self.UNREAD_CHANGES.items():

@@ -314,7 +314,7 @@ class TestResults:
         res = harness.run_compare(small_cfg(**overrides), ["jcorm", "no-offload"], [0, 1])
         runs = [r for r in res.rows if r["kind"] == "run"]
         stats = [r for r in res.rows if r["kind"] in ("mean", "std")]
-        for metric in harness._AGG_METRICS:
+        for metric in harness.FIGURES:
             assert all(np.isfinite(r[metric]) for r in runs)
             assert all(np.isfinite(r[metric]) for r in stats), metric
         assert max(r["ds_delay_s"] for r in runs) > 1e150 or \

@@ -458,3 +458,14 @@ class TestFeasibility:
             metrics.total_uplinked_bits - ctx.omega * e_total)
         assert np.all(metrics.next_free >= 0.0)
         assert np.all(metrics.next_free <= ctx.storage_capacity + 1e-6)
+
+    def test_meter_energy_is_the_evaluations_split(self):
+        one = make_ctx()
+        stacked = SlotContext.stack([one, make_ctx(sum_d=np.array([3e6, 0.0]), omega=2.0)])
+        for ctx in (one, stacked):
+            dec = SlotDecision(*(np.full(ctx.sum_d.shape, v) for v in (0.5, 4e9, 5.0, 0.5)))
+            metrics = model.meter_slot(ctx, dec)
+            ev = model.Evaluation.of(ctx, dec)
+            assert metrics.energy_j.tobytes() == (ev.e_comm + ev.e_uav + ev.e_leo).tobytes()
+            total = np.sum(metrics.energy_j, axis=-1)
+            assert np.asarray(metrics.total_energy_j).tobytes() == total.tobytes()
