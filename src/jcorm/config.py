@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 
@@ -50,12 +51,6 @@ class ToleranceConfig:
     i_max: int = 50            # alternating-optimization passes per slot
     tau_outer: float = 0.01    # slot-objective change, Mbit-normalized
 
-    def validate(self) -> None:
-        if self.i_max < 1:
-            raise ConfigError("i_max must be >= 1")
-        if self.tau_outer <= 0:
-            raise ConfigError("tau_outer must be > 0")
-
 
 @dataclass
 class GaConfig:
@@ -70,26 +65,6 @@ class GaConfig:
     penalty_weight: float = 1e3
     tournament: int = 3
     seed: int | None = None            # None: reuse the scenario seed
-
-    def validate(self) -> None:
-        if self.population < 1:
-            raise ConfigError("ga population must be >= 1")
-        if self.generations < 0:
-            raise ConfigError("ga generations must be >= 0")
-        for name in ("crossover_rate", "mutation_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"ga {name} must lie in [0, 1]")
-        if self.mutation_sigma_frac <= 0:
-            raise ConfigError("ga mutation_sigma_frac must be > 0")
-        if self.elitism < 0:
-            raise ConfigError("ga elitism must be >= 0")
-        if self.tournament < 1:
-            raise ConfigError("ga tournament must be >= 1")
-        if self.penalty_weight < 0:
-            raise ConfigError("ga penalty_weight must be >= 0")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError("ga_seed must be >= 0")
 
 
 # Caps on the GA's work, all but the tournament draws at the default GA's
@@ -196,8 +171,8 @@ class ScenarioConfig:
         return math.radians(self.elevation_deg)
 
     def validate(self) -> None:
-        for key, (owner, name, declared) in CONFIG_KEYS.items():
-            value = getattr(getattr(self, owner) if owner else self, name)
+        for key, get, declared, (low, high, excluded, text) in _CHECKS:
+            value = get(self)
             if declared == "float":
                 if not math.isfinite(value):
                     raise ConfigError(f"{key} must be finite")
@@ -205,10 +180,13 @@ class ScenarioConfig:
                     isinstance(value, numbers.Integral)
                     or (value is None and declared == "int | None")):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if not 1 <= self.num_uavs <= MAX_UAVS:
-            raise ConfigError(f"num_uavs must lie in [1, {MAX_UAVS}]")
-        if not 0 <= self.num_slots <= MAX_SLOTS:
-            raise ConfigError(f"num_slots must lie in [0, {MAX_SLOTS}]")
+            if text and value is not None and (not low <= value <= high or value == excluded):
+                raise ConfigError(f"{key} must {text}")
+        for low, high in (("k_sens_min", "k_sens_max"), ("k_tol_min", "k_tol_max"),
+                          ("ds_size_min_bits", "ds_size_max_bits"),
+                          ("storage_initial_free_bits", "storage_capacity_bits")):
+            if getattr(self, low) > getattr(self, high):
+                raise ConfigError(f"{low} must be <= {high}")
         if self.num_uavs * self.num_slots > MAX_UAV_SLOTS:
             raise ConfigError(f"num_uavs * num_slots = {self.num_uavs * self.num_slots} "
                               f"exceeds {MAX_UAV_SLOTS}")
@@ -222,30 +200,6 @@ class ScenarioConfig:
             if not 0.0 < linear < math.inf:
                 raise ConfigError(f"{name} is out of range: its linear value "
                                   "overflows or underflows to 0")
-        if self.uav_altitude_m <= 0:
-            raise ConfigError("uav_altitude_m must be > 0")
-        if self.device_disc_radius_m < 0:
-            raise ConfigError("device_disc_radius_m must be >= 0")
-        if not (1 <= self.k_sens_min <= self.k_sens_max):
-            raise ConfigError("need 1 <= k_sens_min <= k_sens_max")
-        if not (1 <= self.k_tol_min <= self.k_tol_max):
-            raise ConfigError("need 1 <= k_tol_min <= k_tol_max")
-        if self.sat_altitude_m <= 0 or self.earth_radius_m <= 0:
-            raise ConfigError("satellite geometry lengths must be > 0")
-        if not 0.0 <= self.elevation_deg < 90.0:
-            raise ConfigError("elevation_deg must lie in [0, 90)")
-        if self.sat_speed_mps <= 0:
-            raise ConfigError("sat_speed_mps must be > 0")
-        if self.slot_seconds <= 0:
-            raise ConfigError("slot_seconds must be > 0")
-        if self.uav_bandwidth_hz <= 0 or self.leo_bandwidth_hz <= 0:
-            raise ConfigError("bandwidths must be > 0")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError("beta must lie in [0, 1]")
-        for name in ("device_power_sens_w", "device_power_tol_w",
-                     "pmax_w", "dt_uplink_power_w"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
         if self.device_power_sens_w == 0 and self.ds_size_max_bits > 0:
             # a silent DS device has rate 0: its upload would never finish
             raise ConfigError("device_power_sens_w = 0 cannot upload the DS load "
@@ -254,26 +208,6 @@ class ScenarioConfig:
             # no DS band: the upload time overflows to inf
             raise ConfigError("beta = 0 leaves no band to upload the DS load "
                               "(ds_size_max_bits > 0)")
-        if self.rician_k0 < 0:
-            raise ConfigError("rician_k0 must be >= 0")
-        if self.pathloss_coeff <= 0 or self.pathloss_exp <= 0:
-            raise ConfigError("path loss parameters must be > 0")
-        if self.sat_ref_distance_m <= 0:
-            raise ConfigError("sat_ref_distance_m must be > 0")
-        if not 0.0 <= self.ds_size_min_bits <= self.ds_size_max_bits:
-            raise ConfigError("need 0 <= ds_size_min_bits <= ds_size_max_bits")
-        if self.cycles_per_bit <= 0:
-            raise ConfigError("cycles_per_bit must be > 0")
-        if self.uav_cpu_hz <= 0 or self.leo_cpu_hz <= 0:
-            raise ConfigError("CPU frequencies must be > 0")
-        if self.switch_cap <= 0:
-            raise ConfigError("switch_cap must be > 0")
-        if self.storage_capacity_bits < 0:
-            raise ConfigError("storage_capacity_bits must be >= 0")
-        if not 0 <= self.storage_initial_free_bits <= self.storage_capacity_bits:
-            raise ConfigError("storage_initial_free_bits must lie in [0, capacity]")
-        if self.omega < 0:
-            raise ConfigError("omega must be >= 0")
         # the most energy a run can spend: every UAV's radios at full power
         # through every slot (the DS uplink must finish within the slot),
         # plus the largest DS load computed at the faster CPU's full speed
@@ -286,14 +220,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"omega = {self.omega:g} prices the largest horizon energy "
                 f"({e_max:.3g} J) above {MAX_ENERGY_COST_BITS:g} bits")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"algo must be one of {ALGORITHMS}")
         if self.solver_mode not in SOLVER_MODES:
             raise ConfigError(f"solver_mode must be one of {SOLVER_MODES}")
-        self.tol.validate()
-        self.ga.validate()
         ga, runs, uav_slots = self.ga, self.ga.generations + 1, self.num_uavs * self.num_slots
         for what, work, cap in (
                 ("ga_population * num_uavs * num_slots", ga.population * uav_slots, MAX_GA_GENES),
@@ -318,11 +248,12 @@ class ScenarioConfig:
         try:
             g_sat = model.uav_leo_gain(d_sat, self.ref_gain, self.antenna_gain,
                                        self.sat_ref_distance_m)
-        except OverflowError:
+        except (OverflowError, ValueError):   # ValueError: d_sat rounds to 0
             g_sat = math.inf
         if not 0.0 < g_sat < math.inf:
             raise ConfigError("the satellite link gain (ref_gain_db, antenna_gain_db, "
-                              "sat_ref_distance_m) overflows or underflows to 0")
+                              "sat_ref_distance_m, the satellite geometry) overflows "
+                              "or underflows to 0")
 
     def copy(self, **overrides) -> "ScenarioConfig":
         cfg = dataclasses.replace(
@@ -361,6 +292,40 @@ CONFIG_KEYS = {prefix + f.name: (owner, f.name, f.type)
                                           ("tol", "", ToleranceConfig),
                                           ("ga", "ga_", GaConfig))
                for f in dataclasses.fields(cls) if f.name not in ("tol", "ga")}
+
+# flat key -> the one range validate() holds its value to: "> a", ">= a",
+# "[a, b]" or "[a, b)" (ga_seed may also be None)
+RANGES = {
+    "num_uavs": f"[1, {MAX_UAVS}]", "num_slots": f"[0, {MAX_SLOTS}]", "elevation_deg": "[0, 90)",
+    **dict.fromkeys(("beta", "ga_crossover_rate", "ga_mutation_rate"), "[0, 1]"),
+    **dict.fromkeys((
+        "uav_altitude_m", "sat_altitude_m", "earth_radius_m", "sat_speed_mps", "slot_seconds",
+        "uav_bandwidth_hz", "leo_bandwidth_hz", "pathloss_coeff", "pathloss_exp",
+        "sat_ref_distance_m", "cycles_per_bit", "uav_cpu_hz", "leo_cpu_hz", "switch_cap",
+        "tau_outer", "ga_mutation_sigma_frac"), "> 0"),
+    **dict.fromkeys((
+        "device_disc_radius_m", "device_power_sens_w", "device_power_tol_w", "pmax_w",
+        "dt_uplink_power_w", "rician_k0", "ds_size_min_bits", "storage_capacity_bits",
+        "storage_initial_free_bits", "omega", "seed", "ga_generations", "ga_elitism",
+        "ga_penalty_weight", "ga_seed"), ">= 0"),
+    **dict.fromkeys(("k_sens_min", "k_tol_min", "i_max", "ga_population", "ga_tournament"),
+                    ">= 1"),
+}
+
+
+def _bounds(text: str) -> tuple:
+    """(low, high, excluded end or None, message) of a range in RANGES."""
+    if text[0] == ">":
+        op, low = text.split()
+        return float(low), math.inf, float(low) if op == ">" else None, "be " + text
+    low, high = map(float, text[1:-1].split(","))
+    return low, high, high if text[-1] == ")" else None, "lie in " + text
+
+
+# what validate() checks of each key: its getter, declared type and range
+_CHECKS = [(key, operator.attrgetter(f"{owner}.{name}" if owner else name), declared,
+            _bounds(RANGES[key]) if key in RANGES else (None,) * 4)
+           for key, (owner, name, declared) in CONFIG_KEYS.items()]
 
 
 def coerce(key: str, value):

@@ -346,12 +346,6 @@ def rotate(ctx: SlotContext, cfg: ScenarioConfig, pinned: bool = False) -> Solve
         inc_ok = (ev.need <= ev.delta_tol + TIME_SLACK) & (ev.f_leo <= ctx.leo_cpu_hz + 1e-6)
         cand = ev.replace(f_leo=f_cand)
         ev = ev.merged(_held(inc_ok & (ev.terms > cand.terms), held), cand)
-        # where mixing broke a row's pool budget, the candidate honors it
-        broke = ev.f_leo.sum(axis=-1, keepdims=True) > ctx.leo_cpu_hz * (1.0 + 1e-9)
-        if held is not None:
-            broke &= ~held
-        if broke.any():
-            ev = cand.merged(broke, ev)
         seconds["sp2"] += time.perf_counter() - t0
 
         if not pinned:

@@ -2,6 +2,7 @@
 determinism, sweep axes, and the command-line interface."""
 
 import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -18,6 +19,42 @@ from jcorm.config import (CONFIG_KEYS, MAX_GA_DRAWS, MAX_SLOTS, MAX_UAV_SLOTS,
 from jcorm.oracle import grid_sp1, grid_sp2, grid_sp3, grid_sp4
 from jcorm.scenario import build_slot_context, generate_scenario
 from jcorm.solver import solve_slot_jcorm
+
+
+# numeric keys bounded only against other keys or by their linear values
+CROSS_BOUNDED = ("k_sens_max", "k_tol_max", "ds_size_max_bits", "ref_gain_db",
+                 "antenna_gain_db", "noise_dbm")
+_BELOW_0, _ABOVE_0, _ABOVE_1 = -5e-324, 5e-324, math.nextafter(1.0, 2.0)
+_NO_DS_LOAD = dict(ds_size_min_bits=0.0, ds_size_max_bits=0.0)
+# (key, a value validate() accepts at its range's end or inside an open end,
+# a value just past that end, the other keys the accepted value needs)
+RANGE_EDGES = [
+    ("num_uavs", 1, 0, {}), ("num_uavs", MAX_UAVS, MAX_UAVS + 1, dict(num_slots=9)),
+    ("num_slots", 0, -1, {}),
+    ("num_slots", MAX_SLOTS, MAX_SLOTS + 1, dict(slot_seconds=0.1)),
+    ("elevation_deg", 0.0, _BELOW_0, {}),
+    # nearer 90 the slant range rounds to 0 and the satellite link gain refuses it
+    ("elevation_deg", 89.999, 90.0, dict(num_slots=0)),
+    ("beta", 0.0, _BELOW_0, _NO_DS_LOAD), ("beta", 1.0, _ABOVE_1, {}),
+    *[(key, edge, past, {}) for key in ("ga_crossover_rate", "ga_mutation_rate")
+      for edge, past in ((0.0, _BELOW_0), (1.0, _ABOVE_1))],
+    *[(key, _ABOVE_0, 0.0, {}) for key in (
+        "uav_altitude_m", "earth_radius_m", "sat_speed_mps", "slot_seconds",
+        "uav_bandwidth_hz", "leo_bandwidth_hz", "pathloss_coeff", "pathloss_exp",
+        "cycles_per_bit", "uav_cpu_hz", "leo_cpu_hz", "switch_cap", "tau_outer",
+        "ga_mutation_sigma_frac")],
+    # the satellite link gain bounds these two from below at finite values
+    ("sat_altitude_m", 1e-3, 0.0, dict(num_slots=0)), ("sat_ref_distance_m", 1e-3, 0.0, {}),
+    *[(key, 0.0, _BELOW_0, {}) for key in (
+        "device_disc_radius_m", "device_power_tol_w", "pmax_w", "dt_uplink_power_w",
+        "rician_k0", "ds_size_min_bits", "storage_initial_free_bits", "omega",
+        "ga_penalty_weight")],
+    ("device_power_sens_w", 0.0, _BELOW_0, _NO_DS_LOAD),
+    ("storage_capacity_bits", 0.0, _BELOW_0, dict(storage_initial_free_bits=0.0)),
+    *[(key, 0, -1, {}) for key in ("seed", "ga_generations", "ga_elitism", "ga_seed")],
+    *[(key, 1, 0, {}) for key in (
+        "k_sens_min", "k_tol_min", "i_max", "ga_population", "ga_tournament")],
+]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +254,21 @@ class TestConfig:
         value = getattr(getattr(cfg, owner) if owner else cfg, name)
         with pytest.raises(ConfigError, match=re.escape(key)):
             cfg.copy(**{key: value + 1}).validate()
+
+    def test_every_numeric_key_has_an_edge(self):
+        ranged = {key for key, *_ in RANGE_EDGES}
+        numeric = {key for key, (_, _, declared) in CONFIG_KEYS.items() if declared != "str"}
+        assert ranged | set(CROSS_BOUNDED) == numeric and not ranged & set(CROSS_BOUNDED)
+
+    @pytest.mark.parametrize("key, accepted, refused, needs", RANGE_EDGES,
+                             ids=[f"{key}={refused!r}" for key, _, refused, _ in RANGE_EDGES])
+    def test_range_edges(self, key, accepted, refused, needs):
+        # accepted at the end of the key's range (inside an open end), and
+        # refused just past it by a message that names the key
+        cfg = ScenarioConfig().copy(**needs)
+        cfg.copy(**{key: accepted}).validate()
+        with pytest.raises(ConfigError, match=rf"\b{key} must "):
+            cfg.copy(**{key: refused}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +488,29 @@ class TestResults:
         text = open(svgs[0]).read()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_numpy_values_and_seeds_write_the_same_files(self, tmp_path):
+        # a numpy scalar has no one-call line format, so these rows take
+        # write_csv's value-by-value path
+        sweeps = [harness.run_sweep(small_cfg(), "leo_bandwidth_hz", values, seeds,
+                                    algorithms=["jcorm", "no-offload"])
+                  for values, seeds in (([20e6, 40e6], [0, 1]),
+                                        (np.array([20e6, 40e6]), np.arange(2)))]
+        assert type(sweeps[1].rows[0]["value"]) is np.float64
+        files = []
+        for i, sweep in enumerate(sweeps):
+            written = harness.write_sweep_outputs(sweep, str(tmp_path / str(i)))
+            files.append({os.path.basename(p): open(p, "rb").read() for p in written})
+        assert len(files[0]) == 5 and files[0] == files[1]
+
+    def test_svg_draws_a_whisker_per_point_with_spread(self, tmp_path):
+        res = harness.run_sweep(small_cfg(), "omega", [1.0, 10.0], [0, 1],
+                                algorithms=["jcorm", "no-offload"])
+        stds = [res.stat_metric(algo, "utility_bits", "std") for algo in res.algorithms]
+        assert np.all(np.asarray(stds) > 0)
+        harness.write_sweep_outputs(res, str(tmp_path), formats=("svg",))
+        text = (tmp_path / "omega_utility_bits.svg").read_text()
+        assert text.count('stroke-width="1"/>') == 4
+
 
 # ---------------------------------------------------------------------------
 # command line
@@ -612,6 +687,9 @@ class TestCli:
         # finite linear values whose product, the satellite gain, is not
         ("ref_gain_db = -3200", "satellite link gain"),
         ("sat_ref_distance_m = 1e200", "satellite link gain"),
+        # a slant range that rounds to 0 raised a ValueError
+        ("sat_altitude_m = 5e-324\nnum_slots = 0", "satellite link gain"),
+        ("elevation_deg = 89.99999999999999\nnum_slots = 0", "satellite link gain"),
     ])
     def test_db_value_out_of_float_range_is_config_error(self, tmp_path, capsys,
                                                            line, key):
