@@ -21,11 +21,18 @@ LIGHT_SPEED = 3e8   # m/s
 # Cap on omega times the largest horizon energy. Utilities stay within it,
 # so the squares that the std aggregate sums over seeds stay finite.
 MAX_ENERGY_COST_BITS = 1e150
+# Cap on the on-board seconds of the largest DS load. A DS delay is its
+# upload plus at most this, so the delays' sums over a run's UAV-slots and
+# the GA's deadline penalty at its default weight stay finite.
+MAX_ONBOARD_SECONDS = 1e300
 # Caps on the work of one run: UAVs, slots, and UAV-slots (their product).
 # At the caps the slowest algorithm, the GA, finishes a run within a minute.
 MAX_UAVS = 1024
 MAX_SLOTS = 1000
 MAX_UAV_SLOTS = 10_000
+# the keys that set a device link's SNR
+DEVICE_LINK_KEYS = ("uav_altitude_m, device_disc_radius_m, pathloss_coeff, pathloss_exp, "
+                    "device_power_sens_w, device_power_tol_w, noise_dbm")
 
 
 class ConfigError(ValueError):
@@ -208,6 +215,27 @@ class ScenarioConfig:
             # no DS band: the upload time overflows to inf
             raise ConfigError("beta = 0 leaves no band to upload the DS load "
                               "(ds_size_max_bits > 0)")
+        onboard = self.cycles_per_bit * self.k_sens_max * self.ds_size_max_bits / self.uav_cpu_hz
+        if not onboard <= MAX_ONBOARD_SECONDS:
+            raise ConfigError(
+                "the largest DS load's on-board time, cycles_per_bit * k_sens_max * "
+                f"ds_size_max_bits / uav_cpu_hz = {onboard:.3g} s, exceeds "
+                f"{MAX_ONBOARD_SECONDS:g} s")
+        # the device links lie from straight below their UAV to the disc's
+        # edge: the farthest distance must stay finite, and the closest
+        # must not round to 0, nor its gain or SNR at unit fading overflow
+        # (the scenario checks every drawn link's rate)
+        radius, altitude = self.device_disc_radius_m, self.uav_altitude_m
+        closest = math.sqrt(altitude * altitude)
+        try:
+            gain = self.pathloss_coeff * closest ** -self.pathloss_exp if closest else math.inf
+        except OverflowError:
+            gain = math.inf
+        snr = max(self.device_power_sens_w, self.device_power_tol_w) * gain / self.noise_w
+        if not (math.sqrt(radius * radius + altitude * altitude) < math.inf
+                and gain < math.inf and snr < math.inf):
+            raise ConfigError(f"{DEVICE_LINK_KEYS}: a device link rounds to a zero or "
+                              "infinite distance, or the closest one's gain or SNR overflows")
         # the most energy a run can spend: every UAV's radios at full power
         # through every slot (the DS uplink must finish within the slot),
         # plus the largest DS load computed at the faster CPU's full speed

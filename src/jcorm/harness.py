@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -390,6 +389,8 @@ def _run_cells(cells: list, workers: int = 1) -> list:
     # the pool forks all its processes up front, so size it to the work
     processes = min(workers, len(jobs), cpus)
     if processes > 1:
+        # imported here: the pool's modules cost a serial run about 1.3 MB of RSS
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
             done = list(pool.map(_run_part, jobs))
     else:

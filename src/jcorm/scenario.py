@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import model
-from .config import LIGHT_SPEED, ConfigError, ScenarioConfig
+from .config import DEVICE_LINK_KEYS, LIGHT_SPEED, ConfigError, ScenarioConfig
 
 
 @dataclass
@@ -164,9 +164,14 @@ def _draw_links(cfg: ScenarioConfig, rngs: list, counts: np.ndarray,
         real = 2 * t * link_first
         fade = model.rician_fading_gain(cfg.rician_k0, _blocks(normals, real, (t, k)),
                                         _blocks(normals, real + t * k, (t, k)))
-        gain = model.device_uav_gain(_blocks(dist, link_first, (1, k)), cfg.pathloss_coeff,
-                                     cfg.pathloss_exp, fade)
-        return model.shannon_rate(power_w, gain, cfg.noise_w, band_hz, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = model.device_uav_gain(_blocks(dist, link_first, (1, k)), cfg.pathloss_coeff,
+                                         cfg.pathloss_exp, fade)
+            rate = model.shannon_rate(power_w, gain, cfg.noise_w, band_hz, k)
+        if not np.isfinite(rate).all():
+            # validate() checks the closest link at unit fading only
+            raise ConfigError(f"{DEVICE_LINK_KEYS}: a device link's gain or SNR overflows")
+        return rate
 
     # one block per device count K: a row reduces over its K devices
     # exactly as that UAV's 1-D array would, which zero padding to the

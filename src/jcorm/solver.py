@@ -473,18 +473,20 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
     """Thread storage through the slots of B cells that share
     ``STACK_FIELDS`` (ValueError otherwise), and meter slot t of all of
     them with one ``model.meter_slot`` call on their stacked context
-    (``scenario.ContextStack``); a single cell runs on its 1-D contexts
-    from ``scenario.build_slot_context``, one ``slot_solver`` call
-    (callable (ctx, cfg) -> (SlotDecision, trace)) per slot. A stack whose
-    solver is a ``SlotSteps`` (called, it solves and settles a slot; its
-    ``solve`` and ``settle`` are the two steps) and whose solve call can
-    hold two of its slots within ``AHEAD_UAV_ROWS`` is solved ahead of its
+    (``scenario.ContextStack``). A ``SlotSteps`` solver (called, it solves
+    and settles a slot; its ``solve`` and ``settle`` are the two steps)
+    runs a single cell as a stack of one. A stack whose solver is a
+    ``SlotSteps`` and whose solve call can hold two of its slots within
+    ``AHEAD_UAV_ROWS`` (a stack of one always can) is solved ahead of its
     buffer chain (see ``_solve_ahead``); any other solves slot t of all
-    cells with one call. Each slot's CSV figures and fallback flags are
-    reduced for all cells at once. Returns one HorizonResult per cell, with
-    its own rows of the slot records, split at the end; the group's wall
-    time is shared equally. Without ``keep_records`` the run keeps no
-    per-slot record that grows with B x U x T."""
+    cells with one call. A single cell with a plain ``slot_solver``
+    (callable (ctx, cfg) -> (SlotDecision, trace)) gets one call per slot
+    on its 1-D contexts from ``scenario.build_slot_context``. Each slot's
+    CSV figures and fallback flags are reduced for all cells at once.
+    Returns one HorizonResult per cell, with its own rows of the slot
+    records, split at the end; the group's wall time is shared equally.
+    Without ``keep_records`` the run keeps no per-slot record that grows
+    with B x U x T."""
     from . import scenario
 
     t_start = time.perf_counter()
@@ -494,7 +496,8 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
         if differ:
             raise ValueError(f"the cells of one stack differ in {', '.join(differ)}")
     cells, slots = len(cfgs), cfg.num_slots
-    stack = scenario.ContextStack(cfgs, states) if cells > 1 and slots else None
+    steps = isinstance(slot_solver, SlotSteps)
+    stack = scenario.ContextStack(cfgs, states) if (cells > 1 or steps) and slots else None
     decisions, traces, metered = [], [], []
     delays = []
     figures = np.empty((cells, slots, len(FIGURES)))
@@ -515,17 +518,14 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
 
     # a call that cannot hold two slots' rows would take a part of one
     # slot along at most, which saves less than the driver's checks cost
-    if (stack is not None and isinstance(slot_solver, SlotSteps)
-            and 2 * cells * cfg.num_uavs <= AHEAD_UAV_ROWS):
+    if stack is not None and steps and 2 * cells * cfg.num_uavs <= AHEAD_UAV_ROWS:
         _solve_ahead(stack, cfg, slot_solver, meter)
     else:
         free = (np.full(cfg.num_uavs, cfg.storage_initial_free_bits, dtype=float)
                 if stack is None else stack.initial_free)
         for t in range(slots):
-            if stack is None:
-                ctx = scenario.build_slot_context(cfg, states[0], t, free)
-            else:
-                ctx = stack.slot(t, free)
+            ctx = (scenario.build_slot_context(cfg, states[0], t, free) if stack is None
+                   else stack.slot(t, free))
             free = meter(t, ctx, *slot_solver(ctx, cfg))
     if slots:
         # (B, T, U) or (T, U), reduced in one call as each cell's (T, U) would be
@@ -535,7 +535,7 @@ def run_horizons(cfgs: list, states: list, slot_solver, keep_records: bool = Tru
     wall = (time.perf_counter() - t_start) / cells
 
     def kept(records, b):
-        # cell b's records: its rows of a stack's, a single cell's as they are
+        # cell b's records: its rows of a stack's, a 1-D run's as they are
         if not keep_records:
             return None
         return list(records) if stack is None else [record.row(b) for record in records]
@@ -585,65 +585,57 @@ def _solve_ahead(stack, cfg: ScenarioConfig, steps: SlotSteps, meter) -> None:
 
     A slot's solve reads the buffer only through its storage bounds, so a
     row solved at the bounds that never bind, (0, slot end), is the row's
-    own solve wherever its true bounds are those, bit for bit. A call
-    holds the current slot's open rows at their true bounds and, while
-    the call stays within ``AHEAD_UAV_ROWS``, whole later slots' open rows
-    of the cells whose bounds do not bind in the current slot, at the
-    unbinding bounds, on one ``ContextStack.rows`` context.
-    Walking the chain, each slot whose rows are all solved is settled and
-    metered on its own context, which gives the next slot's buffer state;
-    a row solved ahead whose true bounds differ is opened again and solved
-    in the next call, whose part replaces the earlier one (``_joined``).
-    ``meter(t, ctx, decision, trace)`` returns the next buffer state."""
+    own solve wherever its true bounds are those, bit for bit. Slot t's
+    call holds its rows without such a solve at their true bounds: rows
+    never solved, and rows solved ahead whose true bounds differ, whose
+    part replaces the earlier one (``_joined``). While the call stays
+    within ``AHEAD_UAV_ROWS`` it takes whole later slots' unsolved rows of
+    the cells whose bounds do not bind in slot t along, at the unbinding
+    bounds, on one ``ContextStack.rows`` context. The slot is then settled
+    and metered on its own context, which gives the next slot's buffer
+    state; ``meter(t, ctx, decision, trace)`` returns it."""
     slots, cells = cfg.num_slots, len(stack.initial_free)
     per_call = AHEAD_UAV_ROWS // cfg.num_uavs
-    open_rows = np.ones((slots, cells), dtype=bool)   # rows without a solve to keep
     ahead = np.zeros((slots, cells), dtype=bool)      # solved ahead, bounds unchecked
     parts = [[] for _ in range(slots)]                # per slot, (rows, Solved, columns)
-    t, ctx = 0, stack.slot(0, stack.initial_free)
-    unbound = _unbound(ctx)
-    while t < slots:
-        batch = [(t, np.flatnonzero(open_rows[t]))]
-        size = len(batch[0][1])
-        # a buffer that binds now mostly binds in the next slots too, so
-        # only the cells whose bounds do not bind now are taken along
-        along = open_rows[t + 1:] & unbound
-        for s in (t + 1 + np.flatnonzero(along.any(axis=1))).tolist():
-            rows = np.flatnonzero(along[s - t - 1])
-            if size + len(rows) > per_call:
-                break
-            batch.append((s, rows))
-            size += len(rows)
-        if len(batch) == 1 and size == cells:
-            solved = steps.solve(ctx, cfg)
-        else:
-            call = stack.rows(np.repeat([s for s, _ in batch], [len(r) for _, r in batch]),
-                              np.concatenate([rows for _, rows in batch]))
-            now = batch[0][1]
-            floor = np.zeros(call.sum_d.shape)
-            ceiling = np.broadcast_to(call.slot_seconds, floor.shape).copy()
-            floor[:len(now)], ceiling[:len(now)] = (b[now] for b in ctx.storage_bounds)
-            call.storage_bounds = floor, ceiling
-            solved = steps.solve(call, cfg)
-        start = 0
-        for s, rows in batch:
-            parts[s].append((rows, solved, slice(start, start + len(rows))))
-            start += len(rows)
-            open_rows[s, rows] = False
-            ahead[s, rows] = s > t
-
-        while t < slots and not open_rows[t].any():
-            free = meter(t, ctx, *steps.settle(ctx, cfg, _joined(parts[t], cells)))
-            parts[t] = None
-            t += 1
-            if t == slots:
-                break
-            ctx = stack.slot(t, free)
-            unbound = _unbound(ctx)
-            open_rows[t] |= ahead[t] & ~unbound
+    free = stack.initial_free
+    for t in range(slots):
+        ctx = stack.slot(t, free)
+        unbound = _unbound(ctx)
+        now = np.flatnonzero(~(ahead[t] & unbound))
+        if len(now):
+            batch, size = [(t, now)], len(now)
+            # a buffer that binds now mostly binds in the next slots too, so
+            # only the cells whose bounds do not bind now are taken along
+            along = ~ahead[t + 1:] & unbound
+            for s in (t + 1 + np.flatnonzero(along.any(axis=1))).tolist():
+                rows = np.flatnonzero(along[s - t - 1])
+                if size + len(rows) > per_call:
+                    break
+                batch.append((s, rows))
+                ahead[s, rows] = True
+                size += len(rows)
+            if size == len(now) == cells:
+                solved = steps.solve(ctx, cfg)
+            else:
+                call = stack.rows(np.repeat([s for s, _ in batch], [len(r) for _, r in batch]),
+                                  np.concatenate([rows for _, rows in batch]))
+                floor = np.zeros(call.sum_d.shape)
+                ceiling = np.broadcast_to(call.slot_seconds, floor.shape).copy()
+                floor[:len(now)], ceiling[:len(now)] = (b[now] for b in ctx.storage_bounds)
+                call.storage_bounds = floor, ceiling
+                solved = steps.solve(call, cfg)
+            start = 0
+            for s, rows in batch:
+                parts[s].append((rows, solved, slice(start, start + len(rows))))
+                start += len(rows)
+        free = meter(t, ctx, *steps.settle(ctx, cfg, _joined(parts[t], cells)))
+        parts[t] = None
 
 
 def run_horizon(cfg: ScenarioConfig, state, slot_solver) -> HorizonResult:
-    """Thread storage through the slots of one cell, solving each with
-    ``slot_solver`` (callable (ctx, cfg) -> (SlotDecision, trace))."""
+    """Thread storage through the slots of one cell: a ``SlotSteps`` solver
+    runs it as a stack of one, ahead of its buffer chain, and any other
+    ``slot_solver`` (callable (ctx, cfg) -> (SlotDecision, trace)) is
+    called once per slot on the cell's 1-D context (``run_horizons``)."""
     return run_horizons([cfg], [state], slot_solver)[0]

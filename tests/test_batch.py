@@ -4,6 +4,8 @@ its own 1-D run does."""
 
 import dataclasses
 import re
+from concurrent import futures
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from jcorm.scenario import build_slot_context, generate_scenario
 from jcorm.solver import SlotSolveTrace, Solved, run_horizon, run_horizons, solve_slot_jcorm
 
 from conftest import make_ctx
+from test_properties import key_overrides
 
 SOLVERS = {"jcorm": solve_slot_jcorm, "atsm": solve_slot_atsm,
            "no-offload": solve_slot_no_offload}
@@ -46,24 +49,32 @@ def assert_same_horizon(got, want):
     if got.slot_metrics:
         # the run's mean delay is over every UAV and slot of the cell
         assert got.mean_ds_delay_s == float(np.mean([m.ds_delay_s for m in got.slot_metrics]))
-    for g, w in zip(got.decisions, want.decisions):
-        for f in dataclasses.fields(SlotDecision):
-            assert np.array_equal(getattr(g, f.name), getattr(w, f.name)), f.name
-    for g, w in zip(got.slot_metrics, want.slot_metrics):
-        for f in dataclasses.fields(model.SlotMetrics):
-            assert np.array_equal(getattr(g, f.name), getattr(w, f.name)), f.name
+    for g, w in zip(got.decisions + got.slot_metrics, want.decisions + want.slot_metrics,
+                    strict=True):
+        assert type(g) is type(w)
+        for f in dataclasses.fields(g):
+            a, b = np.asarray(getattr(g, f.name)), np.asarray(getattr(w, f.name))
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), f.name
     for g, w in zip(got.traces, want.traces):
         for name in TRACE_FIELDS:
             assert getattr(g, name) == getattr(w, name), name
         assert type(g.fallback) is bool
 
 
+def per_slot(slot_solver):
+    """``slot_solver`` as a plain callable, which ``run_horizon`` calls once
+    per slot on the cell's 1-D contexts: the reference every stack, a
+    stack of one included, must match."""
+    return lambda ctx, cfg: slot_solver(ctx, cfg)
+
+
 def assert_stacked_equals_serial(cfgs):
-    """Run ``cfgs`` (one group) as one stacked horizon and each on its own."""
+    """Run ``cfgs`` (one group) as one stacked horizon and each on its own,
+    slot by slot on its 1-D contexts."""
     states = [generate_scenario(cfg, cfg.seed) for cfg in cfgs]
     stacked = run_horizons(cfgs, states, SOLVERS[cfgs[0].algo])
     for cfg, state, got in zip(cfgs, states, stacked):
-        assert_same_horizon(got, run_horizon(cfg, state, SOLVERS[cfg.algo]))
+        assert_same_horizon(got, run_horizon(cfg, state, per_slot(SOLVERS[cfg.algo])))
     return stacked
 
 
@@ -165,7 +176,7 @@ class TestSolveAhead:
         counted, calls = counted_steps(SOLVERS[algo])
         stacked = run_horizons(cfgs, states, counted)
         for cfg, state, got in zip(cfgs, states, stacked):
-            assert_same_horizon(got, run_horizon(cfg, state, SOLVERS[algo]))
+            assert_same_horizon(got, run_horizon(cfg, state, per_slot(SOLVERS[algo])))
         slots = cfgs[0].num_slots
         stack = scenario.ContextStack(cfgs, states)
         unbound = solver._unbound(stack.slot(0, stack.initial_free))
@@ -180,8 +191,8 @@ class TestSolveAhead:
 
         # every cell's records of each slot, traces included, are those of
         # one solve call per slot on the slot's own context
-        per_slot = run_horizons(cfgs, states, lambda ctx, cfg: SOLVERS[algo](ctx, cfg))
-        for got, want in zip(stacked, per_slot):
+        slot_by_slot = run_horizons(cfgs, states, per_slot(SOLVERS[algo]))
+        for got, want in zip(stacked, slot_by_slot):
             for g, w in zip(got.traces, want.traces, strict=True):
                 for name in TRACE_FIELDS:
                     assert getattr(g, name) == getattr(w, name), name
@@ -200,7 +211,7 @@ class TestSolveAhead:
         counted, calls = counted_steps(solve_slot_jcorm)
         stacked = run_horizons(cfgs, states, counted, keep_records=False)
         for cfg, state, got in zip(cfgs, states, stacked):
-            assert got.figures.tobytes() == run_horizon(cfg, state, solve_slot_jcorm) \
+            assert got.figures.tobytes() == run_horizon(cfg, state, per_slot(solve_slot_jcorm)) \
                 .figures.tobytes()
         # a call holds the current slot's open rows, and whole later slots
         # only while they fit
@@ -278,6 +289,90 @@ class TestSolveAhead:
                 want = np.broadcast_to(getattr(ctx, f.name), ctx.sum_d.shape)[b]
                 got = np.broadcast_to(getattr(rows, f.name), rows.sum_d.shape)[i]
                 assert got.tobytes() == want.tobytes(), f.name
+
+
+class TestStackOfOne:
+    """``run_horizon`` runs a ``SlotSteps`` solver's cell as a stack of one,
+    solved ahead of its buffer chain; a plain callable keeps its 1-D
+    contexts, one call per slot."""
+
+    @pytest.mark.parametrize("algo", sorted(SOLVERS))
+    def test_unbound_cell_is_one_solve_call(self, monkeypatch, algo):
+        # this buffer neither fills nor empties within the horizon
+        cfg = ScenarioConfig(algo=algo, seed=0, storage_initial_free_bits=4e9)
+        state = generate_scenario(cfg, cfg.seed)
+        slot_solver = SOLVERS[algo]
+        want = run_horizon(cfg, state, per_slot(slot_solver))
+        solve, build = slot_solver.solve, scenario.build_slot_context
+        calls, built = [], []
+        monkeypatch.setattr(slot_solver, "solve", lambda ctx, c: calls.append(ctx) or solve(ctx, c))
+        monkeypatch.setattr(scenario, "build_slot_context",
+                            lambda *args: built.append(args[2]) or build(*args))
+        for run in (lambda: run_horizon(cfg, state, slot_solver),
+                    lambda: harness.run_experiment(cfg)):
+            got = run()
+            # every slot in one call, and only the stack's slot-0 context built
+            assert [c.sum_d.shape for c in calls] == [(cfg.num_slots, cfg.num_uavs)]
+            assert built == [0]
+            assert_same_horizon(got, want)
+            # the stack timed its blocks for all its rows at once
+            assert all(t.sp_seconds == dict.fromkeys(("sp1", "sp2", "sp3", "sp4"), 0.0)
+                       for t in got.traces)
+            calls.clear()
+            built.clear()
+
+    def test_plain_callable_gets_1d_contexts(self):
+        cfg = ScenarioConfig(seed=1, num_slots=4)
+        seen = []
+        result = run_horizon(cfg, generate_scenario(cfg, cfg.seed),
+                             lambda ctx, c: seen.append(ctx) or solve_slot_jcorm(ctx, c))
+        assert [ctx.sum_d.shape for ctx in seen] == [(cfg.num_uavs,)] * cfg.num_slots
+        assert sum(result.traces[0].sp_seconds.values()) > 0.0
+
+
+@st.composite
+def stack_cases(draw):
+    """One stack of B = 1-4 cells and an ``AHEAD_UAV_ROWS`` cap (None: the
+    default). The base config is drawn over every config key
+    (``key_overrides``), with T <= 10 and a buffer near where its bounds
+    bind; the cells differ in seed and initial free space."""
+    overrides = draw(key_overrides())
+    capacity = draw(st.sampled_from([2e9, 1.2e10]) | st.floats(1e9, 3e10))
+    overrides.update(num_slots=draw(st.integers(1, 10)), storage_capacity_bits=capacity)
+    fill = st.sampled_from([0.0, 0.05, 1.0]) | st.floats(0.5, 1.0) | st.floats(0.0, 1.0)
+    try:
+        base = ScenarioConfig().copy(**overrides)
+        cfgs = [base.copy(seed=draw(st.integers(0, 2 ** 32)),
+                          storage_initial_free_bits=capacity * draw(fill))
+                for _ in range(draw(st.integers(1, 4)))]
+        for cfg in cfgs:
+            cfg.validate()
+    except ConfigError:
+        assume(False)
+    u = cfgs[0].num_uavs
+    cap = draw(st.none() | st.integers(u, 3 * len(cfgs) * u))
+    return cfgs, cap
+
+
+def assert_stack_equals_cells(cfgs, cap):
+    """Each slot solver's stack of ``cfgs``, at the ``AHEAD_UAV_ROWS`` cap,
+    against each cell's 1-D run."""
+    try:
+        states = [generate_scenario(cfg, cfg.seed) for cfg in cfgs]
+    except ConfigError:
+        assume(False)
+    with mock.patch.object(solver, "AHEAD_UAV_ROWS", cap or solver.AHEAD_UAV_ROWS):
+        for slot_solver in SOLVERS.values():
+            stacked = run_horizons(cfgs, states, slot_solver)
+            for cfg, state, got in zip(cfgs, states, stacked, strict=True):
+                assert_same_horizon(got, run_horizon(cfg, state, per_slot(slot_solver)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(stack_cases())
+def test_stack_equals_each_cells_1d_run(case):
+    assert_stack_equals_cells(*case)
 
 
 class TestSlotSteps:
@@ -838,12 +933,12 @@ class TestCuts:
         # into parts by cell
         pools = []
 
-        class RecordingPool(harness.ProcessPoolExecutor):
+        class RecordingPool(futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         blobs = []
         for workers in ("1", "2"):

@@ -33,6 +33,23 @@ GOLDEN_SWEEPS = {
 }
 
 
+# ``jcorm run``'s CSV over seeds 0-4, one digest per algorithm: each cell
+# runs on its own, a stack of one for the slot solvers
+GOLDEN_RUNS = {
+    ("defaults", "jcorm"): "02dbab345175c71611faac9fa8d76274f17dfc8fbff955b103688461a602e426",
+    ("defaults", "atsm"): "3e86a877128346402c8585b192da9ef067b009179c57ebce1e6b6e3869882182",
+    ("defaults", "ga"): "21963cc30796e412fae381544d2874b16583c63184993d1bb8da0fec2d2b945d",
+    ("defaults", "no-offload"): "3efbc239ef4142f0ecbf94a394856c340d3b306e4b2fb361cf1d3a2fa76a0718",
+    # bounds that bind in (nearly) every slot: one solve call per slot
+    ("tight-buffer", "jcorm"): "d0937df79058b26dc9d757994ad46950ffbf5d15b5d191ac01a50bac1529fbc5",
+    ("tight-buffer", "atsm"): "40e9d26cf7f9220ca387ea4d9a9f7f5af5ccfc0ad8f970f66afba84d5e986d0c",
+    ("tight-buffer", "no-offload"):
+        "9443daa098b621c06c0c0a248c4036b264c564c0c461c4cdbe235c1b14e5a01f",
+}
+RUN_CONFIGS = {"defaults": dict(),
+               "tight-buffer": dict(storage_capacity_bits=2e9, storage_initial_free_bits=1e8)}
+
+
 def csv_digest(result, tmp_path) -> str:
     (path,) = harness.write_sweep_outputs(result, str(tmp_path), ("csv",))
     with open(path, "rb") as fh:
@@ -51,3 +68,17 @@ def test_sweep_csv_is_byte_identical(case, tmp_path):
     axis, values, algorithms, seeds, digest = GOLDEN_SWEEPS[case]
     result = harness.run_sweep(ScenarioConfig(), axis, values, seeds, algorithms)
     assert csv_digest(result, tmp_path) == digest
+
+
+@pytest.mark.parametrize("case, algo", sorted(GOLDEN_RUNS))
+def test_run_csv_is_byte_identical(case, algo, tmp_path):
+    # the rows and file that ``jcorm run`` writes, one seed after another
+    digest = hashlib.sha256()
+    for seed in range(5):
+        result = harness.run_experiment(ScenarioConfig(algo=algo, seed=seed, **RUN_CONFIGS[case]))
+        rows = harness.result_rows(result)
+        rows.extend(harness.aggregate_rows(rows))
+        path = tmp_path / f"run_{algo}_seed{seed}.csv"
+        harness.write_csv(rows, str(path))
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_RUNS[case, algo]

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -39,12 +40,16 @@ RANGE_EDGES = [
     *[(key, edge, past, {}) for key in ("ga_crossover_rate", "ga_mutation_rate")
       for edge, past in ((0.0, _BELOW_0), (1.0, _ABOVE_1))],
     *[(key, _ABOVE_0, 0.0, {}) for key in (
-        "uav_altitude_m", "earth_radius_m", "sat_speed_mps", "slot_seconds",
+        "earth_radius_m", "sat_speed_mps", "slot_seconds",
         "uav_bandwidth_hz", "leo_bandwidth_hz", "pathloss_coeff", "pathloss_exp",
-        "cycles_per_bit", "uav_cpu_hz", "leo_cpu_hz", "switch_cap", "tau_outer",
+        "cycles_per_bit", "leo_cpu_hz", "switch_cap", "tau_outer",
         "ga_mutation_sigma_frac")],
-    # the satellite link gain bounds these two from below at finite values
+    # under a DS load, its on-board time bounds the UAV clock from below
+    ("uav_cpu_hz", _ABOVE_0, 0.0, _NO_DS_LOAD),
+    # the satellite link gain bounds these two from below at finite values,
+    # and the closest device link's the UAV altitude
     ("sat_altitude_m", 1e-3, 0.0, dict(num_slots=0)), ("sat_ref_distance_m", 1e-3, 0.0, {}),
+    ("uav_altitude_m", 1e-3, 0.0, {}),
     *[(key, 0.0, _BELOW_0, {}) for key in (
         "device_disc_radius_m", "device_power_tol_w", "pmax_w", "dt_uplink_power_w",
         "rician_k0", "ds_size_min_bits", "storage_initial_free_bits", "omega",
@@ -412,7 +417,7 @@ class TestResults:
             def map(self, fn, jobs):
                 return list(map(fn, jobs))
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = small_cfg(num_slots=1)
         serial = harness.run_sweep(cfg, "rician_k0", [5.0, 10.0], [0], ["no-offload"]).rows
@@ -842,6 +847,64 @@ class TestCli:
         cfg.write_text(TINY + "beta = 0\nds_size_min_bits = 0\nds_size_max_bits = 0\n")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("lines, keys", [
+        # exited 3 and wrote 8 inf cells
+        ("uav_cpu_hz = 1e-300\n", ("cycles_per_bit", "k_sens_max", "ds_size_max_bits",
+                                   "uav_cpu_hz")),
+        # exited 1: ValueError: device-UAV distance must be > 0
+        ("device_disc_radius_m = 0\nuav_altitude_m = 1e-200\n", ("uav_altitude_m",)),
+        # exited 1: the GA's buffer chain met an overflowed device link
+        ("device_disc_radius_m = 0\nuav_altitude_m = 1e-150\n", ("uav_altitude_m",)),
+        # exited 1: OverflowError squaring the altitude in the range formula
+        ("uav_altitude_m = 1e200\n", ("uav_altitude_m",)),
+    ], ids=["clock", "altitude-distance-0", "altitude-snr-inf", "altitude-distance-inf"])
+    def test_overflowing_clock_or_device_link_is_config_error(self, tmp_path, capsys, lines,
+                                                              keys):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("num_uavs = 2\nnum_slots = 2\n" + lines)
+        out = tmp_path / "out"
+        code = main(["compare", "--config", str(cfg), "--seeds", "0", "--algos", "jcorm,ga",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and all(key in err for key in keys)
+
+    @pytest.mark.parametrize("lines", [
+        # the largest DS load's on-board time at its 1e300 s cap, past it,
+        # and where it overflows
+        "uav_cpu_hz = 6e-291", "uav_cpu_hz = 5.99e-291", "uav_cpu_hz = 1e-300",
+        # the closest device link's SNR at unit fading just past overflow,
+        # below it with fading that may overflow, and below any fading
+        *[f"device_disc_radius_m = 0\nuav_altitude_m = {h}"
+          for h in (1.2e-149, 1.3e-149, 1.6e-149, 1e-148)],
+        # the farthest device link's distance just below and past overflow
+        "uav_altitude_m = 1.3e154", "uav_altitude_m = 1.35e154",
+        "device_disc_radius_m = 1.35e154",
+    ])
+    def test_near_the_edges_runs_finite_or_is_config_error(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(TINY + lines + "\nga_population = 8\nga_generations = 3\n")
+        out = tmp_path / "out"
+        code = main(["compare", "--config", str(cfg), "--seeds", "0,1",
+                     "--algos", "jcorm,atsm,ga,no-offload", "--out", str(out)])
+        if code == EXIT_CONFIG:
+            assert capsys.readouterr().err.startswith("configuration error")
+            assert not out.exists()
+        else:
+            assert code in (EXIT_OK, EXIT_INFEASIBLE)
+            values = [cell for line in (out / "compare.csv").read_text().splitlines()[1:]
+                      for cell in line.split(",")[6:10]]
+            assert all(math.isfinite(float(v)) for v in values)
+
+    def test_delays_at_the_onboard_cap_sum_finite_over_a_run(self):
+        # MAX_UAV_SLOTS delays near the cap, summed into each run's mean
+        cfg = ScenarioConfig(num_uavs=1000, num_slots=10, slot_seconds=1.0,
+                             uav_cpu_hz=6e-291)
+        res = harness.run_compare(cfg, ["atsm", "no-offload"], [0, 1])
+        delays = [r["ds_delay_s"] for r in res.rows]
+        assert all(math.isfinite(d) for d in delays) and max(delays) > 1e299
+
     def test_oversized_tasks_exit_infeasible(self, tmp_path):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(TINY + "ds_size_min_bits = 1e9\nds_size_max_bits = 1e9\n")
@@ -940,6 +1003,15 @@ class TestCli:
             assert code == EXIT_CONFIG
             assert "workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_cli_does_not_import_the_process_pool(self):
+        # only a sweep or compare over several processes needs the pool
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, jcorm.cli; print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_console_script_installed(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

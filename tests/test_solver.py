@@ -543,12 +543,13 @@ class TestSlotSolve:
         cases = [(0, {}), (1, {"solver_mode": "strict"})] + GUARD_CASES
         carried = self.record_carried(monkeypatch)
         blocks = 0
-        # 1-D contexts, the start block run (jcorm) and pinned (atsm)
+        # 1-D contexts, the start block run (jcorm) and pinned (atsm): a
+        # plain callable keeps run_horizon on one call per slot
         for seed, overrides in cases:
             cfg = ScenarioConfig(seed=seed, **overrides)
             state = generate_scenario(cfg, seed)
             for solver in (solve_slot_jcorm, solve_slot_atsm):
-                result = run_horizon(cfg, state, solver)
+                result = run_horizon(cfg, state, lambda ctx, c: solver(ctx, c))
                 blocks += sum(t.iterations * (3 if solver is solve_slot_atsm else 4)
                               for t in result.traces)
         # (B, U) contexts: the cells of each mode as one stack, with rows
