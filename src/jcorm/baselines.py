@@ -90,20 +90,6 @@ def _evolve(rng, ga, hi, fitness_fn, trace: GaTrace) -> np.ndarray:
     return genomes[int(np.argmax(fitness))]
 
 
-def _sanitize_slot(ctx, p, f, dt, gm, trace):
-    """Offloading with no link or no compute share cannot execute; switch
-    those UAVs to on-board processing."""
-    rate = ctx.ds_rate(p)
-    dead = (gm > 0.0) & ((p <= 0.0) | (f <= 0.0) | (rate <= 0.0))
-    if np.any(dead):
-        trace.sanitized = True
-        gm[dead] = 0.0
-        p[dead] = 0.0
-        f[dead] = 0.0
-    gm[ctx.sum_d <= 0.0] = 0.0
-    return SlotDecision(p, f, dt, gm)
-
-
 def run_horizon_ga(cfg: ScenarioConfig, state):
     """Genetic algorithm over the whole horizon at once: one genome carries
     (power, compute, start, ratio) for every UAV of every slot, and fitness
@@ -120,9 +106,12 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
     context, run slot by slot. The per-slot terms are then added in slot
     order, so the sums round as a slot-by-slot fitness would.
 
-    The best genome is replayed slot by slot through solver.run_horizon.
-    Returns a solver.HorizonResult; the single GaTrace is shared by all
-    slots."""
+    The best genome is sanitized once as a (T, U) decision on the rows
+    context: offloading with no link or no compute share cannot execute,
+    so those UAVs switch to on-board processing, and a UAV without a DS
+    load offloads nothing. Its rows are then replayed slot by slot through
+    solver.run_horizon. Returns a solver.HorizonResult; the single GaTrace
+    is shared by all slots."""
     import time as _time
 
     ga = cfg.ga
@@ -156,8 +145,6 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
             obj_bits[:, t] = np.sum(model.objective_terms(ctx, dec), axis=-1)
         # physical storage threading, as dt_collection_step meters it: each
         # slot starts from the last one's end
-        if not (dt.min() >= 0.0 and dt.max() <= cfg.slot_seconds + 1e-12):
-            raise ValueError("delta_tol must lie in [0, slot length]")
         requested = stacked.dt_dev_rate_sum * dt
         nominal_up = stacked.r_tol_leo * (cfg.slot_seconds - dt)
         free = np.empty((pop, t_slots, n))
@@ -165,8 +152,7 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
         for t in range(t_slots - 1):
             free[:, t + 1] = model.buffer_transition(requested[:, t], nominal_up[:, t],
                                                      free[:, t], cap)[2]
-        if not (free.min() >= 0.0 and free.max() <= cap + 1e-9):
-            raise ValueError("storage_free must lie in [0, capacity]")
+        model.check_buffer_ranges(dt, cfg.slot_seconds, free, cap)
         # the slot objective in Mbit minus the weighted violations, each on a
         # unit scale (seconds for deadlines, Mbit for storage terms, GHz for
         # the pool); with every start in the slot, the chain's products are
@@ -186,13 +172,16 @@ def run_horizon_ga(cfg: ScenarioConfig, state):
         return fit
 
     best = _evolve(rng, ga, hi, fitness, trace)
-    genes = iter(np.split(best, t_slots))
-
-    def replay(ctx, cfg):
-        p, f, dt, gm = (np.array(a, dtype=float) for a in _split_genes(next(genes), n))
-        return _sanitize_slot(ctx, p, f, dt, gm, trace), trace
-
-    result = run_horizon(cfg, state, replay)
+    # copies, since the sanitize writes in place
+    p, f, dt, gm = (a.copy() for a in _split_genes(best.reshape(t_slots, 4 * n), n))
+    # a zero power has a zero rate
+    dead = (gm > 0.0) & ((f <= 0.0) | (stacked.ds_rate(p) <= 0.0))
+    for a in (gm, p, f):
+        a[dead] = 0.0
+    gm[stacked.sum_d <= 0.0] = 0.0
+    trace.sanitized = bool(dead.any())
+    rows = zip(p, f, dt, gm)
+    result = run_horizon(cfg, state, lambda ctx, c: (SlotDecision(*next(rows)), trace))
     result.wall_seconds = _time.perf_counter() - t_start
     return result
 

@@ -25,6 +25,14 @@ MAX_ENERGY_COST_BITS = 1e150
 # upload plus at most this, so the delays' sums over a run's UAV-slots and
 # the GA's deadline penalty at its default weight stay finite.
 MAX_ONBOARD_SECONDS = 1e300
+# Cap on omega times the DS uplink energy that the candidate decisions of
+# one slot can price, over its UAVs (see validate()). A slot objective sums
+# its UAVs' terms, and the GA sums those in Mbit over the slots, so both
+# stay finite.
+MAX_DS_ENERGY_COST_BITS = 1e306
+# Cap on the GA's weighted penalties of one genome over all its slots, in
+# its fitness units (Mbit), so the fitness stays finite.
+MAX_GA_PENALTY = 1e306
 # Caps on the work of one run: UAVs, slots, and UAV-slots (their product).
 # At the caps the slowest algorithm, the GA, finishes a run within a minute.
 MAX_UAVS = 1024
@@ -177,6 +185,20 @@ class ScenarioConfig:
     def elevation_rad(self) -> float:
         return math.radians(self.elevation_deg)
 
+    @property
+    def max_ga_penalty_weight(self) -> float:
+        """The largest ``ga_penalty_weight`` validate() accepts. Per slot, a
+        genome's penalties are at most num_uavs * 1e6 s of deadline excess
+        (each capped at 1e6 s), the bits its UAVs' devices request and
+        their uplinks ship, in Mbit, each rate at most its band times 1024
+        (1 + SNR < 2**1024), and num_uavs * leo_cpu_hz of pool excess in
+        GHz. The weight times their sum over the slots stays within
+        MAX_GA_PENALTY."""
+        bits = 1024.0 * self.slot_seconds * (
+            self.num_uavs * (1.0 - self.beta) * self.uav_bandwidth_hz + self.leo_bandwidth_hz)
+        penalty = self.num_slots * (self.num_uavs * (1e6 + self.leo_cpu_hz / 1e9) + bits / 1e6)
+        return MAX_GA_PENALTY / penalty if penalty else math.inf
+
     def validate(self) -> None:
         for key, get, declared, (low, high, excluded, text) in _CHECKS:
             value = get(self)
@@ -263,6 +285,12 @@ class ScenarioConfig:
                  uav_slots * (self.k_sens_max + self.k_tol_max), MAX_DEVICE_SLOTS)):
             if work > cap:
                 raise ConfigError(f"{what} = {work} exceeds {cap}")
+        weight_end = self.max_ga_penalty_weight
+        if not ga.penalty_weight <= weight_end:
+            raise ConfigError(
+                f"ga_penalty_weight must be <= {weight_end!r} here, so that it times the "
+                "GA's largest penalties over the horizon (num_uavs, num_slots, slot_seconds, "
+                f"the bands, beta, leo_cpu_hz) stays within {MAX_GA_PENALTY:g}")
         # the whole horizon must fit inside one satellite visibility window
         from . import model
         t_v = model.visibility_window(self.sat_altitude_m, self.earth_radius_m,
@@ -282,6 +310,36 @@ class ScenarioConfig:
             raise ConfigError("the satellite link gain (ref_gain_db, antenna_gain_db, "
                               "sat_ref_distance_m, the satellite geometry) overflows "
                               "or underflows to 0")
+        # The DS uplink energy of a UAV-slot at power p is p * gamma * sum_d
+        # / rate(p), the rate floored at 1e-300 bit/s (model.Evaluation). In
+        # exact arithmetic p / rate(p) grows with p. In floats 1 + SNR rounds
+        # to 1 below an SNR of 2**-53, where the rate is 0 and p / rate(p) is
+        # p * 1e300, for p below 2**-52 / G (G: the satellite gain over the
+        # noise); above it 1 + SNR rounds to at least 1 + SNR / 2, which at
+        # most halves the rate. So p / rate(p) stays within the larger of
+        # min(pmax_w, 2**-52 / G) * 1e300 and twice pmax_w / rate(pmax_w).
+        # Powers below pmax_w * 2**-53 are left out of the first: the
+        # rotation starts at pmax_w / 2 and its power block picks 0 or a
+        # power whose rate is positive, the GA's first draws are 0 or at
+        # least pmax_w * 2**-53, and only a mutation that lands within that
+        # of 0 reaches one.
+        per_noise = g_sat / self.noise_w
+        rate = (self.leo_bandwidth_hz / self.num_uavs * math.log1p(self.pmax_w * per_noise)
+                / math.log(2.0))
+        joules_per_bit = 2.0 * self.pmax_w / max(rate, 1e-300)
+        dead_power = min(self.pmax_w, 2.0 ** -52 / per_noise)
+        if dead_power >= self.pmax_w * 2.0 ** -53:
+            joules_per_bit = max(joules_per_bit, dead_power * 1e300)
+        ds_max = self.k_sens_max * self.ds_size_max_bits
+        cost = (self.omega * self.num_uavs * ds_max * joules_per_bit
+                if self.omega and ds_max else 0.0)
+        if not cost <= MAX_DS_ENERGY_COST_BITS:
+            raise ConfigError(
+                "ref_gain_db, antenna_gain_db, sat_ref_distance_m, noise_dbm, "
+                "leo_bandwidth_hz, pmax_w: the satellite link (with its geometry) prices the DS "
+                "uplink of the largest DS load, omega * num_uavs * k_sens_max * "
+                f"ds_size_max_bits times its energy per bit, at up to {cost:.3g} bits, "
+                f"above {MAX_DS_ENERGY_COST_BITS:g}")
 
     def copy(self, **overrides) -> "ScenarioConfig":
         cfg = dataclasses.replace(

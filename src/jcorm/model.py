@@ -473,8 +473,8 @@ def dt_collection_step(dev_rate_sum, delta_tol, slot_seconds: float,
                        r_tol_leo, storage_free, storage_capacity: float) -> CollectionStep:
     """Advance DT buffers across a slot, elementwise over broadcastable
     per-UAV (or per-genome) arrays. ``slot_seconds`` and
-    ``storage_capacity`` may be (B, 1) columns of a stacked context; the
-    range checks hold element by element, and NaN fails them.
+    ``storage_capacity`` may be (B, 1) columns of a stacked context (see
+    ``check_buffer_ranges``).
 
     Devices deliver ``dev_rate_sum * delta_tol`` bits, capped at the free
     space (the buffer cannot physically exceed its capacity). The uplink
@@ -484,23 +484,31 @@ def dt_collection_step(dev_rate_sum, delta_tol, slot_seconds: float,
     """
     delta_tol = np.asarray(delta_tol, dtype=float)
     storage_free = np.asarray(storage_free, dtype=float)
-    # min propagates NaN and every comparison with NaN is False, so NaN
-    # fails the range checks; the upper bounds are compared element by
-    # element, since they may be columns
-    if not (delta_tol.min() >= 0.0 and (delta_tol <= slot_seconds + 1e-12).all()):
-        raise ValueError("delta_tol must lie in [0, slot length]")
-    if not (storage_free.min() >= 0.0 and (storage_free <= storage_capacity + 1e-9).all()):
-        raise ValueError("storage_free must lie in [0, capacity]")
+    check_buffer_ranges(delta_tol, slot_seconds, storage_free, storage_capacity)
     collected, uplinked, next_free = buffer_transition(
         dev_rate_sum * delta_tol, r_tol_leo * (slot_seconds - delta_tol), storage_free,
         storage_capacity)
     return CollectionStep(collected, uplinked, next_free)
 
 
+def check_buffer_ranges(delta_tol: np.ndarray, slot_seconds, storage_free: np.ndarray,
+                        storage_capacity) -> None:
+    """Raise ValueError unless every forwarding start lies in [0, slot
+    length] and every free buffer space in [0, capacity]. The upper bounds
+    may be (B, 1) columns of a stacked context, so they are compared
+    element by element; min propagates NaN and every comparison with NaN
+    is False, so NaN fails both checks."""
+    if not (delta_tol.min() >= 0.0 and (delta_tol <= slot_seconds + 1e-12).all()):
+        raise ValueError("delta_tol must lie in [0, slot length]")
+    if not (storage_free.min() >= 0.0 and (storage_free <= storage_capacity + 1e-9).all()):
+        raise ValueError("storage_free must lie in [0, capacity]")
+
+
 def buffer_transition(requested, nominal_up, storage_free, storage_capacity):
     """The buffer transition of ``dt_collection_step``, without its range
-    checks: (collected, uplinked, next_free) from the bits the devices
-    request and the bits the uplink would ship over its window."""
+    checks (``check_buffer_ranges``): (collected, uplinked, next_free)
+    from the bits the devices request and the bits the uplink would ship
+    over its window."""
     collected = np.minimum(requested, storage_free)
     backlog_cap = collected + (storage_capacity - storage_free)
     uplinked = np.minimum(nominal_up, backlog_cap)

@@ -131,6 +131,30 @@ class TestHorizonGa:
             assert np.all(decision.power[on] > 0.0)
             assert np.all(decision.f_leo[on] > 0.0)
 
+    @pytest.mark.parametrize("overrides", [{}, dict(ds_size_min_bits=0.0, ds_size_max_bits=0.0)],
+                             ids=["default-load", "no-load"])
+    def test_block_sanitize_equals_per_slot_rule(self, overrides):
+        # a crafted best genome: offloading at zero power, at a zero compute
+        # share, and at a power whose DS rate rounds to 0 on the default link
+        cfg = ScenarioConfig(num_uavs=3, num_slots=3, seed=2,
+                             ga=GaConfig(population=2, generations=0), **overrides)
+        state = generate_scenario(cfg, cfg.seed)
+        n = cfg.num_uavs
+        hi = gene_box(cfg)
+        genome = np.random.default_rng(9).uniform(0.05, 1.0, len(hi)) * hi
+        slots = genome.reshape(cfg.num_slots, 4, n)    # (power, compute, start, ratio)
+        slots[0, 0, 0] = 0.0
+        slots[1, 1, 1] = 0.0
+        slots[2, 0, 2] = 1e-20
+        assert build_slot_context(cfg, state, 2, np.zeros(n)).ds_rate(1e-20)[2] == 0.0
+        want, sanitized = per_slot_sanitized(cfg, state, genome)
+        with mock.patch.object(baselines, "_evolve", lambda *args: genome):
+            result = run_horizon_ga(cfg, state)
+        assert sanitized and result.traces[0].sanitized is True
+        for got, ref in zip(result.decisions, want, strict=True):
+            for name in vars(ref):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
     def test_loses_to_decomposed_solver(self):
         cfg = ScenarioConfig(seed=0)
         state = generate_scenario(cfg, 0)
@@ -150,6 +174,26 @@ def gene_box(cfg):
     return np.tile(np.concatenate([np.full(n, cfg.pmax_w), np.full(n, cfg.leo_cpu_hz),
                                    np.full(n, cfg.slot_seconds), np.ones(n)]),
                    cfg.num_slots)
+
+
+def per_slot_sanitized(cfg, state, genome):
+    """The best genome's decisions under the per-slot rule on each slot's
+    1-D context: offloading at zero power, zero compute share or zero DS
+    rate switches to on board, and a UAV without a DS load offloads
+    nothing. Returns (decisions, whether any UAV was switched)."""
+    n = cfg.num_uavs
+    decisions, sanitized = [], False
+    for t, genes in enumerate(np.split(genome, cfg.num_slots)):
+        ctx = build_slot_context(cfg, state, t, np.full(n, cfg.storage_initial_free_bits))
+        p, f, dt, gm = (np.array(genes[i * n:(i + 1) * n]) for i in range(4))
+        dead = (gm > 0.0) & ((p <= 0.0) | (f <= 0.0) | (ctx.ds_rate(p) <= 0.0))
+        sanitized |= bool(dead.any())
+        gm[dead] = 0.0
+        p[dead] = 0.0
+        f[dead] = 0.0
+        gm[ctx.sum_d <= 0.0] = 0.0
+        decisions.append(SlotDecision(p, f, dt, gm))
+    return decisions, sanitized
 
 
 def per_slot_fitness(cfg, state):

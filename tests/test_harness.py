@@ -27,6 +27,7 @@ CROSS_BOUNDED = ("k_sens_max", "k_tol_max", "ds_size_max_bits", "ref_gain_db",
                  "antenna_gain_db", "noise_dbm")
 _BELOW_0, _ABOVE_0, _ABOVE_1 = -5e-324, 5e-324, math.nextafter(1.0, 2.0)
 _NO_DS_LOAD = dict(ds_size_min_bits=0.0, ds_size_max_bits=0.0)
+_PENALTY_END = ScenarioConfig().max_ga_penalty_weight
 # (key, a value validate() accepts at its range's end or inside an open end,
 # a value just past that end, the other keys the accepted value needs)
 RANGE_EDGES = [
@@ -41,11 +42,12 @@ RANGE_EDGES = [
       for edge, past in ((0.0, _BELOW_0), (1.0, _ABOVE_1))],
     *[(key, _ABOVE_0, 0.0, {}) for key in (
         "earth_radius_m", "sat_speed_mps", "slot_seconds",
-        "uav_bandwidth_hz", "leo_bandwidth_hz", "pathloss_coeff", "pathloss_exp",
+        "uav_bandwidth_hz", "pathloss_coeff", "pathloss_exp",
         "cycles_per_bit", "leo_cpu_hz", "switch_cap", "tau_outer",
         "ga_mutation_sigma_frac")],
-    # under a DS load, its on-board time bounds the UAV clock from below
-    ("uav_cpu_hz", _ABOVE_0, 0.0, _NO_DS_LOAD),
+    # under a DS load, its on-board time bounds the UAV clock from below,
+    # and its uplink energy over the satellite link the satellite band
+    ("uav_cpu_hz", _ABOVE_0, 0.0, _NO_DS_LOAD), ("leo_bandwidth_hz", _ABOVE_0, 0.0, _NO_DS_LOAD),
     # the satellite link gain bounds these two from below at finite values,
     # and the closest device link's the UAV altitude
     ("sat_altitude_m", 1e-3, 0.0, dict(num_slots=0)), ("sat_ref_distance_m", 1e-3, 0.0, {}),
@@ -54,6 +56,8 @@ RANGE_EDGES = [
         "device_disc_radius_m", "device_power_tol_w", "pmax_w", "dt_uplink_power_w",
         "rician_k0", "ds_size_min_bits", "storage_initial_free_bits", "omega",
         "ga_penalty_weight")],
+    # the GA's largest penalty sum over the horizon bounds its weight
+    ("ga_penalty_weight", _PENALTY_END, math.nextafter(_PENALTY_END, math.inf), {}),
     ("device_power_sens_w", 0.0, _BELOW_0, _NO_DS_LOAD),
     ("storage_capacity_bits", 0.0, _BELOW_0, dict(storage_initial_free_bits=0.0)),
     *[(key, 0, -1, {}) for key in ("seed", "ga_generations", "ga_elitism", "ga_seed")],
@@ -522,6 +526,10 @@ class TestResults:
 # ---------------------------------------------------------------------------
 
 TINY = "num_slots = 2\nnum_uavs = 3\n"
+# a one-slot run whose DS uplink energy, priced by omega, overflowed where
+# ref_gain_db made the satellite link so weak that its DS rate rounds to 0
+WEAK_SAT_LINK = ("num_slots = 1\nbeta = 1\npmax_w = 10\nstorage_capacity_bits = 2e9\n"
+                 "storage_initial_free_bits = 0\n")
 
 
 class TestCli:
@@ -857,7 +865,16 @@ class TestCli:
         ("device_disc_radius_m = 0\nuav_altitude_m = 1e-150\n", ("uav_altitude_m",)),
         # exited 1: OverflowError squaring the altitude in the range formula
         ("uav_altitude_m = 1e200\n", ("uav_altitude_m",)),
-    ], ids=["clock", "altitude-distance-0", "altitude-snr-inf", "altitude-distance-inf"])
+        # a DS rate that rounds to 0 made omega times the uplink energy
+        # overflow: at U = 6, jcorm, atsm and the GA exited 1 under -W
+        # error::RuntimeWarning at -300 and -225 dB, the GA alone at -220 dB
+        *[(WEAK_SAT_LINK + f"ref_gain_db = {db}\n", ("ref_gain_db", "pmax_w", "omega"))
+          for db in (-300, -225, -220)],
+        # exited 1 under -W error::RuntimeWarning: the GA's weighted
+        # penalties overflowed
+        ("ga_penalty_weight = 1e306\n", ("ga_penalty_weight",)),
+    ], ids=["clock", "altitude-distance-0", "altitude-snr-inf", "altitude-distance-inf",
+            "sat-link-300dB", "sat-link-225dB", "sat-link-220dB", "ga-penalty-1e306"])
     def test_overflowing_clock_or_device_link_is_config_error(self, tmp_path, capsys, lines,
                                                               keys):
         cfg = tmp_path / "edge.cfg"
@@ -869,6 +886,32 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and all(key in err for key in keys)
+
+    @pytest.mark.parametrize("text, accepted", [
+        # the satellite link's DS energy cap lies at -182.2227 dB here
+        (WEAK_SAT_LINK + "ref_gain_db = -182.22\n", True),
+        (WEAK_SAT_LINK + "ref_gain_db = -182.23\n", False),
+        # the largest GA penalty weight of the U = 2, T = 2 run that
+        # overflowed at 1e306
+        ("num_uavs = 2\nnum_slots = 2\nga_penalty_weight = "
+         f"{ScenarioConfig(num_uavs=2, num_slots=2).max_ga_penalty_weight!r}\n", True),
+    ], ids=["sat-link-inside", "sat-link-past", "ga-penalty-end"])
+    def test_sat_link_and_ga_penalty_edges(self, tmp_path, capsys, text, accepted):
+        # RuntimeWarning is an error here, so the accepted side runs all four
+        # algorithms without an overflow
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = main(["compare", "--config", str(cfg), "--seeds", "0,1",
+                     "--algos", "jcorm,atsm,ga,no-offload", "--out", str(out)])
+        if accepted:
+            assert code in (EXIT_OK, EXIT_INFEASIBLE)
+            values = [cell for line in (out / "compare.csv").read_text().splitlines()[1:]
+                      for cell in line.split(",")[6:10]]
+            assert all(math.isfinite(float(v)) for v in values)
+        else:
+            assert code == EXIT_CONFIG and not out.exists()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("lines", [
         # the largest DS load's on-board time at its 1e300 s cap, past it,
