@@ -12,35 +12,44 @@ import dataclasses
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
+
+from . import model
 
 
 MBIT = 1e6          # bits
 GBYTE = 8e9         # bits
 LIGHT_SPEED = 3e8   # m/s
-# Cap on omega times the largest horizon energy. Utilities stay within it,
-# so the squares that the std aggregate sums over seeds stay finite.
+# Caps on what validate() derives from several keys, one row each of
+# ScenarioConfig.derived_magnitudes. A row capped at FLOAT_MAX need only
+# stay finite. The largest horizon energy (J) keeps a run's energy sums
+# finite; omega times it at full power keeps the utilities, and the squares
+# that the std aggregate sums, finite. A DS delay is its upload plus at most
+# the largest DS load's on-board seconds, so the delays' sums over a run and
+# the GA's deadline penalty at its default weight stay finite. omega times
+# the DS uplink energy that the candidate decisions of one slot can price,
+# over its UAVs, keeps a slot objective and the GA's Mbit sum of them over
+# the slots finite (MAX_ENERGY_J admits this energy at omega = 10 on one
+# slot). The GA's weighted penalties of one genome over all its slots, in
+# its fitness units (Mbit), keep the fitness finite.
+FLOAT_MAX = sys.float_info.max
+MAX_ENERGY_J = 1e306
 MAX_ENERGY_COST_BITS = 1e150
-# Cap on the on-board seconds of the largest DS load. A DS delay is its
-# upload plus at most this, so the delays' sums over a run's UAV-slots and
-# the GA's deadline penalty at its default weight stay finite.
 MAX_ONBOARD_SECONDS = 1e300
-# Cap on omega times the DS uplink energy that the candidate decisions of
-# one slot can price, over its UAVs (see validate()). A slot objective sums
-# its UAVs' terms, and the GA sums those in Mbit over the slots, so both
-# stay finite.
 MAX_DS_ENERGY_COST_BITS = 1e306
-# Cap on the GA's weighted penalties of one genome over all its slots, in
-# its fitness units (Mbit), so the fitness stays finite.
 MAX_GA_PENALTY = 1e306
 # Caps on the work of one run: UAVs, slots, and UAV-slots (their product).
 # At the caps the slowest algorithm, the GA, finishes a run within a minute.
 MAX_UAVS = 1024
 MAX_SLOTS = 1000
 MAX_UAV_SLOTS = 10_000
-# the keys that set a device link's SNR
+# the keys that set a device link's SNR, the satellite gain, and the largest energy
 DEVICE_LINK_KEYS = ("uav_altitude_m, device_disc_radius_m, pathloss_coeff, pathloss_exp, "
                     "device_power_sens_w, device_power_tol_w, noise_dbm")
+SAT_GAIN_KEYS = "ref_gain_db, antenna_gain_db, sat_ref_distance_m, the satellite geometry"
+ENERGY_KEYS = ("num_uavs, num_slots, slot_seconds, pmax_w, dt_uplink_power_w, cycles_per_bit, "
+               "switch_cap, k_sens_max, ds_size_max_bits, uav_cpu_hz, leo_cpu_hz")
 
 
 class ConfigError(ValueError):
@@ -206,7 +215,7 @@ class ScenarioConfig:
                 if not math.isfinite(value):
                     raise ConfigError(f"{key} must be finite")
             elif declared.startswith("int") and not (
-                    isinstance(value, numbers.Integral)
+                    type(value) is int or isinstance(value, numbers.Integral)  # ABC test is slow
                     or (value is None and declared == "int | None")):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
             if text and value is not None and (not low <= value <= high or value == excluded):
@@ -216,11 +225,10 @@ class ScenarioConfig:
                           ("storage_initial_free_bits", "storage_capacity_bits")):
             if getattr(self, low) > getattr(self, high):
                 raise ConfigError(f"{low} must be <= {high}")
-        if self.num_uavs * self.num_slots > MAX_UAV_SLOTS:
-            raise ConfigError(f"num_uavs * num_slots = {self.num_uavs * self.num_slots} "
-                              f"exceeds {MAX_UAV_SLOTS}")
-        for name, to_linear in (("ref_gain_db", db_to_linear),
-                                ("antenna_gain_db", db_to_linear),
+        for key, choices in (("algo", ALGORITHMS), ("solver_mode", SOLVER_MODES)):
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"{key} must be one of {choices}")
+        for name, to_linear in (("ref_gain_db", db_to_linear), ("antenna_gain_db", db_to_linear),
                                 ("noise_dbm", dbm_to_watt)):
             try:
                 linear = to_linear(getattr(self, name))
@@ -229,24 +237,15 @@ class ScenarioConfig:
             if not 0.0 < linear < math.inf:
                 raise ConfigError(f"{name} is out of range: its linear value "
                                   "overflows or underflows to 0")
-        if self.device_power_sens_w == 0 and self.ds_size_max_bits > 0:
-            # a silent DS device has rate 0: its upload would never finish
-            raise ConfigError("device_power_sens_w = 0 cannot upload the DS load "
-                              "(ds_size_max_bits > 0)")
-        if self.beta == 0 and self.ds_size_max_bits > 0:
-            # no DS band: the upload time overflows to inf
-            raise ConfigError("beta = 0 leaves no band to upload the DS load "
-                              "(ds_size_max_bits > 0)")
-        onboard = self.cycles_per_bit * self.k_sens_max * self.ds_size_max_bits / self.uav_cpu_hz
-        if not onboard <= MAX_ONBOARD_SECONDS:
-            raise ConfigError(
-                "the largest DS load's on-board time, cycles_per_bit * k_sens_max * "
-                f"ds_size_max_bits / uav_cpu_hz = {onboard:.3g} s, exceeds "
-                f"{MAX_ONBOARD_SECONDS:g} s")
-        # the device links lie from straight below their UAV to the disc's
-        # edge: the farthest distance must stay finite, and the closest
-        # must not round to 0, nor its gain or SNR at unit fading overflow
-        # (the scenario checks every drawn link's rate)
+        # a silent DS device has rate 0, so its upload never finishes; with
+        # no DS band the upload time overflows to inf
+        for key, why in (("device_power_sens_w", "cannot upload"),
+                         ("beta", "leaves no band to upload")):
+            if getattr(self, key) == 0 and self.ds_size_max_bits > 0:
+                raise ConfigError(f"{key} = 0 {why} the DS load (ds_size_max_bits > 0)")
+        # the device links lie from straight below their UAV to the disc's edge: the
+        # farthest distance must stay finite, and the closest must not round to 0,
+        # nor its SNR at unit fading overflow (the scenario checks each drawn rate)
         radius, altitude = self.device_disc_radius_m, self.uav_altitude_m
         closest = math.sqrt(altitude * altitude)
         try:
@@ -254,62 +253,34 @@ class ScenarioConfig:
         except OverflowError:
             gain = math.inf
         snr = max(self.device_power_sens_w, self.device_power_tol_w) * gain / self.noise_w
-        if not (math.sqrt(radius * radius + altitude * altitude) < math.inf
-                and gain < math.inf and snr < math.inf):
+        if not (math.sqrt(radius * radius + altitude * altitude) < math.inf and snr < math.inf):
             raise ConfigError(f"{DEVICE_LINK_KEYS}: a device link rounds to a zero or "
                               "infinite distance, or the closest one's gain or SNR overflows")
-        # the most energy a run can spend: every UAV's radios at full power
-        # through every slot (the DS uplink must finish within the slot),
-        # plus the largest DS load computed at the faster CPU's full speed
-        cpu_hz = max(self.uav_cpu_hz, self.leo_cpu_hz)
-        e_max = self.num_uavs * self.num_slots * (
-            (self.pmax_w + self.dt_uplink_power_w) * self.slot_seconds
-            + self.cycles_per_bit * self.switch_cap * self.k_sens_max
-            * self.ds_size_max_bits * cpu_hz * cpu_hz)
-        if self.omega * e_max > MAX_ENERGY_COST_BITS:
-            raise ConfigError(
-                f"omega = {self.omega:g} prices the largest horizon energy "
-                f"({e_max:.3g} J) above {MAX_ENERGY_COST_BITS:g} bits")
-        if self.algo not in ALGORITHMS:
-            raise ConfigError(f"algo must be one of {ALGORITHMS}")
-        if self.solver_mode not in SOLVER_MODES:
-            raise ConfigError(f"solver_mode must be one of {SOLVER_MODES}")
-        ga, runs, uav_slots = self.ga, self.ga.generations + 1, self.num_uavs * self.num_slots
-        for what, work, cap in (
-                ("ga_population * num_uavs * num_slots", ga.population * uav_slots, MAX_GA_GENES),
-                ("ga_population * (ga_generations + 1) * num_uavs * num_slots",
-                 ga.population * runs * uav_slots, MAX_GA_RUN_GENES),
-                ("(ga_generations + 1) * num_slots", runs * self.num_slots, MAX_GA_PASSES),
-                ("ga_population * ga_tournament", ga.population * ga.tournament, MAX_GA_DRAWS),
-                ("num_uavs * num_slots * (k_sens_max + k_tol_max)",
-                 uav_slots * (self.k_sens_max + self.k_tol_max), MAX_DEVICE_SLOTS)):
-            if work > cap:
-                raise ConfigError(f"{what} = {work} exceeds {cap}")
-        weight_end = self.max_ga_penalty_weight
-        if not ga.penalty_weight <= weight_end:
-            raise ConfigError(
-                f"ga_penalty_weight must be <= {weight_end!r} here, so that it times the "
-                "GA's largest penalties over the horizon (num_uavs, num_slots, slot_seconds, "
-                f"the bands, beta, leo_cpu_hz) stays within {MAX_GA_PENALTY:g}")
-        # the whole horizon must fit inside one satellite visibility window
-        from . import model
-        t_v = model.visibility_window(self.sat_altitude_m, self.earth_radius_m,
-                                      self.elevation_rad, self.sat_speed_mps)
-        if self.num_slots * self.slot_seconds > t_v + 1e-9:
-            raise ConfigError(
-                f"horizon {self.num_slots * self.slot_seconds:.1f} s exceeds the "
-                f"satellite visibility window {t_v:.1f} s")
-        d_sat = model.uav_sat_distance(self.sat_altitude_m, self.earth_radius_m,
-                                       self.elevation_rad)
         try:
-            g_sat = model.uav_leo_gain(d_sat, self.ref_gain, self.antenna_gain,
-                                       self.sat_ref_distance_m)
-        except (OverflowError, ValueError):   # ValueError: d_sat rounds to 0
+            g_sat = model.uav_leo_gain(model.uav_sat_distance(
+                self.sat_altitude_m, self.earth_radius_m, self.elevation_rad),
+                self.ref_gain, self.antenna_gain, self.sat_ref_distance_m)
+        except (OverflowError, ValueError):   # ValueError: the slant range rounds to 0
             g_sat = math.inf
         if not 0.0 < g_sat < math.inf:
-            raise ConfigError("the satellite link gain (ref_gain_db, antenna_gain_db, "
-                              "sat_ref_distance_m, the satellite geometry) overflows "
-                              "or underflows to 0")
+            raise ConfigError(f"the satellite link gain ({SAT_GAIN_KEYS}) overflows or "
+                              "underflows to 0")
+        for what, value, cap in self.derived_magnitudes(g_sat):
+            if not value <= cap:
+                raise ConfigError(f"{what} must be <= {cap!r}, not {value:.6g}")
+
+    def derived_magnitudes(self, g_sat: float) -> tuple:
+        """(what, value, cap) of each magnitude that validate() derives from several
+        keys, given a finite positive satellite link gain ``g_sat``. validate() refuses
+        a config unless each value is <= its cap (NaN is not); ``what`` names the keys."""
+        ga, runs, uav_slots = self.ga, self.ga.generations + 1, self.num_uavs * self.num_slots
+        cpu_hz = max(self.uav_cpu_hz, self.leo_cpu_hz)
+        # the most energy a run can spend at full power: every UAV's radios
+        # through every slot (the DS uplink must finish within the slot),
+        # plus the largest DS load computed at the faster CPU's full speed
+        e_max = uav_slots * ((self.pmax_w + self.dt_uplink_power_w) * self.slot_seconds
+                             + self.cycles_per_bit * self.switch_cap * self.k_sens_max
+                             * self.ds_size_max_bits * cpu_hz * cpu_hz)
         # The DS uplink energy of a UAV-slot at power p is p * gamma * sum_d
         # / rate(p), the rate floored at 1e-300 bit/s (model.Evaluation). In
         # exact arithmetic p / rate(p) grows with p. In floats 1 + SNR rounds
@@ -331,15 +302,43 @@ class ScenarioConfig:
         if dead_power >= self.pmax_w * 2.0 ** -53:
             joules_per_bit = max(joules_per_bit, dead_power * 1e300)
         ds_max = self.k_sens_max * self.ds_size_max_bits
-        cost = (self.omega * self.num_uavs * ds_max * joules_per_bit
-                if self.omega and ds_max else 0.0)
-        if not cost <= MAX_DS_ENERGY_COST_BITS:
-            raise ConfigError(
-                "ref_gain_db, antenna_gain_db, sat_ref_distance_m, noise_dbm, "
-                "leo_bandwidth_hz, pmax_w: the satellite link (with its geometry) prices the DS "
-                "uplink of the largest DS load, omega * num_uavs * k_sens_max * "
-                f"ds_size_max_bits times its energy per bit, at up to {cost:.3g} bits, "
-                f"above {MAX_DS_ENERGY_COST_BITS:g}")
+        ds_energy, ds_cost = ((self.num_uavs * ds_max * joules_per_bit,
+                               self.omega * self.num_uavs * ds_max * joules_per_bit)
+                              if ds_max else (0.0, 0.0))
+        ds_link = f"the DS uplink ({SAT_GAIN_KEYS}, noise_dbm, leo_bandwidth_hz)"
+        return (
+            ("num_uavs * num_slots", uav_slots, MAX_UAV_SLOTS),
+            ("the largest DS load's on-board time in s, cycles_per_bit * k_sens_max * "
+             "ds_size_max_bits / uav_cpu_hz", self.cycles_per_bit * self.k_sens_max
+             * self.ds_size_max_bits / self.uav_cpu_hz, MAX_ONBOARD_SECONDS),
+            (f"omega * the largest horizon energy at full power in J ({ENERGY_KEYS})",
+             self.omega * e_max, MAX_ENERGY_COST_BITS),
+            ("ga_population * num_uavs * num_slots", ga.population * uav_slots, MAX_GA_GENES),
+            ("ga_population * (ga_generations + 1) * num_uavs * num_slots",
+             ga.population * runs * uav_slots, MAX_GA_RUN_GENES),
+            ("(ga_generations + 1) * num_slots", runs * self.num_slots, MAX_GA_PASSES),
+            ("ga_population * ga_tournament", ga.population * ga.tournament, MAX_GA_DRAWS),
+            ("num_uavs * num_slots * (k_sens_max + k_tol_max)",
+             uav_slots * (self.k_sens_max + self.k_tol_max), MAX_DEVICE_SLOTS),
+            ("under the GA's largest penalty sum (num_uavs, num_slots, slot_seconds, the bands, "
+             "beta, leo_cpu_hz), ga_penalty_weight", ga.penalty_weight, self.max_ga_penalty_weight),
+            ("the horizon in s, num_slots * slot_seconds (up to the visibility window that the "
+             "satellite geometry and sat_speed_mps set)", self.num_slots * self.slot_seconds,
+             model.visibility_window(self.sat_altitude_m, self.earth_radius_m,
+                                     self.elevation_rad, self.sat_speed_mps) + 1e-9),
+            (f"omega * num_uavs * k_sens_max * ds_size_max_bits times the energy per bit of "
+             f"{ds_link} up to pmax_w", ds_cost, MAX_DS_ENERGY_COST_BITS),
+            # omega * energy passes at omega = 0: these bound the energy itself, and
+            # the clocks that the model squares on their own (SlotContext.cpu_squared,
+            # f_leo ** 2) whatever load they multiply
+            ("the faster clock squared, max(uav_cpu_hz, leo_cpu_hz) ** 2", cpu_hz * cpu_hz,
+             FLOAT_MAX),
+            (f"the largest horizon energy in J ({ENERGY_KEYS}; and {ds_link})",
+             e_max + self.num_slots * ds_energy, MAX_ENERGY_J),
+            (f"the DT uplink's SNR, dt_uplink_power_w times the satellite link gain over the "
+             f"noise ({SAT_GAIN_KEYS}, noise_dbm)", self.dt_uplink_power_w * g_sat / self.noise_w,
+             FLOAT_MAX),
+        )
 
     def copy(self, **overrides) -> "ScenarioConfig":
         cfg = dataclasses.replace(

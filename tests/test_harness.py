@@ -530,6 +530,8 @@ TINY = "num_slots = 2\nnum_uavs = 3\n"
 # ref_gain_db made the satellite link so weak that its DS rate rounds to 0
 WEAK_SAT_LINK = ("num_slots = 1\nbeta = 1\npmax_w = 10\nstorage_capacity_bits = 2e9\n"
                  "storage_initial_free_bits = 0\n")
+# a fleet and horizon at which omega = 0 used to let an overflowed energy through
+OMEGA_0 = "num_uavs = 3\nnum_slots = 2\nomega = 0\n"
 
 
 class TestCli:
@@ -873,8 +875,29 @@ class TestCli:
         # exited 1 under -W error::RuntimeWarning: the GA's weighted
         # penalties overflowed
         ("ga_penalty_weight = 1e306\n", ("ga_penalty_weight",)),
+        # at U = 3, omega = 0 priced an overflowed energy at 0 * inf: all four
+        # algorithms wrote nan utilities and inf energies
+        (OMEGA_0 + "switch_cap = 1e300\n", ("switch_cap",)),
+        (OMEGA_0 + "uav_cpu_hz = 1e300\n", ("uav_cpu_hz",)),
+        # the GA wrote nan, jcorm and atsm exited 1 under -W error::RuntimeWarning
+        (OMEGA_0 + "leo_cpu_hz = 1e160\n", ("leo_cpu_hz",)),
+        # a squared clock overflowed on its own: 0 cycle energy times inf
+        ("num_uavs = 3\nds_size_min_bits = 0\nds_size_max_bits = 0\nuav_cpu_hz = 1e300\n",
+         ("uav_cpu_hz",)),
+        ("num_uavs = 3\nds_size_min_bits = 0\nds_size_max_bits = 0\nleo_cpu_hz = 1e300\n",
+         ("leo_cpu_hz",)),
+        # the DT uplink's SNR overflowed: no-offload and the GA exited 1 with a
+        # ValueError (delta_tol must lie in [0, slot length]), jcorm and atsm
+        # wrote nan and inf
+        (OMEGA_0 + "dt_uplink_power_w = 1e308\n", ("dt_uplink_power_w",)),
+        # cycles_per_bit * switch_cap overflowed: inf times the zero load is
+        # nan, which passed every cap, and all four algorithms wrote nan
+        ("num_uavs = 3\nds_size_min_bits = 0\nds_size_max_bits = 0\ncycles_per_bit = 1e200\n"
+         "switch_cap = 1e200\n", ("cycles_per_bit", "switch_cap")),
     ], ids=["clock", "altitude-distance-0", "altitude-snr-inf", "altitude-distance-inf",
-            "sat-link-300dB", "sat-link-225dB", "sat-link-220dB", "ga-penalty-1e306"])
+            "sat-link-300dB", "sat-link-225dB", "sat-link-220dB", "ga-penalty-1e306",
+            "omega-0-switch-cap", "omega-0-uav-clock", "omega-0-leo-clock",
+            "no-load-uav-clock", "no-load-leo-clock", "omega-0-dt-power", "no-load-cycle-cap"])
     def test_overflowing_clock_or_device_link_is_config_error(self, tmp_path, capsys, lines,
                                                               keys):
         cfg = tmp_path / "edge.cfg"
@@ -895,7 +918,20 @@ class TestCli:
         # overflowed at 1e306
         ("num_uavs = 2\nnum_slots = 2\nga_penalty_weight = "
          f"{ScenarioConfig(num_uavs=2, num_slots=2).max_ga_penalty_weight!r}\n", True),
-    ], ids=["sat-link-inside", "sat-link-past", "ga-penalty-end"])
+        # the faster clock squared overflows past 1.34e154, under a load or not
+        (OMEGA_0 + "uav_cpu_hz = 1.3e154\nleo_cpu_hz = 1.3e154\n", True),
+        (OMEGA_0 + "leo_cpu_hz = 1.35e154\n", False),
+        ("num_uavs = 3\nnum_slots = 2\nds_size_min_bits = 0\nds_size_max_bits = 0\n"
+         "uav_cpu_hz = 1.3e154\nleo_cpu_hz = 1.3e154\n", True),
+        # the largest horizon energy at omega = 0 crosses 1e306 J between these
+        (OMEGA_0 + "switch_cap = 2.7e275\n", True),
+        (OMEGA_0 + "switch_cap = 2.8e275\n", False),
+        # the DT uplink's SNR overflows between these, with a noise of 1e-303 W
+        ("num_uavs = 3\nnum_slots = 2\nnoise_dbm = -3000\ndt_uplink_power_w = 5e13\n", True),
+        ("num_uavs = 3\nnum_slots = 2\nnoise_dbm = -3000\ndt_uplink_power_w = 1e14\n", False),
+    ], ids=["sat-link-inside", "sat-link-past", "ga-penalty-end", "clock-inside", "clock-past",
+            "clock-inside-no-load", "energy-inside", "energy-past", "dt-snr-inside",
+            "dt-snr-past"])
     def test_sat_link_and_ga_penalty_edges(self, tmp_path, capsys, text, accepted):
         # RuntimeWarning is an error here, so the accepted side runs all four
         # algorithms without an overflow

@@ -13,21 +13,22 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from jcorm import model
 from jcorm.baselines import run_horizon_ga, solve_slot_atsm, solve_slot_no_offload
 from jcorm.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from jcorm.config import (ALGORITHMS, CONFIG_KEYS, MAX_SLOTS, MAX_UAVS, SOLVER_MODES,
-                          ScenarioConfig)
-from jcorm.scenario import generate_scenario
+                          ConfigError, ScenarioConfig)
+from jcorm.scenario import build_slot_context, generate_scenario
 from jcorm.solver import fallback_decision, run_horizon, solve_slot_jcorm
 
 from conftest import scenario_ctx
@@ -135,6 +136,7 @@ BOUNDS = {
     "ds_size_min_bits": [DEFAULTS.ds_size_max_bits],
     "storage_initial_free_bits": [DEFAULTS.storage_capacity_bits],
     "ref_gain_db": [-4000.0, 4000.0], "antenna_gain_db": [4000.0],
+    **dict.fromkeys(("uav_cpu_hz", "leo_cpu_hz", "switch_cap", "dt_uplink_power_w"), [1e300]),
     "noise_dbm": [-4000.0, 4000.0],
     "algo": list(ALGORITHMS) + ["annealing"], "solver_mode": list(SOLVER_MODES) + ["relaxed"],
 }
@@ -185,6 +187,18 @@ def _finite_csv(path):
 @given(overrides=key_overrides())
 # a DS load with no DS band: its upload time overflowed to inf
 @example(overrides={"beta": 0.0, "ds_size_max_bits": 4e8})
+# omega = 0 priced an overflowed energy at 0 * inf, which wrote nan
+@example(overrides={"omega": 0.0, "switch_cap": 1e300})
+@example(overrides={"omega": 0.0, "uav_cpu_hz": 1e300})
+@example(overrides={"omega": 0.0, "leo_cpu_hz": 1e160})
+# a squared clock overflowed under no load: 0 cycle energy times inf
+@example(overrides={"ds_size_min_bits": 0.0, "ds_size_max_bits": 0.0, "uav_cpu_hz": 1e300})
+@example(overrides={"ds_size_min_bits": 0.0, "ds_size_max_bits": 0.0, "leo_cpu_hz": 1e300})
+# the DT uplink's SNR overflowed: a ValueError traceback, or nan and inf
+@example(overrides={"omega": 0.0, "dt_uplink_power_w": 1e308})
+# inf cycles_per_bit * switch_cap times the zero load: a nan energy bound
+@example(overrides={"ds_size_min_bits": 0.0, "ds_size_max_bits": 0.0, "cycles_per_bit": 1e200,
+                    "switch_cap": 1e200})
 def test_every_key_runs_finite_or_is_config_error(overrides):
     text = "".join(f"{key} = {value}\n" for key, value in {**SMALL, **overrides}.items())
     err = io.StringIO()
@@ -201,6 +215,61 @@ def test_every_key_runs_finite_or_is_config_error(overrides):
         else:
             assert code in (EXIT_OK, EXIT_INFEASIBLE), text
             _finite_csv(os.path.join(out, "compare.csv"))
+
+
+# ---------------------------------------------------------------------------
+# the magnitude envelope of validate()
+# ---------------------------------------------------------------------------
+
+def _zero_or(lo, hi):
+    return st.just(0.0) | _log_uniform(lo, hi)
+
+
+@st.composite
+def envelope_configs(draw):
+    """A config that validate() accepts, log-uniform over wide ranges of
+    the clocks, the switched capacitance, both UAV powers, the DS load,
+    omega and the satellite reference gain, each but the clocks and the
+    capacitance 0 now and then."""
+    ds_max = draw(_zero_or(1.0, 1e200))
+    cfg = ScenarioConfig(
+        num_uavs=draw(st.integers(1, 4)), num_slots=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2 ** 32)),
+        uav_cpu_hz=draw(_log_uniform(1e-20, 1e200)), leo_cpu_hz=draw(_log_uniform(1e-20, 1e200)),
+        switch_cap=draw(_log_uniform(1e-200, 1e200)),
+        pmax_w=draw(_zero_or(1e-300, 1e300)), dt_uplink_power_w=draw(_zero_or(1e-300, 1e300)),
+        ds_size_min_bits=ds_max * draw(st.floats(0.0, 1.0)), ds_size_max_bits=ds_max,
+        omega=draw(_zero_or(1e-300, 1e300)),
+        # half of them where the DS uplink is neither dead nor instant
+        ref_gain_db=draw(st.floats(-3000.0, 3000.0) | st.floats(-250.0, 0.0)))
+    try:
+        cfg.validate()
+    except ConfigError:
+        reject()
+    return cfg
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(cfg=envelope_configs())
+# a DS uplink that outlasts its slot at full power spends more than the
+# radios do in a slot at full power
+@example(cfg=ScenarioConfig(num_uavs=2, num_slots=2, ref_gain_db=-100.0))
+def test_model_parts_stay_within_the_energy_row(cfg):
+    # every Evaluation part at the corners of the decision box is finite,
+    # and a slot's energy over its UAVs is within the horizon energy row
+    state = generate_scenario(cfg, cfg.seed)
+    energy = next(value for what, value, _ in cfg.derived_magnitudes(state.sat_gain)
+                  if what.startswith("the largest horizon energy"))
+    corners = [np.array(axis, dtype=float)[:, None] for axis in zip(*itertools.product(
+        (0.0, cfg.pmax_w * 2.0 ** -53, cfg.pmax_w), (0.0, cfg.leo_cpu_hz),
+        (0.0, cfg.slot_seconds), (0.0, 1.0)))]
+    free = np.full(cfg.num_uavs, cfg.storage_initial_free_bits)
+    for slot in range(cfg.num_slots):
+        ev = model.Evaluation(build_slot_context(cfg, state, slot, free), *corners)
+        for part in ("window", "e_ds", "e_comm", "e_uav", "e_leo", "terms"):
+            assert np.isfinite(getattr(ev, part)).all(), part
+        assert ((ev.e_comm + ev.e_uav + ev.e_leo).sum(axis=-1) <= energy * (1 + 1e-9)).all()
 
 
 # ---------------------------------------------------------------------------
