@@ -2,7 +2,9 @@
 rotation solver does not hand to the fallback is feasible on its own
 context, the buffer stays within [0, capacity], and utility is finite. And
 over every config key: a config either runs to finite numbers or is a
-configuration error. And over seeded slots: permuting the UAVs permutes
+configuration error. And over accepted configs with extreme magnitudes:
+every model part at the corners of the decision box is finite, and a
+slot's energy stays within validate()'s energy row. And over seeded slots: permuting the UAVs permutes
 each slot solver's decision, and a slot that does not fall back scores at
 least the on-board fallback wherever that is feasible.
 
