@@ -22,17 +22,15 @@ MBIT = 1e6          # bits
 GBYTE = 8e9         # bits
 LIGHT_SPEED = 3e8   # m/s
 # Caps on what validate() derives from several keys, one row each of
-# ScenarioConfig.derived_magnitudes. A row capped at FLOAT_MAX need only
-# stay finite. The largest horizon energy (J) keeps a run's energy sums
-# finite; omega times it at full power keeps the utilities, and the squares
-# that the std aggregate sums, finite. A DS delay is its upload plus at most
-# the largest DS load's on-board seconds, so the delays' sums over a run and
-# the GA's deadline penalty at its default weight stay finite. omega times
-# the DS uplink energy that the candidate decisions of one slot can price,
-# over its UAVs, keeps a slot objective and the GA's Mbit sum of them over
-# the slots finite (MAX_ENERGY_J admits this energy at omega = 10 on one
-# slot). The GA's weighted penalties of one genome over all its slots, in
-# its fitness units (Mbit), keep the fitness finite.
+# ScenarioConfig.derived_magnitudes. A row capped at FLOAT_MAX need only stay finite. The
+# largest horizon energy (J) keeps a run's energy sums finite; omega times it at full power
+# keeps the utilities, and the squares that the std aggregate sums, finite. A DS delay is
+# its upload plus at most the largest DS load's on-board seconds, so the delays' sums over a
+# run and the GA's deadline penalty at its default weight stay finite. omega times the DS
+# uplink energy that the candidate decisions of one slot can price, over its UAVs, keeps a
+# slot objective and the GA's Mbit sum of them over the slots finite (MAX_ENERGY_J admits
+# this energy at omega = 10 on one slot). The GA's weighted penalties of one genome over all
+# its slots, in its fitness units (Mbit), keep the fitness finite.
 FLOAT_MAX = sys.float_info.max
 MAX_ENERGY_J = 1e306
 MAX_ENERGY_COST_BITS = 1e150
@@ -215,7 +213,7 @@ class ScenarioConfig:
                 if not math.isfinite(value):
                     raise ConfigError(f"{key} must be finite")
             elif declared.startswith("int") and not (
-                    type(value) is int or isinstance(value, numbers.Integral)  # ABC test is slow
+                    isinstance(value, numbers.Integral)
                     or (value is None and declared == "int | None")):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
             if text and value is not None and (not low <= value <= high or value == excluded):
@@ -266,8 +264,9 @@ class ScenarioConfig:
             raise ConfigError(f"the satellite link gain ({SAT_GAIN_KEYS}) overflows or "
                               "underflows to 0")
         for what, value, cap in self.derived_magnitudes(g_sat):
-            if not value <= cap:
-                raise ConfigError(f"{what} must be <= {cap!r}, not {value:.6g}")
+            if not value <= cap:   # an int past the float range cannot take .6g
+                got = "over 1e308" if type(value) is int and value > FLOAT_MAX else f"{value:.6g}"
+                raise ConfigError(f"{what} must be <= {cap!r}, not {got}")
 
     def derived_magnitudes(self, g_sat: float) -> tuple:
         """(what, value, cap) of each magnitude that validate() derives from several

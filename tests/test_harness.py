@@ -761,8 +761,13 @@ class TestCli:
         # within the gene caps, but 60.6M generations of about 0.3 ms each
         ("num_uavs = 1\nnum_slots = 1\nga_population = 1\nga_generations = 60599999\n",
          "ga_generations"),
+        # a work product past the float range, which the refusal message cannot print as .6g
+        ("ga_population = 1e308\n", "ga_population"),
+        ("ga_generations = 1e308\n", "ga_generations"),
+        ("ga_tournament = 1e308\n", "ga_tournament"),
     ], ids=["uavs-1e308", "slots-1e308", "uavs-1e20", "slots-1e5", "ga-population-1e9",
-            "ga-generations-1e9", "ga-tournament-1e9", "k-tol-1e7", "ga-generations-6e7"])
+            "ga-generations-1e9", "ga-tournament-1e9", "k-tol-1e7", "ga-generations-6e7",
+            "ga-population-1e308", "ga-generations-1e308", "ga-tournament-1e308"])
     def test_oversized_run_is_config_error(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(text)
